@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -39,19 +40,9 @@ def _resolve_seed(flag_value):
     return DEFAULT_SEED
 
 
-def _parse_float_list(text, name):
+def _parse_list(text, name, kind):
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"invalid {name} list: {text!r}") from exc
-    if not values:
-        raise ConfigError(f"empty {name} list")
-    return values
-
-
-def _parse_int_list(text, name):
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"invalid {name} list: {text!r}") from exc
     if not values:
@@ -85,8 +76,8 @@ def _write_text(path, text):
 
 
 def run_linear_convergence(args) -> int:
-    h_values = _parse_float_list(args.h, "step")
-    jump_counts = _parse_int_list(args.jumps, "jump-count")
+    h_values = _parse_list(args.h, "step", float)
+    jump_counts = _parse_list(args.jumps, "jump-count", int)
     if any(h <= 0 for h in h_values):
         raise ConfigError("steps must be positive")
     if any(nj < 0 for nj in jump_counts):
@@ -147,7 +138,7 @@ def run_silkworm(args) -> int:
     part = solver.build_partition(g, args.h)
     spec = models.make_silkworm_spec(params)
     traj = solver.solve(spec, g, part)
-    exact = models.SilkwormSolution(params, resolution=args.resolution)
+    exact = models.SilkwormSolution(params)
     report = analysis.error_report(traj, exact, exact.right, g, spec)
     lines = ["t,numeric,exact,error"]
     x = exact(part.nodes)
@@ -200,11 +191,18 @@ def run_bounds(args) -> int:
     _, _, resid_comb = analysis.truncation_errors(exact, exact_right, g, spec, part)
     consts = analysis.measure_constants(spec, g, part, exact, exact_right)
     resid_max = float(np.max(np.abs(resid_comb)))
-    bound = analysis.theoretical_bounds(consts, args.T, 0.0, resid_max)
-    bound_star = analysis.predictor_bound(consts, args.T, 0.0, resid_max,
-                                          at_jump=True)
-    bound_plus = analysis.right_limit_bound(consts, args.T, 0.0, resid_max,
-                                            at_jump=True)
+    try:
+        bounds = (analysis.theoretical_bounds(consts, args.T, 0.0, resid_max),
+                  analysis.predictor_bound(consts, args.T, 0.0, resid_max,
+                                           at_jump=True),
+                  analysis.right_limit_bound(consts, args.T, 0.0, resid_max,
+                                             at_jump=True))
+    except OverflowError:
+        bounds = (math.inf,)
+    if not all(map(math.isfinite, bounds)):
+        raise ConfigError("the a-priori bound exceeds the float range "
+                          f"(G1*T/h = {consts.g1 * args.T / args.h:.4g})")
+    bound, bound_star, bound_plus = bounds
     print(f"measured constants: K1={consts.k1:.4g} K2={consts.k2:.4g} "
           f"K3={consts.k3:.4g} H={consts.lip:.4g}")
     print(f"G1={consts.g1:.4g} G2={consts.g2:.4g} G3={consts.g3:.4g} "
@@ -261,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=1.1)
     p.add_argument("--c", type=float, default=1.2)
     p.add_argument("--x0", type=float, default=8.0)
-    p.add_argument("--resolution", type=int, default=1000)
     p.add_argument("--out", default="silkworm.csv")
     p.set_defaults(func=run_silkworm)
 

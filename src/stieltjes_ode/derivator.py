@@ -60,6 +60,8 @@ class Derivator:
         gaps = np.asarray(jump_gaps, dtype=float)
         if times.shape != gaps.shape or times.ndim > 1:
             raise ValueError("jump times and gaps must be 1-d and equally long")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(gaps))):
+            raise ValueError("jump times and gaps must be finite")
         if times.size:
             if np.any(np.diff(times) <= 0.0):
                 raise ValueError("jump times must be strictly increasing")

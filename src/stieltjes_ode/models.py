@@ -45,10 +45,12 @@ class SilkwormParams:
     T: float = 10.0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"decay rate c must be positive, got {self.c}")
-        if self.lam < 0:
-            raise ValueError(f"fecundity lam must be nonnegative, got {self.lam}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(
+                f"decay rate c must be positive and finite, got {self.c}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(
+                f"fecundity lam must be nonnegative and finite, got {self.lam}")
 
 
 def _stage_indices(t: float, step: float):
@@ -97,16 +99,28 @@ def make_silkworm_spec(params: SilkwormParams) -> IvpSpec:
     )
 
 
-def _simpson(fn, lo: float, hi: float, n: int) -> float:
-    """Composite Simpson with ``n`` (even) subintervals."""
-    if n % 2:
-        n += 1
-    xs = np.linspace(lo, hi, n + 1)
-    ys = fn(xs)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float((hi - lo) / (3.0 * n) * np.dot(w, ys))
+def _life_span_mass(c: float) -> float:
+    """Integral of ``exp(-c g)`` over one life span ``[0, 4]`` of the driver.
+
+    ``s = 2 - 2cos(theta)`` on the worm ramp and ``s = 3 + sin(phi)`` on the
+    moth ramp remove the square-root ends (``g = sin(theta)``, ``g = 2 -
+    cos(phi)``); the cocoon adds ``exp(-c)``.  ``theta = pi/2 t^3`` widens
+    the worm's layer of width ``1/c`` at 0, which rounding of the nodes next
+    to 0 would limit to about ``c * 1e-16`` relative.  Gauss-Legendre doubles
+    from 32 nodes until two values agree to 1e-13 relative.
+    """
+    previous = None
+    for n in (32, 64, 128, 256, 512, 1024, 2048, 4096):
+        x, w = np.polynomial.legendre.leggauss(n)
+        t, w = 0.5 * (x + 1.0), 0.5 * w  # rule on [0, 1]
+        theta, phi = 0.5 * np.pi * t ** 3, 0.5 * np.pi * t
+        worm = np.dot(w, np.exp(-c * np.sin(theta)) * np.sin(theta) * t * t)
+        moth = np.dot(w, np.exp(-c * (2.0 - np.cos(phi))) * np.cos(phi))
+        value = float(3.0 * np.pi * worm + math.exp(-c) + 0.5 * np.pi * moth)
+        if previous is not None and abs(value - previous) <= 1e-13 * abs(value):
+            return value
+        previous = value
+    raise RuntimeError("life-span quadrature did not stabilize")
 
 
 class SilkwormSolution:
@@ -116,32 +130,18 @@ class SilkwormSolution:
     ``lam`` times the time integral of its parent over the parent's life
     span and decays along the driver from there; the population is zero in
     every egg phase.  The per-generation life-span integral is a single
-    quadrature (the driver repeats with period 5), computed by composite
-    Simpson refined until two successive refinements agree to 1e-10.
+    quadrature (the driver repeats with period 5), see
+    :func:`_life_span_mass`.
     """
 
-    def __init__(self, params: SilkwormParams, resolution: int = 1000):
+    def __init__(self, params: SilkwormParams):
         self.params = params
-        base = _silkworm_base
-        decay = lambda s: np.exp(-params.c * base(s))
-        n = max(8, 4 * int(resolution))
-        value = _simpson(decay, 0.0, 4.0, n)
-        for _ in range(24):
-            n *= 2
-            refined = _simpson(decay, 0.0, 4.0, n)
-            if abs(refined - value) <= 1e-10:
-                value = refined
-                break
-            value = refined
-        else:
-            raise RuntimeError("life-span quadrature did not stabilize")
-        self._decay_mass = value  # integral of exp(-c g) over one life span
+        mass = _life_span_mass(params.c)
         n_gen = int(math.floor(params.T / 5.0)) + 1
         amps = [params.x0]
         for _ in range(n_gen):
-            amps.append(params.lam * amps[-1] * self._decay_mass)
+            amps.append(params.lam * amps[-1] * mass)
         self._amps = np.array(amps)
-        self._base = base
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
@@ -153,7 +153,7 @@ class SilkwormSolution:
         alive = (offset <= 4.0) & ((offset > 0.0) | (k == 0))
         if np.any(alive):
             amps = self._amps[np.minimum(k[alive], len(self._amps) - 1)]
-            out[alive] = amps * np.exp(-self.params.c * self._base(offset[alive]))
+            out[alive] = amps * np.exp(-self.params.c * _silkworm_base(offset[alive]))
         return float(out[0]) if scalar else out
 
     def right(self, t):
@@ -161,7 +161,7 @@ class SilkwormSolution:
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        out = np.asarray(self(arr), dtype=float).copy()
+        out = self(arr)
         k = np.round(arr / 5.0).astype(int)
         hatch = (arr == 5.0 * k) & (k >= 1)
         out[hatch] = self._amps[np.minimum(k[hatch], len(self._amps) - 1)]
@@ -174,9 +174,9 @@ class SilkwormSolution:
         return float(self._amps[k])
 
 
-def silkworm_exact(t, params: SilkwormParams, resolution: int = 1000):
+def silkworm_exact(t, params: SilkwormParams):
     """Convenience wrapper building a fresh :class:`SilkwormSolution`."""
-    return SilkwormSolution(params, resolution)(t)
+    return SilkwormSolution(params)(t)
 
 
 def make_linear_spec(d: float, x0: float) -> IvpSpec:

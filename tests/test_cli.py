@@ -42,6 +42,15 @@ class TestLinearConvergence:
                     "--out", str(tmp_path / "t.csv")])
         assert code == 2
 
+    def test_non_finite_derivator_exits_2(self, tmp_path, capsys):
+        desc = '{"kind": "custom", "jumps": [{"t": 2.0, "gap": Infinity}]}'
+        code = run(["linear-convergence", "--h", "1e-1", "--derivator", desc,
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "finite" in err
+
     def test_custom_derivator_descriptor(self, tmp_path):
         desc = {"kind": "custom", "T": 1.0, "continuous": "identity",
                 "jumps": [{"t": 0.5, "gap": 1.0}]}
@@ -128,6 +137,14 @@ class TestBounds:
         assert "corrector" in text
         printed = capsys.readouterr().out
         assert "measured constants" in printed
+
+    def test_bound_overflow_exits_2(self, capsys):
+        code = run(["bounds", "--h", "0.01", "--jumps", "5", "--d", "-0.82",
+                    "--x0", "0.29"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "exceeds the float range" in err
 
 
 def test_unknown_subcommand_exits_2():

@@ -91,6 +91,21 @@ def test_constructor_rejects_bad_jumps(times, gaps):
         Derivator(10.0, lambda t: np.asarray(t, dtype=float), times, gaps)
 
 
+def test_constructor_rejects_nan_jump_time():
+    with pytest.raises(ValueError, match="finite"):
+        Derivator(10.0, lambda t: np.asarray(t, dtype=float), [math.nan], [1.0])
+
+
+def test_constructor_rejects_nan_gap():
+    with pytest.raises(ValueError, match="finite"):
+        Derivator(10.0, lambda t: np.asarray(t, dtype=float), [2.0], [math.nan])
+
+
+def test_constructor_rejects_infinite_gap():
+    with pytest.raises(ValueError, match="finite"):
+        Derivator(10.0, lambda t: np.asarray(t, dtype=float), [2.0], [math.inf])
+
+
 def test_right_minus_left_is_gap(silkworm):
     ts = np.concatenate((np.linspace(0.0, 9.99, 211), silkworm.jump_times))
     for t in ts:

@@ -54,6 +54,12 @@ class TestParams:
         with pytest.raises(ValueError):
             SilkwormParams(c=1.0, lam=-0.1, x0=1.0)
 
+    @pytest.mark.parametrize("c, lam", [(math.nan, 1.0), (math.inf, 1.0),
+                                        (1.0, math.nan), (1.0, math.inf)])
+    def test_rejects_non_finite_rates(self, c, lam):
+        with pytest.raises(ValueError):
+            SilkwormParams(c=c, lam=lam, x0=1.0)
+
     def test_zero_fecundity_allowed(self):
         p = SilkwormParams(c=1.0, lam=0.0, x0=1.0)
         assert SilkwormSolution(p)(7.0) == 0.0
@@ -112,6 +118,25 @@ class TestExactSolution:
             integral = window_integral(exact, 5.0 * (k - 1))
             assert exact.right(5.0 * k) == pytest.approx(
                 PARAMS.lam * integral, abs=1e-8)
+
+    @pytest.mark.parametrize("c", [1e-6, 0.6, 0.9, 1.2, 2.01, 2.5, 50.0,
+                                   1000.0])
+    def test_life_span_mass_against_mpmath(self, c):
+        mp = pytest.importorskip("mpmath")
+        params = SilkwormParams(c=c, lam=1.1, x0=8.0)
+        mass = (SilkwormSolution(params).generation_start(1)
+                / (params.lam * params.x0))
+
+        def g(s):  # one life span of the staged driver, in mpmath arithmetic
+            if s <= 2:
+                return mp.sqrt(4 * s - s * s) / 2
+            if s <= 3:
+                return mp.mpf(1)
+            return 2 - mp.sqrt((s - 2) * (4 - s))
+
+        with mp.workdps(30):
+            ref = mp.quad(lambda s: mp.exp(-mp.mpf(c) * g(s)), [0, 2, 3, 4])
+        assert mass == pytest.approx(float(ref), rel=1e-13)
 
     def test_right_limits(self):
         exact = SilkwormSolution(PARAMS)
