@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .derivator import Derivator
+from .derivator import Derivator, _f_on_arrays
 from .solver import (IvpSpec, GridMismatchError, Partition, Trajectory,
                      TrajectoryHistory, build_partition, solve)
 
@@ -61,9 +61,21 @@ class ErrorReport:
     combined_residual: Optional[np.ndarray] = None
 
 
-def _exact_history(part: Partition, exact: Callable) -> TrajectoryHistory:
-    values = np.asarray(exact(part.nodes), dtype=float)
-    return TrajectoryHistory(part.nodes, values, part.h, len(part.nodes))
+# steps per block of measure_constants' refinement grid; bounds its memory
+_BLOCK_STEPS = 2048
+
+
+def _on_arrays(rhs: Callable, hist: TrajectoryHistory, t, x) -> np.ndarray:
+    """``rhs(t, x, hist)`` elementwise over the arrays ``t`` and ``x``."""
+    return _f_on_arrays(lambda t, x: rhs(t, x, hist), t, x)
+
+
+def _state_slope(rhs: Callable, hist: TrajectoryHistory, t, x,
+                 delta: float) -> float:
+    """Largest central difference quotient of ``rhs`` in the state."""
+    return float(np.max(np.abs(_on_arrays(rhs, hist, t, x + delta)
+                               - _on_arrays(rhs, hist, t, x - delta))
+                        / (2 * delta)))
 
 
 def error_report(traj: Trajectory, exact: Callable, exact_right: Callable,
@@ -101,20 +113,16 @@ def truncation_errors(exact: Callable, exact_right: Callable, g: Derivator,
     nodes = part.nodes
     x = np.asarray(exact(nodes), dtype=float)
     x_right = np.asarray(exact_right(nodes[:-1]), dtype=float)
-    hist = _exact_history(part, exact)
+    hist = TrajectoryHistory(nodes, x, part.h, len(nodes))
     dg = part.g_left[1:] - part.g_right[:-1]
-    n = part.n_steps
-    resid_pred = np.empty(n)
-    resid_corr = np.empty(n)
-    resid_comb = np.empty(n)
-    for k in range(n):
-        f_plus = spec.rhs_right(nodes[k], x_right[k], hist)
-        resid_pred[k] = x[k + 1] - x_right[k] - f_plus * dg[k]
-        f_end = spec.rhs(nodes[k + 1], x[k + 1], hist)
-        resid_corr[k] = x[k + 1] - x_right[k] - 0.5 * (f_plus + f_end) * dg[k]
-        x_star = x_right[k] + f_plus * dg[k]
-        f_pred = spec.rhs(nodes[k + 1], x_star, hist)
-        resid_comb[k] = x[k + 1] - x_right[k] - 0.5 * (f_plus + f_pred) * dg[k]
+    x_end = x[1:]
+    f_plus = _on_arrays(spec.rhs_right, hist, nodes[:-1], x_right)
+    resid_pred = x_end - x_right - f_plus * dg
+    f_end = _on_arrays(spec.rhs, hist, nodes[1:], x_end)
+    resid_corr = x_end - x_right - 0.5 * (f_plus + f_end) * dg
+    x_star = x_right + f_plus * dg
+    f_pred = _on_arrays(spec.rhs, hist, nodes[1:], x_star)
+    resid_comb = x_end - x_right - 0.5 * (f_plus + f_pred) * dg
     return resid_pred, resid_corr, resid_comb
 
 
@@ -185,33 +193,32 @@ def measure_constants(spec: IvpSpec, g: Derivator, part: Partition,
                 f"provided K1={k1} is below the largest jump gap {g.max_gap}")
         return BoundConstants(k1, k2, k3, lip, part.h, g.n_jumps)
     nodes = part.nodes
-    hist = _exact_history(part, exact)
     x = np.asarray(exact(nodes), dtype=float)
     x_right = np.asarray(exact_right(nodes[:-1]), dtype=float)
+    hist = TrajectoryHistory(nodes, x, part.h, len(nodes))
     scale = max(1.0, float(np.max(np.abs(x))))
     delta = 1e-6 * scale
-    k2 = 0.0
-    k3 = 0.0
-    for k, t in enumerate(nodes):
-        k2 = max(k2, abs(spec.rhs(t, x[k] + delta, hist)
-                         - spec.rhs(t, x[k] - delta, hist)) / (2 * delta))
-        if k < len(nodes) - 1:
-            k3 = max(k3, abs(spec.rhs_right(t, x_right[k] + delta, hist)
-                             - spec.rhs_right(t, x_right[k] - delta, hist))
-                     / (2 * delta))
+    starts = nodes[:-1]
+    k2 = _state_slope(spec.rhs, hist, nodes, x, delta)
+    k3 = _state_slope(spec.rhs_right, hist, starts, x_right, delta)
     frac = np.linspace(0.0, 1.0, refine + 1)
-    ts_grid = nodes[:-1, None] + np.diff(nodes)[:, None] * frac[None, :]
-    cv_grid = g.continuous_value(ts_grid.ravel()).reshape(ts_grid.shape)
-    x_grid = np.asarray(exact(ts_grid.ravel()), dtype=float).reshape(ts_grid.shape)
-    dts = np.diff(ts_grid, axis=1)
-    lip = float(np.max(np.abs(np.diff(cv_grid, axis=1)) / dts))
-    for k in range(part.n_steps):
-        fv = np.empty(refine + 1)
+    widths = np.diff(nodes)
+    block_lips = []
+    for k0 in range(0, part.n_steps, _BLOCK_STEPS):
+        block = slice(k0, k0 + _BLOCK_STEPS)
+        ts_grid = starts[block, None] + widths[block, None] * frac[None, :]
+        cv_grid = g.continuous_value(ts_grid.ravel()).reshape(ts_grid.shape)
+        inner = ts_grid[:, 1:]
+        x_grid = np.asarray(exact(inner.ravel()), dtype=float).reshape(inner.shape)
+        fv = np.empty(ts_grid.shape)
         # within a step the composed rhs is continuous from t_k+ onwards
-        fv[0] = spec.rhs_right(nodes[k], x_right[k], hist)
-        for j in range(1, refine + 1):
-            fv[j] = spec.rhs(ts_grid[k, j], x_grid[k, j], hist)
-        lip = max(lip, float(np.max(np.abs(np.diff(fv)) / dts[k])))
+        fv[:, 0] = _on_arrays(spec.rhs_right, hist, starts[block],
+                              x_right[block])
+        fv[:, 1:] = _on_arrays(spec.rhs, hist, inner, x_grid)
+        dts = np.diff(ts_grid, axis=1)
+        block_lips.append(np.max(np.abs(np.diff(cv_grid, axis=1)) / dts))
+        block_lips.append(np.max(np.abs(np.diff(fv, axis=1)) / dts))
+    lip = float(np.max(block_lips))
     return BoundConstants(g.max_gap, k2, k3, lip, part.h, g.n_jumps)
 
 

@@ -103,8 +103,16 @@ def run_linear_convergence(args) -> int:
         lambda t: linear.homogeneous_solution(d, args.x0, g, t),
         lambda t: linear.homogeneous_solution(d, args.x0, g, t, from_right=True),
     )
-    cells = analysis.convergence_table(spec_factory, g_factory, exact_factory,
-                                       h_values, jump_counts)
+    # an overflowing solution shows up as a non-finite cell, rejected below
+    with np.errstate(over="ignore"):
+        cells = analysis.convergence_table(spec_factory, g_factory,
+                                           exact_factory, h_values, jump_counts)
+    for c in cells:
+        if not c.failed and not all(map(math.isfinite, (
+                c.max_e_star, c.max_e, c.max_e_plus))):
+            raise ConfigError(f"the error maximum of the cell jumps={c.num_jumps}, "
+                              f"h={c.h:g} is not finite (the solution "
+                              f"overflows the float range)")
     if args.format == "json":
         payload = [vars(c) for c in cells]
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
@@ -137,7 +145,9 @@ def run_silkworm(args) -> int:
     g = derivator.make_silkworm_derivator(args.T)
     part = solver.build_partition(g, args.h)
     spec = models.make_silkworm_spec(params)
-    traj = solver.solve(spec, g, part)
+    # a diverging state ends in solve's own FloatingPointError
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = solver.solve(spec, g, part)
     exact = models.SilkwormSolution(params)
     report = analysis.error_report(traj, exact, exact.right, g, spec)
     lines = ["t,numeric,exact,error"]
@@ -294,13 +304,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except solver.GridMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ConfigError, ValueError, FloatingPointError, RuntimeError) as exc:
+        # a failing or diverging solve is a configuration error too: exit
+        # code 1 stays reserved for property and bound violations
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

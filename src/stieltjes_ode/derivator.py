@@ -33,6 +33,24 @@ def _as_float_array(t):
     return arr, arr.ndim == 0
 
 
+def _f_on_arrays(f, *arrays):
+    """Evaluate ``f`` elementwise on equally shaped arrays.
+
+    ``f`` is called once on the whole arrays; if that raises or returns
+    another shape (a scalar-only function, or one that reads per-point
+    state), it is called once per element instead.
+    """
+    try:
+        out = np.asarray(f(*arrays), dtype=float)
+        if out.shape == arrays[0].shape:
+            return out
+    except Exception:
+        pass
+    flat = [a.ravel() for a in arrays]
+    return np.array([float(f(*point)) for point in zip(*flat)]
+                    ).reshape(arrays[0].shape)
+
+
 class Derivator:
     """Increasing left-continuous ``g`` on ``[0, T]`` with finite jumps.
 
@@ -47,12 +65,9 @@ class Derivator:
         Strictly increasing jump times inside the open interval ``(0, T)``
         and their positive gaps.  No jump may sit at 0 (``g`` must be
         continuous at 0) or at ``T`` (jumps live in ``[0, T)``).
-    regularity : (p, H) tuple, optional
-        Holder exponent and constant of the continuous part, metadata only.
     """
 
-    def __init__(self, domain_end, continuous_part, jump_times=(), jump_gaps=(),
-                 regularity=None):
+    def __init__(self, domain_end, continuous_part, jump_times=(), jump_gaps=()):
         T = float(domain_end)
         if not (T > 0.0 and math.isfinite(T)):
             raise ValueError(f"domain end must be positive and finite, got {T}")
@@ -75,7 +90,6 @@ class Derivator:
         self.continuous_part = continuous_part
         self.jump_times = times
         self.jump_gaps = gaps
-        self.regularity = regularity
         self._c0 = float(continuous_part(0.0))
         # prefix[i] = sum of the first i gaps, so prefix[searchsorted(times, t)]
         # is the jump mass strictly before t
@@ -203,7 +217,7 @@ class Derivator:
 
 def identity_derivator(T: float) -> Derivator:
     """Classical time: ``g(t) = t`` with no jumps."""
-    return Derivator(T, lambda t: np.asarray(t, dtype=float), regularity=(1.0, 1.0))
+    return Derivator(T, lambda t: np.asarray(t, dtype=float))
 
 
 def make_phi(alpha: float) -> Callable:
@@ -261,10 +275,7 @@ def make_test_derivator(num_jumps: int, alpha: float = 4.0, T: float = 10.0,
         if np.any(np.diff(times) <= 0) or times[0] <= 0 or times[-1] >= T:
             raise ValueError(
                 f"snap={snap} collapses or expels the {num_jumps} jump times")
-    gaps = np.ones_like(times)
-    g = Derivator(T, cont, times, gaps)
-    g.regularity = (1.0, g.estimate_continuous_lipschitz(samples=20001))
-    return g
+    return Derivator(T, cont, times, np.ones_like(times))
 
 
 def _silkworm_base(offset):
@@ -307,10 +318,7 @@ def make_silkworm_derivator(T: float) -> Derivator:
             break
         k += 1
     times = np.asarray(times)
-    # sqrt branches make g^C Holder-1/2 near the ramp ends; constant sqrt(2)
-    # covers the steeper moth ramp
-    return Derivator(T, cont, times, np.ones_like(times),
-                     regularity=(0.5, math.sqrt(2.0)))
+    return Derivator(T, cont, times, np.ones_like(times))
 
 
 _BUILTIN_CONTINUOUS = {

@@ -95,7 +95,7 @@ def check_admissibility(d: Coefficient, g: Derivator,
     offending = []
     flips = []
     for time, gap in zip(g.jump_times, g.jump_gaps):
-        prod = float(d_fun(time)) * gap
+        prod = float(d_fun(time)) * float(gap)
         bad = prod >= 1.0 if strict else prod == 1.0
         if bad:
             offending.append((float(time), prod))

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .derivator import Derivator, make_test_derivator
+from .derivator import Derivator, _f_on_arrays, make_test_derivator
 
 __all__ = [
     "RuleKind",
@@ -114,17 +114,6 @@ def corrected_trapezoid_rule(f, f_right, g: Derivator, a: float, b: float) -> fl
     return total + 0.5 * (fc_a + fc_b) * dc
 
 
-def _f_on_array(f, xs):
-    """Evaluate ``f`` on an array, falling back to a scalar loop."""
-    try:
-        out = np.asarray(f(xs), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except Exception:
-        pass
-    return np.array([float(f(x)) for x in xs])
-
-
 def oracle_integral(f, g: Derivator, a: float, b: float, n: int) -> float:
     """Reference value of the measure integral of ``f`` over ``[a, b)``.
 
@@ -146,7 +135,7 @@ def oracle_integral(f, g: Derivator, a: float, b: float, n: int) -> float:
             continue
         m = max(1, int(round(n * length / (b - a))))
         xs = np.linspace(lo, hi, m + 1)
-        fv = _f_on_array(f, xs)
+        fv = _f_on_arrays(f, xs)
         cv = g.continuous_value(xs)
         total += float(np.sum(0.5 * (fv[1:] + fv[:-1]) * np.diff(cv)))
     return total

@@ -10,10 +10,14 @@ from stieltjes_ode.analysis import (BoundConstants, convergence_table,
                                     format_convergence_csv, measure_constants,
                                     predictor_bound, right_limit_bound,
                                     theoretical_bounds, truncation_errors)
-from stieltjes_ode.derivator import identity_derivator, make_test_derivator
+from stieltjes_ode.derivator import (identity_derivator,
+                                     make_silkworm_derivator,
+                                     make_test_derivator)
 from stieltjes_ode.linear import homogeneous_solution
-from stieltjes_ode.models import make_linear_spec
-from stieltjes_ode.solver import IvpSpec, build_partition, solve
+from stieltjes_ode.models import (SilkwormParams, SilkwormSolution,
+                                  make_linear_spec, make_silkworm_spec)
+from stieltjes_ode.solver import (IvpSpec, TrajectoryHistory,
+                                  build_partition, solve)
 
 # reference benchmark maxima for 2 unit jumps, d = -0.5, x0 = 1, h = 1e-1
 REF_H1 = {"e_star": 1.1704e-01, "e": 3.1399e-02, "e_plus": 1.2573e-02}
@@ -106,6 +110,113 @@ class TestTruncationErrors:
             _, _, comb = truncation_errors(exact, exact_right, g, spec, part)
             ratios.append(np.max(np.abs(comb)) / h)
         assert ratios[2] < ratios[1] < ratios[0]
+
+
+class TestArrayProtocol:
+    """The analysis calls the right-hand side on whole arrays and falls back
+    to one call per point when that raises or returns the wrong shape; both
+    paths must give the same numbers."""
+
+    @staticmethod
+    def counted(fn, calls):
+        def wrapped(t, x, hist):
+            calls.append(np.ndim(x))
+            return fn(t, x, hist)
+        return wrapped
+
+    def analyse(self, g, spec, exact, exact_right, h):
+        part = build_partition(g, h)
+        resid = truncation_errors(exact, exact_right, g, spec, part)
+        consts = measure_constants(spec, g, part, exact, exact_right)
+        return part, resid, consts
+
+    def assert_same(self, g, spec, twin, h=1e-3, d=-0.5, x0=1.0):
+        exact = lambda t: homogeneous_solution(d, x0, g, t)
+        exact_right = lambda t: homogeneous_solution(d, x0, g, t,
+                                                     from_right=True)
+        _, resid, consts = self.analyse(g, spec, exact, exact_right, h)
+        _, resid_twin, consts_twin = self.analyse(g, twin, exact,
+                                                  exact_right, h)
+        for a, b in zip(resid, resid_twin):
+            assert np.array_equal(a, b)
+        assert consts == consts_twin
+
+    @pytest.mark.parametrize("num_jumps", [0, 4])
+    @pytest.mark.parametrize("d", [-0.5, 0.9])
+    def test_scalar_only_twin_matches(self, num_jumps, d):
+        g = make_test_derivator(num_jumps, snap=0.1)
+        calls = []
+        twin = IvpSpec(rhs=self.counted(lambda t, x, hist: -d * float(x),
+                                        calls), x0=1.0)
+        self.assert_same(g, make_linear_spec(d, 1.0), twin, d=d)
+        # float() rejects arrays, so every evaluation ran point by point
+        assert calls.count(0) > 20 * build_partition(g, 1e-3).n_steps
+
+    def test_wrong_shape_falls_back(self):
+        g = make_test_derivator(4, snap=0.1)
+        calls = []
+
+        def one_too_many(t, x, hist):  # right values, wrong shape for arrays
+            return np.append(0.5 * x, 0.0) if np.ndim(x) else 0.5 * x
+
+        twin = IvpSpec(rhs=self.counted(one_too_many, calls), x0=1.0)
+        self.assert_same(g, make_linear_spec(-0.5, 1.0), twin)
+        assert 0 in calls and 1 in calls
+
+    def test_array_path_calls_rhs_per_block(self):
+        g, spec, exact, exact_right = benchmark_setup()
+        calls = []
+        spec = IvpSpec(rhs=self.counted(spec.rhs, calls), x0=spec.x0)
+        self.analyse(g, spec, exact, exact_right, 1e-3)
+        assert 0 not in calls
+        assert len(calls) < 20  # against 22 per node point by point
+
+    def test_blocks_cover_the_whole_grid(self):
+        # x grows along the last ramp, so the largest quotient of the
+        # composed rhs sits in the last block of steps
+        g, spec, exact, exact_right = benchmark_setup(num_jumps=4)
+        part, _, consts = self.analyse(g, spec, exact, exact_right, 1e-3)
+        nodes = part.nodes
+        frac = np.linspace(0.0, 1.0, 21)
+        ts = nodes[:-1, None] + np.diff(nodes)[:, None] * frac[None, :]
+        fv = spec.rhs(ts, exact(ts), None)
+        fv[:, 0] = spec.rhs(nodes[:-1], exact_right(nodes[:-1]), None)
+        cv = g.continuous_value(ts)
+        dts = np.diff(ts, axis=1)
+        lip = max(np.max(np.abs(np.diff(cv, axis=1)) / dts),
+                  np.max(np.abs(np.diff(fv, axis=1)) / dts))
+        assert consts.lip == lip
+
+    def test_silkworm_runs_on_the_fallback(self):
+        params = SilkwormParams(c=1.2, lam=1.1, x0=8.0)
+        g = make_silkworm_derivator(params.T)
+        exact = SilkwormSolution(params)
+        base = make_silkworm_spec(params)
+        calls = []
+        spec = IvpSpec(rhs=self.counted(base.rhs, calls),
+                       rhs_right=base.rhs_right, x0=params.x0)
+        part, (pred, corr, comb), consts = self.analyse(
+            g, spec, exact, exact.right, 1e-2)
+        assert 0 in calls  # the stage lookup rejects arrays
+        # reference: the three residuals node by node
+        nodes = part.nodes
+        x = exact(nodes)
+        x_right = exact.right(nodes[:-1])
+        hist = TrajectoryHistory(nodes, x, part.h, len(nodes))
+        dg = part.g_left[1:] - part.g_right[:-1]
+        for k in range(part.n_steps):
+            f_plus = base.rhs_right(nodes[k], x_right[k], hist)
+            f_end = base.rhs(nodes[k + 1], x[k + 1], hist)
+            f_pred = base.rhs(nodes[k + 1], x_right[k] + f_plus * dg[k], hist)
+            assert pred[k] == x[k + 1] - x_right[k] - f_plus * dg[k]
+            assert corr[k] == (x[k + 1] - x_right[k]
+                               - 0.5 * (f_plus + f_end) * dg[k])
+            assert comb[k] == (x[k + 1] - x_right[k]
+                               - 0.5 * (f_plus + f_pred) * dg[k])
+        # d f / d x is -c while alive and -1 at moth death
+        assert consts.k2 == pytest.approx(params.c, rel=1e-6)
+        assert consts.k3 == pytest.approx(params.c, rel=1e-6)
+        assert math.isfinite(consts.lip) and consts.lip > 0.0
 
 
 class TestBoundConstants:

@@ -51,6 +51,25 @@ class TestLinearConvergence:
         assert len(err.splitlines()) == 1
         assert "finite" in err
 
+    def test_overflowing_cell_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code = run(["linear-convergence", "--d", "-300", "--jumps", "2",
+                    "--h", "1e-1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+        assert "jumps=2" in err and "h=0.1" in err
+        assert not out.exists()
+
+    def test_inadmissible_message_has_no_numpy_repr(self, tmp_path, capsys):
+        code = run(["linear-convergence", "--d", "5", "--jumps", "2",
+                    "--h", "1e-1", "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "inadmissible" in err
+        assert "np.float64" not in err
+
     def test_custom_derivator_descriptor(self, tmp_path):
         desc = {"kind": "custom", "T": 1.0, "continuous": "identity",
                 "jumps": [{"t": 0.5, "gap": 1.0}]}
@@ -85,6 +104,14 @@ class TestSilkworm:
     def test_incompatible_step_exits_3(self, tmp_path):
         code = run(["silkworm", "--h", "0.3", "--out", str(tmp_path / "s.csv")])
         assert code == 3
+
+    def test_diverging_solve_exits_2(self, tmp_path, capsys):
+        code = run(["silkworm", "--c", "1e5", "--h", "0.1",
+                    "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "non-finite" in err
 
     def test_negative_step_exits_2(self, tmp_path):
         code = run(["silkworm", "--h", "-1", "--out", str(tmp_path / "s.csv")])

@@ -138,6 +138,12 @@ class TestExactSolution:
             ref = mp.quad(lambda s: mp.exp(-mp.mpf(c) * g(s)), [0, 2, 3, 4])
         assert mass == pytest.approx(float(ref), rel=1e-13)
 
+    def test_unsettled_mass_fails_fast(self):
+        # c = 1e6 never reaches the 1e-13 agreement; the doubling stops at
+        # 1024 nodes instead of building 2048- and 4096-node rules
+        with pytest.raises(RuntimeError, match="did not stabilize"):
+            SilkwormSolution(SilkwormParams(c=1e6, lam=1.1, x0=8.0))
+
     def test_right_limits(self):
         exact = SilkwormSolution(PARAMS)
         assert exact.right(4.0) == 0.0  # moths die
