@@ -196,11 +196,22 @@ def run_bounds(args) -> int:
     exact = lambda t: linear.homogeneous_solution(d, args.x0, g, t)
     exact_right = lambda t: linear.homogeneous_solution(d, args.x0, g, t,
                                                         from_right=True)
-    traj = solver.solve(spec, g, part)
-    report = analysis.error_report(traj, exact, exact_right, g, spec)
-    _, _, resid_comb = analysis.truncation_errors(exact, exact_right, g, spec, part)
+    # an overflowing solution shows up as non-finite maxima, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = solver.solve(spec, g, part)
+        report = analysis.error_report(traj, exact, exact_right, g, spec)
+        _, _, resid_comb = analysis.truncation_errors(exact, exact_right, g,
+                                                      spec, part)
+        resid_max = float(np.max(np.abs(resid_comb)))
+    measured = {"corrector error": report.max_e,
+                "predictor error": report.max_e_star,
+                "right-limit error": report.max_e_plus,
+                "truncation residual": resid_max}
+    bad = [name for name, v in measured.items() if not math.isfinite(v)]
+    if bad:
+        raise ConfigError(f"non-finite maximum of the {', '.join(bad)} (the "
+                          f"solution overflows the float range)")
     consts = analysis.measure_constants(spec, g, part, exact, exact_right)
-    resid_max = float(np.max(np.abs(resid_comb)))
     try:
         bounds = (analysis.theoretical_bounds(consts, args.T, 0.0, resid_max),
                   analysis.predictor_bound(consts, args.T, 0.0, resid_max,

@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "MAX_GRID_STEPS",
     "Derivator",
     "identity_derivator",
     "make_phi",
@@ -26,6 +27,14 @@ __all__ = [
     "make_silkworm_derivator",
     "from_descriptor",
 ]
+
+
+# largest number of subintervals of one grid (solver partition or oracle
+# refinement); a float array of this length takes 80 MB
+MAX_GRID_STEPS = 10 ** 7
+
+# the continuous part is checked for monotonicity on this many uniform samples
+_MONOTONE_SAMPLES = 1025
 
 
 def _as_float_array(t):
@@ -60,7 +69,9 @@ class Derivator:
         Right endpoint ``T`` of the domain.
     continuous_part : callable
         Nondecreasing continuous function of time; must accept numpy arrays.
-        Values are shifted so the full ``g`` satisfies ``g(0) = 0``.
+        Values are shifted so the full ``g`` satisfies ``g(0) = 0``.  It is
+        sampled at construction, and a non-finite value or a decrease beyond
+        rounding raises ``ValueError``.
     jump_times, jump_gaps : sequences of float
         Strictly increasing jump times inside the open interval ``(0, T)``
         and their positive gaps.  No jump may sit at 0 (``g`` must be
@@ -86,6 +97,16 @@ class Derivator:
                     f"first={times[0]}, last={times[-1]}")
             if np.any(gaps <= 0.0):
                 raise ValueError("every jump gap must be strictly positive")
+        ts = np.linspace(0.0, T, _MONOTONE_SAMPLES)
+        samples = np.asarray(continuous_part(ts), dtype=float)
+        if not np.all(np.isfinite(samples)):
+            raise ValueError(f"the continuous part must be finite on [0, {T}]")
+        # decreases within rounding of the sampled values are tolerated
+        tol = 1e-12 * max(np.ptp(samples), np.max(np.abs(samples)))
+        falls = np.flatnonzero(np.diff(samples) < -tol)
+        if falls.size:
+            raise ValueError("the continuous part must be nondecreasing; it "
+                             f"decreases after t={float(ts[falls[0]]):g}")
         self.domain_end = T
         self.continuous_part = continuous_part
         self.jump_times = times
@@ -266,8 +287,12 @@ def make_test_derivator(num_jumps: int, alpha: float = 4.0, T: float = 10.0,
     phi = make_phi(alpha)
 
     def cont(t):
+        # one ramp per point: below 4 the later ramps are exactly 0, from 4
+        # (8) on the earlier ones are exactly 1, so ``k + phi`` is the same
+        # float as the three-term sum
         arr = np.asarray(t, dtype=float)
-        return phi(arr / 2.0) + phi((arr - 4.0) / 2.0) + phi((arr - 8.0) / 2.0)
+        k = np.clip(np.floor(arr / 4.0), 0.0, 2.0)
+        return k + phi((arr - 4.0 * k) / 2.0)
 
     times = np.array([T * j / (num_jumps + 1) for j in range(1, num_jumps + 1)])
     if snap is not None and times.size:

@@ -241,18 +241,15 @@ def _forced_weight(d: float, g: Derivator, upto_index: int, t_right_cont: float,
 
 
 def constant_linear_solution(d: float, forcing: float, x0: float, g: Derivator,
-                             t: float, quad_n: int = 10 ** 6,
-                             from_right: bool = False) -> float:
+                             t: float, from_right: bool = False) -> float:
     """Exact solution of ``x'_g + d x = forcing`` with constant coefficients.
 
     The homogeneous part multiplies the jump products of
     :func:`homogeneous_solution`; the forced part integrates the adapted
     exponential in closed form (jump atoms exactly, continuous segments by
-    monotone substitution, so no refinement error is left and ``quad_n`` is
-    accepted only for interface symmetry).  Requires ``d * gap < 1`` at
-    every jump.
+    monotone substitution, so no refinement error is left).  Requires
+    ``d * gap < 1`` at every jump.
     """
-    del quad_n
     _require_admissible(d, g, strict=True)
     t = float(t)
     side = "right" if from_right else "left"

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .derivator import Derivator
+from .derivator import MAX_GRID_STEPS, Derivator
 
 __all__ = [
     "GridMismatchError",
@@ -73,12 +73,17 @@ def build_partition(g: Derivator, h: float) -> Partition:
 
     ``T/h`` must be an integer (to float accuracy) and every jump time must
     sit within ``h * 1e-9`` of a grid node, otherwise a
-    :class:`GridMismatchError` names the first offending jump.
+    :class:`GridMismatchError` names the first offending jump.  A grid of
+    more than ``MAX_GRID_STEPS`` steps raises ``ValueError`` before anything
+    is allocated.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step must be positive and finite, got {h}")
     T = g.domain_end
     steps = T / h
+    if steps > MAX_GRID_STEPS + 0.5:
+        raise ValueError(f"step {h} asks for {steps:.4g} steps on [0, {T}], "
+                         f"more than the {MAX_GRID_STEPS} a grid may have")
     n_total = int(round(steps))
     if n_total < 1 or abs(steps - n_total) > 1e-9 * max(1.0, n_total):
         raise GridMismatchError(

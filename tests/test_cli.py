@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,16 @@ from stieltjes_ode.cli import main
 
 def run(args):
     return main(args)
+
+
+def run_traced(args):
+    """Exit code and peak traced allocation (bytes) of one CLI call."""
+    tracemalloc.start()
+    try:
+        code = main(args)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestLinearConvergence:
@@ -117,6 +129,16 @@ class TestSilkworm:
         code = run(["silkworm", "--h", "-1", "--out", str(tmp_path / "s.csv")])
         assert code == 2
 
+    def test_oversized_grid_exits_2(self, tmp_path, capsys):
+        # 1e10 nodes; this used to end in a 74.5 GiB allocation error
+        code, peak = run_traced(["silkworm", "--h", "1e-9",
+                                 "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert peak < 2 ** 20
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestQuadratureCheck:
     def test_single_case_single_row(self, tmp_path):
@@ -153,6 +175,15 @@ class TestQuadratureCheck:
         assert run(["quadrature-check", "--cases", "0",
                     "--out", str(tmp_path / "q.csv")]) == 2
 
+    def test_oversized_oracle_exits_2(self, tmp_path, capsys):
+        code, peak = run_traced(["quadrature-check", "--cases", "1",
+                                 "--n-oracle", "10000000000",
+                                 "--out", str(tmp_path / "q.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert peak < 2 ** 20
+
 
 class TestBounds:
     def test_bounds_hold_on_benchmark(self, tmp_path, capsys):
@@ -164,6 +195,17 @@ class TestBounds:
         assert "corrector" in text
         printed = capsys.readouterr().out
         assert "measured constants" in printed
+
+    def test_non_finite_errors_exit_2_with_one_line(self, capsys):
+        # the exact solution overflows; the errors are named, not the bound
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["bounds", "--d", "-300"])
+        assert code == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: non-finite maximum of the corrector error")
 
     def test_bound_overflow_exits_2(self, capsys):
         code = run(["bounds", "--h", "0.01", "--jumps", "5", "--d", "-0.82",

@@ -106,6 +106,44 @@ def test_constructor_rejects_infinite_gap():
         Derivator(10.0, lambda t: np.asarray(t, dtype=float), [2.0], [math.inf])
 
 
+def test_constructor_rejects_decreasing_continuous_part():
+    # accepted before, when it gave measure(1, 2) = -1
+    with pytest.raises(ValueError, match="nondecreasing"):
+        Derivator(10.0, lambda t: -np.asarray(t, dtype=float))
+
+
+def test_constructor_rejects_small_decrease_inside_the_domain():
+    dip = lambda t: np.asarray(t, dtype=float) - 2.0 * np.clip(
+        np.asarray(t, dtype=float) - 6.0, 0.0, 0.5)
+    with pytest.raises(ValueError, match=r"decreases after t=(5\.99|6\.)"):
+        Derivator(10.0, dip)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        Derivator(10.0, lambda t: -1e-3 * np.asarray(t, dtype=float))
+
+
+def test_constructor_tolerates_rounding_sized_decreases():
+    # flat up to noise of 1e-14 relative to its size
+    g = Derivator(10.0, lambda t: 1.0 + 1e-14 * np.sin(37.0 * np.asarray(
+        t, dtype=float)))
+    assert g.measure(0.0, 10.0) == pytest.approx(0.0, abs=1e-13)
+
+
+def test_constructor_rejects_non_finite_continuous_part():
+    with pytest.raises(ValueError, match="finite"):
+        Derivator(10.0, lambda t: np.where(np.asarray(t) > 3.0, np.nan, t))
+
+
+@pytest.mark.parametrize("T", [3.0, 10.0, 13.0])
+def test_builtin_drivers_construct(T):
+    for nj in range(5):
+        for alpha in np.linspace(1.0, 6.0, 11):
+            assert make_test_derivator(nj, alpha=alpha, T=T).n_jumps == nj
+    make_silkworm_derivator(T)
+    identity_derivator(T)
+    for name in ("identity", "zero"):
+        from_descriptor({"kind": "custom", "T": T, "continuous": name})
+
+
 def test_right_minus_left_is_gap(silkworm):
     ts = np.concatenate((np.linspace(0.0, 9.99, 211), silkworm.jump_times))
     for t in ts:
@@ -232,6 +270,23 @@ class TestTestDerivator:
     def test_flat_between_ramps(self):
         g = make_test_derivator(0)
         assert g.continuous_value(3.9) == g.continuous_value(2.1)
+
+    @pytest.mark.parametrize("T", [10.0, 13.0])
+    @pytest.mark.parametrize("alpha", [1.0, 3.3, 4.0, 6.0])
+    def test_one_pass_ramp_is_the_three_ramp_sum(self, alpha, T):
+        phi = make_phi(alpha)
+        cont = make_test_derivator(0, alpha=alpha, T=T).continuous_part
+        ends = np.array([0.0, 2.0, 4.0, 6.0, 8.0, 10.0, T])
+        ts = np.concatenate((np.linspace(-1.0, T + 1.0, 100001), ends,
+                             np.nextafter(ends, -np.inf),
+                             np.nextafter(ends, np.inf),
+                             [-0.0, -50.0, 2.0 * T, 1e300, -1e300]))
+        three = phi(ts / 2.0) + phi((ts - 4.0) / 2.0) + phi((ts - 8.0) / 2.0)
+        # bit for bit, signed zeros included
+        assert np.array_equal(cont(ts).view(np.int64), three.view(np.int64))
+        for t in ts[::4999]:
+            assert float(cont(t)) == phi(t / 2.0) + phi((t - 4.0) / 2.0) \
+                + phi((t - 8.0) / 2.0)
 
     def test_snap_collision_rejected(self):
         with pytest.raises(ValueError):

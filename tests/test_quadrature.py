@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stieltjes_ode.derivator import (Derivator, identity_derivator,
-                                     make_test_derivator)
+from stieltjes_ode import quadrature
+from stieltjes_ode.derivator import (MAX_GRID_STEPS, Derivator, _f_on_arrays,
+                                     identity_derivator, make_test_derivator)
 from stieltjes_ode.quadrature import (RuleKind, corrected_onepoint_rule,
                                       corrected_trapezoid_rule, error_bound,
                                       evaluate_rule, make_lipschitz_integrand,
@@ -15,6 +17,23 @@ from stieltjes_ode.quadrature import (RuleKind, corrected_onepoint_rule,
 def pure_jump_driver(T, times, gaps):
     zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     return Derivator(T, zero, times, gaps)
+
+
+def unblocked_oracle(f, g, a, b, n, f_right=None):
+    """The refinement oracle written as one array expression per segment."""
+    times, gaps = g.jumps_in(a, b)
+    total = sum(float(f(float(d))) * gap for d, gap in zip(times, gaps))
+    interior, _ = g.jumps_in(np.nextafter(a, b), b)
+    cuts = np.concatenate(([a], interior, [b]))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        m = max(1, int(round(n * (hi - lo) / (b - a))))
+        xs = np.linspace(lo, hi, m + 1)
+        fv = _f_on_arrays(f, xs)
+        if f_right is not None and lo in g.jump_times:
+            fv[0] = float(f_right(lo))
+        cv = g.continuous_value(xs)
+        total += float(np.sum(0.5 * (fv[1:] + fv[:-1]) * np.diff(cv)))
+    return total
 
 
 class TestOnePointRule:
@@ -127,6 +146,56 @@ class TestOracle:
         with pytest.raises(ValueError):
             oracle_integral(lambda t: t, g, 0.0, 1.0, 0)
 
+    def test_rejects_refinement_over_the_cap_before_allocating(self):
+        g = identity_derivator(1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="refinement"):
+                oracle_integral(lambda t: t, g, 0.0, 1.0, MAX_GRID_STEPS + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("a, b, n", [(0.3, 9.7, 1000), (2.5, 7.5, 333),
+                                         (5.0, 9.0, 90), (0.0, 10.0, 4)])
+    def test_blocked_equals_unblocked(self, monkeypatch, a, b, n):
+        # three interior jumps, and a = 2.5 or 5.0 starts at one
+        g = make_test_derivator(3, alpha=3.3)
+        f, f_right, _ = make_lipschitz_integrand(g, 1.3, -0.6)
+        monkeypatch.setattr(quadrature, "_ORACLE_BLOCK", 7)
+        for fr in (None, f_right):
+            assert oracle_integral(f, g, a, b, n, fr) == unblocked_oracle(
+                f, g, a, b, n, fr)
+
+    def test_blocked_scalar_only_integrand(self, monkeypatch):
+        # math.exp rejects arrays, so every block takes the per-point fallback
+        g = make_test_derivator(2, alpha=4.0)
+        f = lambda t: math.exp(-float(t)) + float(g.value(t))
+        monkeypatch.setattr(quadrature, "_ORACLE_BLOCK", 16)
+        assert oracle_integral(f, g, 1.0, 9.0, 500) == unblocked_oracle(
+            f, g, 1.0, 9.0, 500)
+
+    def test_right_limit_at_a_jump_start_is_exact_for_linear_parts(self):
+        # f = g jumps at the left end; the trapezoid is exact on linear parts
+        g = Derivator(2.0, lambda t: np.asarray(t, dtype=float), [1.0], [1.0])
+        assert oracle_integral(g.value, g, 1.0, 2.0, 100,
+                               g.right_value) == pytest.approx(3.5, abs=1e-13)
+        assert oracle_integral(g.value, g, 1.0, 2.0, 100) == pytest.approx(
+            3.5 - 0.5 / 100, abs=1e-13)
+
+    def test_right_limit_after_an_interior_jump_is_second_order(self):
+        # the jump at t = 5 sits mid-ramp; with f(5) in place of f(5+) the
+        # first segment's end term is off by O(1/n) and the order drops to 1
+        g = make_test_derivator(1, alpha=6.0)
+        f, f_right, _ = make_lipschitz_integrand(g, 2.0, 2.0)
+        ns = (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)
+        for fr, lo, hi in ((f_right, 50.0, math.inf), (None, 5.0, 20.0)):
+            vals = [oracle_integral(f, g, 4.0, 6.0, n, fr) for n in ns]
+            devs = [abs(x - y) for x, y in zip(vals[:-1], vals[1:])]
+            ratios = [x / y for x, y in zip(devs[:-1], devs[1:])]
+            assert all(lo <= r <= hi for r in ratios), (fr, ratios)
+
 
 class TestErrorBound:
     @pytest.mark.parametrize("kind, H, p, width, var, expected", [
@@ -211,3 +280,33 @@ def test_subdivided_corrected_rule_additivity():
                                    lo, hi, 0.0)
     oracle = oracle_integral(f, g, a, b, 10 ** 6)
     assert abs(total - oracle) <= bound_total + 1e-9
+
+
+@pytest.mark.parametrize("seed", [20240, 0, 1, 2, 3])
+def test_bound_suite_drivers_construct(seed):
+    # a one-subinterval oracle keeps this cheap: only the drivers matter
+    assert len(run_bound_suite(num_cases=200, n_oracle=1, seed=seed)) == 200
+
+
+def test_oracle_right_limit_leaves_the_grid_alone():
+    # the identity integrand hands its argument back; putting f(d+) in place
+    # of its first value must not move the grid point the driver is read at
+    g = Derivator(2.0, lambda t: np.asarray(t, dtype=float), [1.0], [1.0])
+    ident = lambda t: np.asarray(t, dtype=float)
+    plus_one = lambda t: np.asarray(t, dtype=float) + 1.0
+    # atom f(1) * 1, first term with f(1+) = 2, then exact on [1.1, 2]
+    expected = 1.0 + 0.5 * (2.0 + 1.1) * 0.1 + (2.0 ** 2 - 1.1 ** 2) / 2.0
+    assert oracle_integral(ident, g, 1.0, 2.0, 10, plus_one) == pytest.approx(
+        expected, abs=1e-13)
+
+
+def test_bound_suite_hands_the_right_limit_to_the_oracle(monkeypatch):
+    seen = []
+
+    def spy(f, g, a, b, n, f_right=None):
+        seen.append(f_right)
+        return 0.0
+
+    monkeypatch.setattr(quadrature, "oracle_integral", spy)
+    run_bound_suite(num_cases=3, n_oracle=10, seed=166)
+    assert len(seen) == 3 and all(callable(fr) for fr in seen)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stieltjes_ode.derivator import (Derivator, identity_derivator,
+from stieltjes_ode.derivator import (MAX_GRID_STEPS, Derivator,
+                                     identity_derivator,
                                      make_silkworm_derivator,
                                      make_test_derivator)
 from stieltjes_ode.linear import homogeneous_solution
@@ -45,6 +47,18 @@ class TestBuildPartition:
     def test_bad_step(self, h):
         with pytest.raises(ValueError):
             build_partition(identity_derivator(1.0), h)
+
+    @pytest.mark.parametrize("h", [1.0 / (MAX_GRID_STEPS + 1), 1e-9, 5e-324])
+    def test_oversized_grid_rejected_before_allocating(self, h):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="steps") as info:
+                build_partition(identity_derivator(1.0), h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not isinstance(info.value, GridMismatchError)
+        assert peak < 2 ** 20
 
     def test_driver_values_cached_per_node(self):
         g = make_silkworm_derivator(10.0)
