@@ -14,11 +14,11 @@ linear solutions (:mod:`~stieltjes_ode.linear`), benchmark models
 from .derivator import (Derivator, from_descriptor, identity_derivator,
                         make_phi, make_silkworm_derivator, make_test_derivator)
 from .quadrature import (RuleKind, corrected_onepoint_rule,
-                         corrected_trapezoid_rule, error_bound, onepoint_rule,
-                         oracle_integral, run_bound_suite, trapezoid_rule)
+                         corrected_trapezoid_rule, error_bound, evaluate_rule,
+                         oracle_integral, run_bound_suite)
 from .solver import (IvpSpec, GridMismatchError, Partition, Trajectory,
                      TrajectoryHistory, build_partition, solve,
-                     solve_perturbed, step)
+                     solve_perturbed)
 from .linear import (AdmissibilityReport, LinearProblem, check_admissibility,
                      constant_linear_solution, general_linear_solution,
                      hat_exponential, hat_transform, homogeneous_solution,

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .derivator import Derivator, _f_on_arrays
+from .derivator import _f_on_arrays
 from .solver import (IvpSpec, GridMismatchError, Partition, Trajectory,
                      TrajectoryHistory, build_partition, solve)
 
@@ -56,9 +56,6 @@ class ErrorReport:
     max_e: float
     max_e_star: float
     max_e_plus: float
-    predictor_residual: Optional[np.ndarray] = None
-    corrector_residual: Optional[np.ndarray] = None
-    combined_residual: Optional[np.ndarray] = None
 
 
 # steps per block of measure_constants' refinement grid; bounds its memory
@@ -78,8 +75,8 @@ def _state_slope(rhs: Callable, hist: TrajectoryHistory, t, x,
                         / (2 * delta)))
 
 
-def error_report(traj: Trajectory, exact: Callable, exact_right: Callable,
-                 g: Derivator, spec: IvpSpec) -> ErrorReport:
+def error_report(traj: Trajectory, exact: Callable,
+                 exact_right: Callable) -> ErrorReport:
     """Compare a trajectory with the exact solution of its problem.
 
     ``exact`` and ``exact_right`` must accept numpy arrays of times.
@@ -102,8 +99,8 @@ def error_report(traj: Trajectory, exact: Callable, exact_right: Callable,
     )
 
 
-def truncation_errors(exact: Callable, exact_right: Callable, g: Derivator,
-                      spec: IvpSpec, part: Partition):
+def truncation_errors(exact: Callable, exact_right: Callable, spec: IvpSpec,
+                      part: Partition):
     """Local truncation residuals of the exact solution in the scheme.
 
     Returns three arrays indexed by step (entry ``k`` belongs to node
@@ -174,9 +171,8 @@ class BoundConstants:
         return 0.5 * self.k2 * self.lip * self.h
 
 
-def measure_constants(spec: IvpSpec, g: Derivator, part: Partition,
-                      exact: Callable, exact_right: Callable,
-                      refine: int = 20) -> BoundConstants:
+def measure_constants(spec: IvpSpec, part: Partition, exact: Callable,
+                      exact_right: Callable, refine: int = 20) -> BoundConstants:
     """Sample the regularity constants along the exact solution.
 
     ``k2`` and ``k3`` come from central differences of the right-hand side
@@ -186,6 +182,7 @@ def measure_constants(spec: IvpSpec, g: Derivator, part: Partition,
     contributions are excluded), sampled ``refine`` times per step.  When
     the spec carries exact constants they take precedence.
     """
+    g = part.g
     if spec.constants is not None:
         k1, k2, k3, lip = spec.constants
         if k1 < g.max_gap:
@@ -295,8 +292,8 @@ def convergence_table(spec_factory: Callable, g_factory: Callable,
             cell = ConvergenceCell(num_jumps=nj, h=h)
             try:
                 part = build_partition(g, h)
-                traj = solve(spec, g, part)
-                report = error_report(traj, exact, exact_right, g, spec)
+                traj = solve(spec, part)
+                report = error_report(traj, exact, exact_right)
             except GridMismatchError as exc:
                 cell.failed = True
                 cell.reason = str(exc)

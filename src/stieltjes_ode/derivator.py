@@ -60,6 +60,17 @@ def _f_on_arrays(f, *arrays):
                     ).reshape(arrays[0].shape)
 
 
+def _segment_grids(g, a, b, n):
+    """``linspace`` grids of the pieces of ``[a, b]`` cut at the jumps of
+    ``g`` inside ``(a, b)``, with ``n`` subintervals shared out by length."""
+    interior, _ = g.jumps_in(np.nextafter(a, b), b)
+    cuts = np.concatenate(([a], interior, [b]))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi > lo:
+            m = max(1, int(round(n * (hi - lo) / (b - a))))
+            yield np.linspace(lo, hi, m + 1)
+
+
 class Derivator:
     """Increasing left-continuous ``g`` on ``[0, T]`` with finite jumps.
 

@@ -20,7 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .derivator import Derivator
+from .derivator import Derivator, _f_on_arrays, _segment_grids
 
 __all__ = [
     "LinearProblem",
@@ -78,14 +78,14 @@ class AdmissibilityReport:
     ``offending`` lists ``(time, d*gap)`` pairs violating the selected
     condition; ``sign_flips`` lists jump times with ``d*gap > 1``, where the
     adapted exponential changes sign.  With finitely many jumps the
-    summability condition on ``ln|1 - d*gap|`` holds automatically.
+    summability condition on ``ln|1 - d*gap|`` always holds, so it is not
+    checked.
     """
 
     ok: bool
     strict: bool
     offending: list = field(default_factory=list)
     sign_flips: list = field(default_factory=list)
-    summability_ok: bool = True
 
 
 def check_admissibility(d: Coefficient, g: Derivator,
@@ -163,14 +163,9 @@ def hat_exponential(c: Coefficient, g: Derivator, t: float,
     if not callable(c):
         log_mag += float(c) * g.continuous_value(t)
     else:
-        cuts = np.concatenate(([0.0], times, [t]))
-        for lo_c, hi_c in zip(cuts[:-1], cuts[1:]):
-            if hi_c <= lo_c:
-                continue
-            m = max(1, int(round(quad_n * (hi_c - lo_c) / max(t, 1e-300))))
-            xs = np.linspace(lo_c, hi_c, m + 1)
+        for xs in _segment_grids(g, 0.0, t, quad_n):
             cv = g.continuous_value(xs)
-            fv = np.array([float(c_fun(x)) for x in xs])
+            fv = _f_on_arrays(c, xs)
             log_mag += float(np.sum(0.5 * (fv[1:] + fv[:-1]) * np.diff(cv)))
     return (-1.0) ** flips * math.exp(log_mag)
 
@@ -267,26 +262,22 @@ def _general_eval(prob: LinearProblem, g: Derivator, t: float, n: int) -> float:
     d_fun = prob.damping_fn()
     h_fun = prob.forcing_fn()
     times, gaps = g.jumps_in(0.0, t)
-    cuts = np.concatenate(([0.0], times, [t]))
     log_mag = 0.0
     sign = 1.0
     forced = 0.0
-    for i in range(len(cuts) - 1):
-        lo, hi = cuts[i], cuts[i + 1]
-        if hi > lo:
-            m = max(2, int(round(n * (hi - lo) / t)))
-            xs = np.linspace(lo, hi, m + 1)
-            cv = g.continuous_value(xs)
-            dv = np.array([float(d_fun(x)) for x in xs])
-            hv = np.array([float(h_fun(x)) for x in xs])
-            dc = np.diff(cv)
-            # cumulative integral of the hatted coefficient along the segment
-            phi = log_mag + np.concatenate(
-                ([0.0], np.cumsum(0.5 * (dv[1:] + dv[:-1]) * dc)))
-            e_hat = sign * np.exp(phi)
-            integrand = e_hat * hv
-            forced += float(np.sum(0.5 * (integrand[1:] + integrand[:-1]) * dc))
-            log_mag = float(phi[-1])
+    # segment i ends at jump i, the last segment at t
+    for i, xs in enumerate(_segment_grids(g, 0.0, t, n)):
+        cv = g.continuous_value(xs)
+        dv = _f_on_arrays(d_fun, xs)
+        hv = _f_on_arrays(h_fun, xs)
+        dc = np.diff(cv)
+        # cumulative integral of the hatted coefficient along the segment
+        phi = log_mag + np.concatenate(
+            ([0.0], np.cumsum(0.5 * (dv[1:] + dv[:-1]) * dc)))
+        e_hat = sign * np.exp(phi)
+        integrand = e_hat * hv
+        forced += float(np.sum(0.5 * (integrand[1:] + integrand[:-1]) * dc))
+        log_mag = float(phi[-1])
         if i < len(times):
             s, gap = float(times[i]), float(gaps[i])
             d_s = float(d_fun(s))

@@ -10,7 +10,8 @@ continuous part:
 * corrected one-point / trapezoid: same weights applied to the continuous
   part of ``f`` relative to ``[a, b]``, plus cross terms
   ``(f(d+) - f(d)) * (gC(b) - gC(d))`` at each jump, which is what makes
-  them second order for ``g``-Lipschitz integrands.
+  them second order for ``g``-Lipschitz integrands.  With ``f_right = f``
+  the cross terms vanish: that is how the plain rules are evaluated.
 
 ``oracle_integral`` is an independent reference (jump sums plus a composite
 trapezoid refinement of the continuous part) used by the property suite, and
@@ -26,12 +27,10 @@ from typing import Callable
 import numpy as np
 
 from .derivator import (MAX_GRID_STEPS, Derivator, _f_on_arrays,
-                        make_test_derivator)
+                        _segment_grids, make_test_derivator)
 
 __all__ = [
     "RuleKind",
-    "onepoint_rule",
-    "trapezoid_rule",
     "corrected_onepoint_rule",
     "corrected_trapezoid_rule",
     "oracle_integral",
@@ -62,25 +61,6 @@ def _check_interval(g: Derivator, a: float, b: float):
 
 def _eval(f: Callable, x):
     return float(f(float(x)))
-
-
-def _jump_sum(f, g, a, b):
-    times, gaps = g.jumps_in(a, b)
-    return sum(_eval(f, d) * gap for d, gap in zip(times, gaps))
-
-
-def onepoint_rule(f, g: Derivator, a: float, b: float) -> float:
-    """Left-endpoint rule plus exact jump sum over ``[a, b)``."""
-    _check_interval(g, a, b)
-    dc = g.continuous_value(b) - g.continuous_value(a)
-    return _eval(f, a) * dc + _jump_sum(f, g, a, b)
-
-
-def trapezoid_rule(f, g: Derivator, a: float, b: float) -> float:
-    """Averaged-endpoint rule plus exact jump sum over ``[a, b)``."""
-    _check_interval(g, a, b)
-    dc = g.continuous_value(b) - g.continuous_value(a)
-    return 0.5 * (_eval(f, a) + _eval(f, b)) * dc + _jump_sum(f, g, a, b)
 
 
 def corrected_onepoint_rule(f, f_right, g: Derivator, a: float, b: float) -> float:
@@ -141,16 +121,11 @@ def oracle_integral(f, g: Derivator, a: float, b: float, n: int,
     if not 1 <= n <= MAX_GRID_STEPS:
         raise ValueError(f"need 1 <= n <= {MAX_GRID_STEPS} refinement "
                          f"subintervals, got {n}")
-    total = _jump_sum(f, g, a, b)
-    interior, _ = g.jumps_in(np.nextafter(a, b), b)
-    cuts = np.concatenate(([a], interior, [b]))
-    lengths = np.diff(cuts)
-    for lo, hi, length in zip(cuts[:-1], cuts[1:], lengths):
-        if length <= 0.0:
-            continue
-        right_start = f_right is not None and lo in g.jump_times
-        m = max(1, int(round(n * length / (b - a))))
-        xs = np.linspace(lo, hi, m + 1)
+    times, gaps = g.jumps_in(a, b)
+    total = sum(_eval(f, d) * gap for d, gap in zip(times, gaps))
+    for xs in _segment_grids(g, a, b, n):
+        m = len(xs) - 1
+        right_start = f_right is not None and xs[0] in g.jump_times
         terms = np.empty(m)
         for start in range(0, m, _ORACLE_BLOCK):
             stop = min(start + _ORACLE_BLOCK, m)
@@ -158,7 +133,7 @@ def oracle_integral(f, g: Derivator, a: float, b: float, n: int,
             fv = _f_on_arrays(f, block)
             if start == 0 and right_start:
                 # a copy: ``f`` may hand back its argument, a view of ``xs``
-                fv = np.concatenate(([_eval(f_right, lo)], fv[1:]))
+                fv = np.concatenate(([_eval(f_right, xs[0])], fv[1:]))
             cv = g.continuous_value(block)
             terms[start:stop] = 0.5 * (fv[1:] + fv[:-1]) * np.diff(cv)
         total += float(np.sum(terms))
@@ -192,14 +167,16 @@ def error_bound(kind: RuleKind, H: float, p: float, a: float, b: float,
 
 def evaluate_rule(kind: RuleKind, f, f_right, g: Derivator, a: float,
                   b: float) -> float:
-    """Dispatch one rule evaluation by kind."""
-    if kind is RuleKind.ONE_POINT:
-        return onepoint_rule(f, g, a, b)
-    if kind is RuleKind.TRAPEZOID:
-        return trapezoid_rule(f, g, a, b)
-    if kind is RuleKind.CORRECTED_ONE_POINT:
+    """Dispatch one rule evaluation by kind.
+
+    The plain rules are the corrected ones with ``f_right = f``: without a
+    jump in ``f`` every cross term vanishes.
+    """
+    if kind in (RuleKind.ONE_POINT, RuleKind.TRAPEZOID):
+        f_right = f
+    if kind in (RuleKind.ONE_POINT, RuleKind.CORRECTED_ONE_POINT):
         return corrected_onepoint_rule(f, f_right, g, a, b)
-    if kind is RuleKind.CORRECTED_TRAPEZOID:
+    if kind in (RuleKind.TRAPEZOID, RuleKind.CORRECTED_TRAPEZOID):
         return corrected_trapezoid_rule(f, f_right, g, a, b)
     raise ValueError(f"unknown rule kind {kind!r}")
 

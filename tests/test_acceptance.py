@@ -50,8 +50,8 @@ def linear_benchmark_grid():
                                                           from_right=True)
         for h in (1e-1, 1e-2, 1e-3, 1e-4):
             part = build_partition(g, h)
-            traj = solve(spec, g, part)
-            rep = error_report(traj, exact, exact_right, g, spec)
+            traj = solve(spec, part)
+            rep = error_report(traj, exact, exact_right)
             cells[(nj, h)] = {
                 "g": g, "spec": spec, "part": part,
                 "exact": exact, "exact_right": exact_right, "report": rep,
@@ -66,7 +66,7 @@ def test_criterion_1_classical_reduction():
     spec = IvpSpec(rhs=lambda t, x, hist: -x, x0=1.0)
 
     part = build_partition(g, 1e-3)
-    traj = solve(spec, g, part)
+    traj = solve(spec, part)
     f = lambda t, x: -x
     u = 1.0
     worst = 0.0
@@ -82,7 +82,7 @@ def test_criterion_1_classical_reduction():
     errs = []
     for h in steps:
         p = build_partition(g, h)
-        t = solve(spec, g, p)
+        t = solve(spec, p)
         errs.append(float(np.max(np.abs(t.values - np.exp(-p.nodes)))))
     order = estimate_order(steps, errs)
     elapsed = time.perf_counter() - start
@@ -124,9 +124,9 @@ def test_criterion_4_truncation_bounds(linear_benchmark_grid):
     cells, _ = linear_benchmark_grid
     cell = cells[(2, 1e-2)]
     g, spec, part = cell["g"], cell["spec"], cell["part"]
-    pred, corr, comb = truncation_errors(cell["exact"], cell["exact_right"], g,
+    pred, corr, comb = truncation_errors(cell["exact"], cell["exact_right"],
                                          spec, part)
-    consts = measure_constants(spec, g, part, cell["exact"],
+    consts = measure_constants(spec, part, cell["exact"],
                                cell["exact_right"])
     H, K2, h = consts.lip, consts.k2, part.h
     ok_star = np.all(np.abs(pred) <= H * H * h * h)
@@ -171,8 +171,8 @@ def test_criterion_6_silkworm_reproduction():
     for h in (1e-1, 1e-2, 1e-3, 1e-4):
         start = time.perf_counter()
         part = build_partition(g, h)
-        traj = solve(spec, g, part)
-        rep = error_report(traj, exact, exact.right, g, spec)
+        traj = solve(spec, part)
+        rep = error_report(traj, exact, exact.right)
         if h == 1e-4:
             elapsed_fine = time.perf_counter() - start
         errs[h] = rep.max_e
@@ -193,9 +193,9 @@ def test_criterion_7_global_error_bound(linear_benchmark_grid):
     worst_margin = math.inf
     for (nj, h), cell in cells.items():
         g, spec, part = cell["g"], cell["spec"], cell["part"]
-        _, _, comb = truncation_errors(cell["exact"], cell["exact_right"], g,
+        _, _, comb = truncation_errors(cell["exact"], cell["exact_right"],
                                        spec, part)
-        consts = measure_constants(spec, g, part, cell["exact"],
+        consts = measure_constants(spec, part, cell["exact"],
                                    cell["exact_right"])
         bound = theoretical_bounds(consts, g.domain_end, 0.0,
                                    float(np.max(np.abs(comb))))
@@ -214,10 +214,10 @@ def test_criterion_8_stability(linear_benchmark_grid):
     base = cell["report"]
     eps = 1e-8
     n = part.n_steps
-    pert_traj = solve_perturbed(spec, g, part, np.full(n, eps),
+    pert_traj = solve_perturbed(spec, part, np.full(n, eps),
                                 np.full(n, eps), np.full(n, eps))
-    pert = error_report(pert_traj, cell["exact"], cell["exact_right"], g, spec)
-    consts = measure_constants(spec, g, part, cell["exact"],
+    pert = error_report(pert_traj, cell["exact"], cell["exact_right"])
+    consts = measure_constants(spec, part, cell["exact"],
                                cell["exact_right"])
     g1, g2, g6 = consts.g1, consts.g2, consts.g6
     # perturbation share of the stability bound; the truncation part

@@ -38,9 +38,9 @@ class TestErrorReport:
         g = make_test_derivator(2, snap=0.1)
         spec = IvpSpec(rhs=lambda t, x, hist: 0.0, x0=2.0)
         part = build_partition(g, 0.1)
-        traj = solve(spec, g, part)
+        traj = solve(spec, part)
         const = lambda t: np.full(np.asarray(t, dtype=float).shape, 2.0)
-        report = error_report(traj, const, const, g, spec)
+        report = error_report(traj, const, const)
         assert report.max_e == 0.0
         assert report.max_e_star == 0.0
         assert report.max_e_plus == 0.0
@@ -48,20 +48,20 @@ class TestErrorReport:
     def test_self_comparison_is_zero(self):
         g, spec, _, _ = benchmark_setup()
         part = build_partition(g, 0.1)
-        traj = solve(spec, g, part)
+        traj = solve(spec, part)
         exact = lambda t: np.interp(t, part.nodes, traj.values)
         lookup = dict(zip(part.nodes[:-1].tolist(), traj.right_values))
         exact_right = lambda ts: np.array(
             [lookup[float(t)] for t in np.atleast_1d(ts)])
-        report = error_report(traj, exact, exact_right, g, spec)
+        report = error_report(traj, exact, exact_right)
         assert report.max_e == 0.0
         assert report.max_e_plus == 0.0
 
     def test_benchmark_maxima_match_reference_values(self):
         g, spec, exact, exact_right = benchmark_setup()
         part = build_partition(g, 0.1)
-        traj = solve(spec, g, part)
-        report = error_report(traj, exact, exact_right, g, spec)
+        traj = solve(spec, part)
+        report = error_report(traj, exact, exact_right)
         # jump placement is not pinned by the source table, so allow slack
         assert report.max_e_star == pytest.approx(REF_H1["e_star"], rel=0.25)
         assert report.max_e == pytest.approx(REF_H1["e"], rel=0.25)
@@ -74,7 +74,7 @@ class TestTruncationErrors:
         spec = IvpSpec(rhs=lambda t, x, hist: 0.0, x0=1.5)
         part = build_partition(g, 0.1)
         const = lambda t: np.full(np.asarray(t, dtype=float).shape, 1.5)
-        pred, corr, comb = truncation_errors(const, const, g, spec, part)
+        pred, corr, comb = truncation_errors(const, const, spec, part)
         assert np.max(np.abs(pred)) == 0.0
         assert np.max(np.abs(corr)) == 0.0
         assert np.max(np.abs(comb)) == 0.0
@@ -84,8 +84,8 @@ class TestTruncationErrors:
         spec = IvpSpec(rhs=lambda t, x, hist: -x, x0=1.0)
         part = build_partition(g, 1e-2)
         exact = lambda t: np.exp(-np.asarray(t, dtype=float))
-        pred, corr, _ = truncation_errors(exact, exact, g, spec, part)
-        consts = measure_constants(spec, g, part, exact, exact)
+        pred, corr, _ = truncation_errors(exact, exact, spec, part)
+        consts = measure_constants(spec, part, exact, exact)
         H, h = consts.lip, part.h
         assert np.max(np.abs(pred)) <= H * H * h * h
         assert np.max(np.abs(corr)) <= 0.5 * H * H * h * h
@@ -93,8 +93,8 @@ class TestTruncationErrors:
     def test_benchmark_bounds_pointwise(self):
         g, spec, exact, exact_right = benchmark_setup()
         part = build_partition(g, 1e-2)
-        pred, corr, comb = truncation_errors(exact, exact_right, g, spec, part)
-        consts = measure_constants(spec, g, part, exact, exact_right)
+        pred, corr, comb = truncation_errors(exact, exact_right, spec, part)
+        consts = measure_constants(spec, part, exact, exact_right)
         H, K2, h = consts.lip, consts.k2, part.h
         assert np.max(np.abs(pred)) <= H * H * h * h
         assert np.max(np.abs(corr)) <= 0.5 * H * H * h * h
@@ -107,7 +107,7 @@ class TestTruncationErrors:
         ratios = []
         for h in (1e-1, 1e-2, 1e-3):
             part = build_partition(g, h)
-            _, _, comb = truncation_errors(exact, exact_right, g, spec, part)
+            _, _, comb = truncation_errors(exact, exact_right, spec, part)
             ratios.append(np.max(np.abs(comb)) / h)
         assert ratios[2] < ratios[1] < ratios[0]
 
@@ -126,8 +126,8 @@ class TestArrayProtocol:
 
     def analyse(self, g, spec, exact, exact_right, h):
         part = build_partition(g, h)
-        resid = truncation_errors(exact, exact_right, g, spec, part)
-        consts = measure_constants(spec, g, part, exact, exact_right)
+        resid = truncation_errors(exact, exact_right, spec, part)
+        consts = measure_constants(spec, part, exact, exact_right)
         return part, resid, consts
 
     def assert_same(self, g, spec, twin, h=1e-3, d=-0.5, x0=1.0):
@@ -252,7 +252,7 @@ class TestBoundConstants:
         part = build_partition(g, 0.1)
         spec = IvpSpec(rhs=lambda t, x, hist: 0.5 * x, x0=1.0,
                        constants=(2.0, 0.5, 0.5, 7.0))
-        consts = measure_constants(spec, g, part, exact, exact_right)
+        consts = measure_constants(spec, part, exact, exact_right)
         assert (consts.k1, consts.k2, consts.k3, consts.lip) == \
             (2.0, 0.5, 0.5, 7.0)
 
@@ -262,7 +262,7 @@ class TestBoundConstants:
         spec = IvpSpec(rhs=lambda t, x, hist: 0.5 * x, x0=1.0,
                        constants=(0.5, 0.5, 0.5, 7.0))
         with pytest.raises(ValueError, match="K1"):
-            measure_constants(spec, g, part, exact, exact_right)
+            measure_constants(spec, part, exact, exact_right)
 
     def test_companion_bounds_scale_the_corrector_bound(self):
         c = BoundConstants(k1=1.0, k2=1.0, k3=1.0, lip=1.0, h=0.1, num_jumps=2)

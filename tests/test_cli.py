@@ -125,6 +125,23 @@ class TestSilkworm:
         assert len(err.splitlines()) == 1
         assert err.startswith("error:") and "non-finite" in err
 
+    def test_unstable_step_exits_2(self, tmp_path, capsys):
+        # z = c*dg = 436 on the steepest step: the state grows like
+        # (1 - z + z^2/2)^k but stays finite
+        code = run(["silkworm", "--c", "1e3", "--h", "0.1",
+                    "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "z = c*dg = 435.9" in err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_stable_step_near_the_limit_runs(self, tmp_path):
+        # z = 4 * 0.436 = 1.74, below the limit 2
+        code = run(["silkworm", "--c", "4", "--h", "0.1",
+                    "--out", str(tmp_path / "s.csv")])
+        assert code == 0
+
     def test_negative_step_exits_2(self, tmp_path):
         code = run(["silkworm", "--h", "-1", "--out", str(tmp_path / "s.csv")])
         assert code == 2

@@ -155,7 +155,7 @@ def test_scheme_tracks_exact_solution():
     g = make_silkworm_derivator(10.0)
     part = build_partition(g, 1e-2)
     spec = make_silkworm_spec(PARAMS)
-    traj = solve(spec, g, part)
+    traj = solve(spec, part)
     exact = SilkwormSolution(PARAMS)
-    report = error_report(traj, exact, exact.right, g, spec)
+    report = error_report(traj, exact, exact.right)
     assert report.max_e <= 5e-2

@@ -10,8 +10,7 @@ from stieltjes_ode.derivator import (MAX_GRID_STEPS, Derivator, _f_on_arrays,
 from stieltjes_ode.quadrature import (RuleKind, corrected_onepoint_rule,
                                       corrected_trapezoid_rule, error_bound,
                                       evaluate_rule, make_lipschitz_integrand,
-                                      onepoint_rule, oracle_integral,
-                                      run_bound_suite, trapezoid_rule)
+                                      oracle_integral, run_bound_suite)
 
 
 def pure_jump_driver(T, times, gaps):
@@ -36,43 +35,53 @@ def unblocked_oracle(f, g, a, b, n, f_right=None):
     return total
 
 
+def plain_onepoint(f, g, a, b):
+    """The one-point rule: the corrected rule with ``f_right = f``."""
+    return evaluate_rule(RuleKind.ONE_POINT, f, f, g, a, b)
+
+
+def plain_trapezoid(f, g, a, b):
+    """The trapezoid rule: the corrected rule with ``f_right = f``."""
+    return evaluate_rule(RuleKind.TRAPEZOID, f, f, g, a, b)
+
+
 class TestOnePointRule:
     def test_linear_integrand_identity_driver(self):
         g = identity_derivator(1.0)
         f = lambda t: t
         # rule gives f(0) * 1 = 0; exact value is 0.5, inside the H*Var bound
-        assert onepoint_rule(f, g, 0.0, 1.0) == 0.0
+        assert plain_onepoint(f, g, 0.0, 1.0) == 0.0
 
     def test_jump_only_measure_is_exact(self):
         g = pure_jump_driver(2.0, [1.0], [1.0])
-        assert onepoint_rule(lambda t: t ** 2, g, 0.0, 2.0) == pytest.approx(1.0)
+        assert plain_onepoint(lambda t: t ** 2, g, 0.0, 2.0) == pytest.approx(1.0)
 
     def test_constant_integrand_exact(self):
         g = make_test_derivator(2)
         kappa = 3.7
         expected = kappa * g.measure(0.5, 7.25)
-        assert onepoint_rule(lambda t: kappa, g, 0.5, 7.25) == pytest.approx(expected)
+        assert plain_onepoint(lambda t: kappa, g, 0.5, 7.25) == pytest.approx(expected)
 
     def test_rejects_empty_interval(self):
         g = identity_derivator(1.0)
         with pytest.raises(ValueError):
-            onepoint_rule(lambda t: t, g, 0.5, 0.5)
+            plain_onepoint(lambda t: t, g, 0.5, 0.5)
 
 
 class TestTrapezoidRule:
     def test_linear_integrand_exact(self):
         g = identity_derivator(1.0)
-        assert trapezoid_rule(lambda t: t, g, 0.0, 1.0) == pytest.approx(0.5)
+        assert plain_trapezoid(lambda t: t, g, 0.0, 1.0) == pytest.approx(0.5)
 
     def test_constant_integrand_exact(self):
         g = pure_jump_driver(3.0, [1.0, 2.0], [0.5, 0.25])
         kappa = -2.0
-        assert trapezoid_rule(lambda t: kappa, g, 0.0, 3.0) == pytest.approx(
+        assert plain_trapezoid(lambda t: kappa, g, 0.0, 3.0) == pytest.approx(
             kappa * g.measure(0.0, 3.0))
 
     def test_quadratic_error_within_bound(self):
         g = identity_derivator(1.0)
-        value = trapezoid_rule(lambda t: t ** 2, g, 0.0, 1.0)
+        value = plain_trapezoid(lambda t: t ** 2, g, 0.0, 1.0)
         assert value == pytest.approx(0.5)
         # |0.5 - 1/3| = 1/6 <= H*((b-a)/2)^p * Var = 1 * 0.5 * 1
         assert abs(value - 1.0 / 3.0) <= error_bound(
@@ -80,15 +89,6 @@ class TestTrapezoidRule:
 
 
 class TestCorrectedRules:
-    def test_no_jumps_matches_uncorrected(self):
-        g = make_test_derivator(0)
-        f = lambda t: np.sin(np.asarray(t, dtype=float))
-        a, b = 0.3, 2.7
-        assert corrected_onepoint_rule(f, f, g, a, b) == pytest.approx(
-            onepoint_rule(f, g, a, b))
-        assert corrected_trapezoid_rule(f, f, g, a, b) == pytest.approx(
-            trapezoid_rule(f, g, a, b))
-
     def test_constant_with_jump_at_left_endpoint_exact(self):
         g = pure_jump_driver(2.0, [0.5], [1.0])
         kappa = 4.0
@@ -111,13 +111,6 @@ class TestCorrectedRules:
             RuleKind.CORRECTED_TRAPEZOID, 1.0, 1.0, 1.0, 2.0, 0.0)
         # linear continuous parts make the trapezoid variant exact here
         assert trap == pytest.approx(3.5)
-
-    def test_matches_uncorrected_for_continuous_integrand(self):
-        g = make_test_derivator(2)
-        f = lambda t: np.cos(np.asarray(t, dtype=float))
-        a, b = 4.0, 5.5  # no jumps of this driver inside
-        assert corrected_onepoint_rule(f, f, g, a, b) == pytest.approx(
-            onepoint_rule(f, g, a, b), abs=1e-12)
 
 
 class TestOracle:

@@ -3,16 +3,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stieltjes_ode.derivator import (MAX_GRID_STEPS, Derivator,
                                      identity_derivator,
                                      make_silkworm_derivator,
                                      make_test_derivator)
-from stieltjes_ode.linear import homogeneous_solution
-from stieltjes_ode.models import make_linear_spec
+from stieltjes_ode.linear import (LinearProblem, general_linear_solution,
+                                  homogeneous_solution)
+from stieltjes_ode.models import (SilkwormParams, make_linear_spec,
+                                  make_silkworm_spec)
 from stieltjes_ode.solver import (GridMismatchError, IvpSpec,
                                   TrajectoryHistory, build_partition, solve,
-                                  solve_perturbed, step)
+                                  solve_perturbed)
 
 
 def decay_spec():
@@ -69,46 +73,47 @@ class TestBuildPartition:
 
 
 class TestStep:
+    """Single scheme steps, read off a ``solve`` over a short partition."""
+
     def test_heun_algebra(self):
-        g = identity_derivator(1.0)
-        u_plus, u_star, u_next = step(decay_spec(), g, 0.0, 0.1, 1.0)
-        assert u_plus == 1.0
-        assert u_star == pytest.approx(0.9)
-        assert u_next == pytest.approx(0.905)  # 1 - h + h^2/2
+        part = build_partition(identity_derivator(0.1), 0.1)
+        traj = solve(decay_spec(), part)
+        assert traj.right_values[0] == 1.0
+        assert traj.predictor_values[0] == pytest.approx(0.9)
+        assert traj.values[1] == pytest.approx(0.905)  # 1 - h + h^2/2
 
     def test_jump_resets_state(self):
         g = Derivator(2.0, lambda t: np.asarray(t, dtype=float), [1.0], [1.0])
-        u_plus, _, _ = step(decay_spec(), g, 1.0, 1.1, 2.0)
-        assert u_plus == 0.0  # 2 + (-2) * 1
+        traj = solve(decay_spec(), build_partition(g, 1.0))
+        assert traj.right_values[1] == 0.0  # u + (-u) * 1
+        assert traj.values[2] == 0.0
 
     def test_zero_rhs_is_constant(self):
         g = make_silkworm_derivator(10.0)
         spec = IvpSpec(rhs=lambda t, x, hist: 0.0, x0=5.0)
-        assert step(spec, g, 4.0, 4.1, 5.0) == (5.0, 5.0, 5.0)
-
-    def test_rejects_reversed_times(self):
-        g = identity_derivator(1.0)
-        with pytest.raises(ValueError):
-            step(decay_spec(), g, 0.5, 0.5, 1.0)
+        traj = solve(spec, build_partition(g, 0.1))
+        k = 40  # the jump at t = 4
+        assert (traj.right_values[k], traj.predictor_values[k],
+                traj.values[k + 1]) == (5.0, 5.0, 5.0)
 
 
 class TestSolve:
     def test_exponential_decay(self):
         g = identity_derivator(1.0)
         part = build_partition(g, 1e-3)
-        traj = solve(decay_spec(), g, part)
+        traj = solve(decay_spec(), part)
         assert abs(traj.values[-1] - math.exp(-1.0)) <= 1e-6
 
     def test_zero_rhs_constant_solution(self):
         g = make_silkworm_derivator(10.0)
         part = build_partition(g, 0.1)
-        traj = solve(IvpSpec(rhs=lambda t, x, hist: 0.0, x0=3.25), g, part)
+        traj = solve(IvpSpec(rhs=lambda t, x, hist: 0.0, x0=3.25), part)
         assert np.all(traj.values == 3.25)
 
     def test_matches_independent_heun_on_classical_time(self):
         g = identity_derivator(1.0)
         part = build_partition(g, 1e-3)
-        traj = solve(decay_spec(), g, part)
+        traj = solve(decay_spec(), part)
         f = lambda t, x: -x
         u = 1.0
         for k in range(part.n_steps):
@@ -123,7 +128,7 @@ class TestSolve:
         g = make_silkworm_derivator(10.0)
         part = build_partition(g, 0.1)
         c = 2.5
-        traj = solve(IvpSpec(rhs=lambda t, x, hist: c, x0=1.0), g, part)
+        traj = solve(IvpSpec(rhs=lambda t, x, hist: c, x0=1.0), part)
         dg = np.diff(part.g_left)
         np.testing.assert_allclose(np.diff(traj.values), c * dg,
                                    rtol=1e-12, atol=1e-13)
@@ -136,7 +141,7 @@ class TestSolve:
         errs = []
         for h in (1e-1, 1e-2, 1e-3):
             part = build_partition(g, h)
-            traj = solve(spec, g, part)
+            traj = solve(spec, part)
             exact = homogeneous_solution(-0.5, 1.0, g, part.nodes)
             errs.append(np.max(np.abs(traj.values - exact)))
         assert errs[1] <= errs[0] / 50.0
@@ -146,7 +151,7 @@ class TestSolve:
         g = make_silkworm_derivator(10.0)
         part = build_partition(g, 0.1)
         spec = make_linear_spec(-0.4, 2.0)
-        traj = solve(spec, g, part)
+        traj = solve(spec, part)
         off_jump = part.gaps[:-1] == 0.0
         # u_k+ == u_k wherever there is no jump, bit for bit
         assert np.all(traj.right_values[off_jump] == traj.values[:-1][off_jump])
@@ -162,7 +167,7 @@ class TestSolve:
         blowup = IvpSpec(rhs=lambda t, x, hist: x * x, x0=50.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="node"):
-                solve(blowup, g, part)
+                solve(blowup, part)
 
     def test_rhs_failure_names_node(self):
         g = identity_derivator(1.0)
@@ -174,15 +179,8 @@ class TestSolve:
             return -x
 
         with pytest.raises(RuntimeError, match=r"node 1 \(step to t=0.5\)") as excinfo:
-            solve(IvpSpec(rhs=bad_rhs, x0=1.0), g, part)
+            solve(IvpSpec(rhs=bad_rhs, x0=1.0), part)
         assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
-
-    def test_partition_bound_to_other_driver_rejected(self):
-        g1 = identity_derivator(1.0)
-        g2 = identity_derivator(1.0)
-        part = build_partition(g1, 0.1)
-        with pytest.raises(ValueError):
-            solve(decay_spec(), g2, part)
 
 
 class TestSolvePerturbed:
@@ -193,18 +191,18 @@ class TestSolvePerturbed:
         self.n = self.part.n_steps
 
     def test_zero_perturbations_reproduce_solve(self):
-        base = solve(self.spec, self.g, self.part)
+        base = solve(self.spec, self.part)
         zero = np.zeros(self.n)
-        pert = solve_perturbed(self.spec, self.g, self.part, zero, zero, zero)
+        pert = solve_perturbed(self.spec, self.part, zero, zero, zero)
         assert np.array_equal(pert.values, base.values)
         assert np.array_equal(pert.predictor_values, base.predictor_values)
         assert np.array_equal(pert.right_values, base.right_values)
 
     def test_final_corrector_perturbation_shifts_exactly(self):
-        base = solve(self.spec, self.g, self.part)
+        base = solve(self.spec, self.part)
         rho = np.zeros(self.n)
         rho[-1] = 1e-6
-        pert = solve_perturbed(self.spec, self.g, self.part,
+        pert = solve_perturbed(self.spec, self.part,
                                np.zeros(self.n), np.zeros(self.n), rho)
         assert pert.values[-1] - base.values[-1] == pytest.approx(1e-6,
                                                                   rel=1e-9)
@@ -213,7 +211,115 @@ class TestSolvePerturbed:
     def test_length_mismatch_rejected(self):
         zero = np.zeros(self.n)
         with pytest.raises(ValueError):
-            solve_perturbed(self.spec, self.g, self.part, zero[:-1], zero, zero)
+            solve_perturbed(self.spec, self.part, zero[:-1], zero, zero)
+
+
+def reference_scheme(spec, part, rho_plus=None, rho_star=None, rho=None):
+    """The scheme in numpy scalars over the partition's arrays, adding each
+    perturbation only when it is given; returns the three output arrays."""
+    n = part.n_steps
+    values, right, pred = np.empty(n + 1), np.empty(n), np.empty(n)
+    values[0] = spec.x0
+    hist = TrajectoryHistory(part.nodes, values, part.h, 1)
+    for k in range(n):
+        u_k, t_k, t_next = values[k], part.nodes[k], part.nodes[k + 1]
+        u_plus = u_k + spec.rhs(t_k, u_k, hist) * part.gaps[k]
+        if rho_plus is not None:
+            u_plus += rho_plus[k]
+        dg = part.g_left[k + 1] - part.g_right[k]
+        f_plus = spec.rhs_right(t_k, u_plus, hist)
+        u_star = u_plus + f_plus * dg
+        if rho_star is not None:
+            u_star += rho_star[k]
+        u_next = u_plus + 0.5 * (f_plus + spec.rhs(t_next, u_star, hist)) * dg
+        if rho is not None:
+            u_next += rho[k]
+        right[k], pred[k], values[k + 1] = u_plus, u_star, u_next
+        hist.filled = k + 2
+    return values, right, pred
+
+
+def silkworm_case():
+    spec = make_silkworm_spec(SilkwormParams(c=1.2, lam=1.1, x0=8.0))
+    return spec, build_partition(make_silkworm_derivator(10.0), 1e-2)
+
+
+def linear_case(d, h=1e-3):
+    part = build_partition(make_test_derivator(4, snap=0.1), h)
+    return make_linear_spec(d, 1.0), part
+
+
+def signed_zero_case():
+    # every stage of x' = x from x0 = -0.0 is -0.0
+    spec = IvpSpec(rhs=lambda t, x, hist: x, x0=-0.0)
+    return spec, build_partition(make_test_derivator(4, snap=0.1), 0.1)
+
+
+BIT_CASES = {"linear d=0.9": lambda: linear_case(0.9),
+             "linear d=-0.9": lambda: linear_case(-0.9),
+             "silkworm": silkworm_case,
+             "signed zero": signed_zero_case}
+
+
+def assert_bit_identical(traj, reference):
+    for got, want in zip((traj.values, traj.right_values,
+                          traj.predictor_values), reference):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestBitIdentity:
+    """``solve`` and ``solve_perturbed`` reproduce the numpy-scalar scheme
+    bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("case", sorted(BIT_CASES))
+    def test_solve(self, case):
+        spec, part = BIT_CASES[case]()
+        assert_bit_identical(solve(spec, part), reference_scheme(spec, part))
+
+    @pytest.mark.parametrize("case", sorted(BIT_CASES))
+    def test_solve_perturbed(self, case):
+        spec, part = BIT_CASES[case]()
+        rng = np.random.default_rng(7)
+        rhos = [rng.uniform(-1e-3, 1e-3, part.n_steps) for _ in range(3)]
+        assert_bit_identical(solve_perturbed(spec, part, *rhos),
+                             reference_scheme(spec, part, *rhos))
+
+
+T_END = 10.0
+
+
+@st.composite
+def damped_problems(draw):
+    """A test driver and a damping with either ``0.2 <= |d| <= 0.9`` or
+    ``d`` in [1.05, 1.6] with at least one jump (sign flips, ``d*gap > 1``)."""
+    flip = draw(st.booleans())
+    nj = draw(st.integers(1 if flip else 0, 4))
+    alpha = draw(st.floats(2.0, 5.0))
+    if flip:
+        d = draw(st.floats(1.05, 1.6))
+    else:
+        d = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.2, 0.9))
+    x0 = draw(st.floats(0.5, 2.0))
+    return make_test_derivator(nj, alpha=alpha, T=T_END, snap=0.1), d, x0
+
+
+class TestDifferential:
+    """``solve`` against the closed forms of ``linear`` at ``T``."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(damped_problems())
+    def test_second_order_against_closed_form(self, problem):
+        g, d, x0 = problem
+        if d > 1.0:
+            exact = general_linear_solution(LinearProblem(d, 0.0, x0), g,
+                                            T_END)
+        else:
+            exact = homogeneous_solution(d, x0, g, T_END)
+        errs = [abs(solve(make_linear_spec(d, x0),
+                          build_partition(g, h)).values[-1] - exact)
+                for h in (1e-2, 1e-3)]
+        assert math.log10(errs[0] / errs[1]) >= 1.9
 
 
 class TestTrajectoryHistory:
