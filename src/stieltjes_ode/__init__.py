@@ -24,8 +24,7 @@ from .linear import (AdmissibilityReport, LinearProblem, check_admissibility,
                      hat_exponential, hat_transform, homogeneous_solution,
                      tilde_coefficients)
 from .models import (SilkwormParams, SilkwormSolution, make_linear_spec,
-                     make_silkworm_spec, silkworm_exact, silkworm_rhs,
-                     silkworm_rhs_right)
+                     make_silkworm_spec, silkworm_rhs, silkworm_rhs_right)
 from .analysis import (BoundConstants, ConvergenceCell, ErrorReport,
                        convergence_table, error_report, estimate_order,
                        format_convergence_csv, measure_constants,

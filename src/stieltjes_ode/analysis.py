@@ -179,16 +179,9 @@ def measure_constants(spec: IvpSpec, part: Partition, exact: Callable,
     in the state variable over the solution's range; the Lipschitz constant
     is the largest time difference quotient of the driver's continuous part
     and of the composed right-hand side (restricted per step, so jump
-    contributions are excluded), sampled ``refine`` times per step.  When
-    the spec carries exact constants they take precedence.
+    contributions are excluded), sampled ``refine`` times per step.
     """
     g = part.g
-    if spec.constants is not None:
-        k1, k2, k3, lip = spec.constants
-        if k1 < g.max_gap:
-            raise ValueError(
-                f"provided K1={k1} is below the largest jump gap {g.max_gap}")
-        return BoundConstants(k1, k2, k3, lip, part.h, g.n_jumps)
     nodes = part.nodes
     x = np.asarray(exact(nodes), dtype=float)
     x_right = np.asarray(exact_right(nodes[:-1]), dtype=float)

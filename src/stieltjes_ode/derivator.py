@@ -199,32 +199,6 @@ class Derivator:
         hi = np.searchsorted(self.jump_times, b, side="left")
         return self.jump_times[lo:hi], self.jump_gaps[lo:hi]
 
-    # -- decomposition -----------------------------------------------------
-
-    def decompose(self, f: Callable, f_right: Callable):
-        """Split ``f`` into (continuous part, pure-jump part) along this driver.
-
-        Assumes the discontinuities of ``f`` sit inside the jump set of ``g``.
-        The jump part accumulates ``f(d+) - f(d)`` over jump times strictly
-        before ``t``; the continuous part is the remainder, so the two always
-        sum back to ``f``.
-        """
-        deltas = np.array([float(f_right(d)) - float(f(d)) for d in self.jump_times])
-        prefix = np.concatenate(([0.0], np.cumsum(deltas)))
-        times = self.jump_times
-
-        def f_jump(t):
-            arr, scalar = _as_float_array(t)
-            out = prefix[np.searchsorted(times, arr, side="left")]
-            return float(out) if scalar else out
-
-        def f_cont(t):
-            arr, scalar = _as_float_array(t)
-            out = np.asarray(f(arr), dtype=float) - f_jump(arr)
-            return float(out) if scalar else out
-
-        return f_cont, f_jump
-
     def estimate_continuous_lipschitz(self, a=None, b=None, samples=4001):
         """Sampled Lipschitz constant of the continuous part on ``[a, b]``.
 

@@ -64,12 +64,6 @@ class LinearProblem:
     forcing: Coefficient
     x0: float
 
-    def damping_fn(self) -> Callable:
-        return _as_time_function(self.damping)
-
-    def forcing_fn(self) -> Callable:
-        return _as_time_function(self.forcing)
-
 
 @dataclass
 class AdmissibilityReport:
@@ -83,7 +77,6 @@ class AdmissibilityReport:
     """
 
     ok: bool
-    strict: bool
     offending: list = field(default_factory=list)
     sign_flips: list = field(default_factory=list)
 
@@ -101,8 +94,8 @@ def check_admissibility(d: Coefficient, g: Derivator,
             offending.append((float(time), prod))
         if prod > 1.0:
             flips.append(float(time))
-    return AdmissibilityReport(ok=not offending, strict=strict,
-                               offending=offending, sign_flips=flips)
+    return AdmissibilityReport(ok=not offending, offending=offending,
+                               sign_flips=flips)
 
 
 def _require_admissible(d, g, strict):
@@ -117,20 +110,24 @@ def _require_admissible(d, g, strict):
 def hat_transform(c: Coefficient, g: Derivator) -> Callable:
     """Driver-adapted coefficient: ``ln|1 + c(t) gap| / gap`` at jumps.
 
-    Away from jumps the coefficient is returned unchanged.  Raises when
-    ``1 + c(t) gap`` vanishes at some jump.
+    Away from jumps the coefficient is returned unchanged.  Accepts scalar
+    or array ``t``; raises when ``1 + c(t) gap`` vanishes at some jump.
     """
     c_fun = _as_time_function(c)
 
     def hatted(t):
-        t = float(t)
-        gap = g.jump_gap(t)
-        if gap == 0.0:
-            return float(c_fun(t))
-        arg = 1.0 + float(c_fun(t)) * gap
-        if arg == 0.0:
-            raise ValueError(f"hat transform undefined: 1 + c*gap = 0 at jump t={t}")
-        return math.log(abs(arg)) / gap
+        arr = np.asarray(t, dtype=float)
+        gap = g.jump_gap(arr)
+        c_val = _f_on_arrays(c_fun, arr)
+        at_jump = gap > 0.0
+        arg = 1.0 + c_val * gap
+        singular = at_jump & (arg == 0.0)
+        if np.any(singular):
+            raise ValueError("hat transform undefined: 1 + c*gap = 0 at jump "
+                             f"t={float(arr[singular][0])}")
+        out = np.where(at_jump, np.log(np.abs(arg))
+                       / np.where(at_jump, gap, 1.0), c_val)
+        return float(out) if arr.ndim == 0 else out
 
     return hatted
 
@@ -177,8 +174,8 @@ def tilde_coefficients(prob: LinearProblem, g: Derivator, t: float):
     """
     t = float(t)
     gap = g.jump_gap(t)
-    d_val = float(prob.damping_fn()(t))
-    f_val = float(prob.forcing_fn()(t))
+    d_val = float(_as_time_function(prob.damping)(t))
+    f_val = float(_as_time_function(prob.forcing)(t))
     denom = 1.0 - d_val * gap
     if denom == 0.0:
         raise ValueError(f"inadmissible jump at t={t}: d*gap = 1")
@@ -258,15 +255,24 @@ def constant_linear_solution(d: float, forcing: float, x0: float, g: Derivator,
     return x0 * envelope + forcing * envelope * weight
 
 
-def _general_eval(prob: LinearProblem, g: Derivator, t: float, n: int) -> float:
-    d_fun = prob.damping_fn()
-    h_fun = prob.forcing_fn()
+def general_linear_solution(prob: LinearProblem, g: Derivator, t: float,
+                            quad_n: int = 10 ** 6) -> float:
+    """Solution of the linear equation with time-dependent coefficients.
+
+    Evaluates the adapted-exponential representation with the continuous
+    parts refined on ``quad_n`` subintervals (jump contributions are exact).
+    Requires ``d(t) * gap != 1`` at every jump.
+    """
+    _require_admissible(prob.damping, g, strict=False)
+    t = float(t)
+    d_fun = _as_time_function(prob.damping)
+    h_fun = _as_time_function(prob.forcing)
     times, gaps = g.jumps_in(0.0, t)
     log_mag = 0.0
     sign = 1.0
     forced = 0.0
     # segment i ends at jump i, the last segment at t
-    for i, xs in enumerate(_segment_grids(g, 0.0, t, n)):
+    for i, xs in enumerate(_segment_grids(g, 0.0, t, quad_n)):
         cv = g.continuous_value(xs)
         dv = _f_on_arrays(d_fun, xs)
         hv = _f_on_arrays(h_fun, xs)
@@ -289,23 +295,3 @@ def _general_eval(prob: LinearProblem, g: Derivator, t: float, n: int) -> float:
                 sign = -sign
     e_hat_t = sign * math.exp(log_mag)
     return (prob.x0 + forced) / e_hat_t
-
-
-def general_linear_solution(prob: LinearProblem, g: Derivator, t: float,
-                            quad_n: int = 10 ** 6, return_error: bool = False):
-    """Solution of the linear equation with time-dependent coefficients.
-
-    Evaluates the adapted-exponential representation with the continuous
-    parts refined on ``quad_n`` subintervals (jump contributions are exact).
-    Requires ``d(t) * gap != 1`` at every jump.  With ``return_error`` the
-    result carries the refinement estimate ``|I_n - I_{n/2}|``.
-    """
-    _require_admissible(prob.damping, g, strict=False)
-    t = float(t)
-    if t == 0.0:
-        return (prob.x0, 0.0) if return_error else prob.x0
-    coarse = _general_eval(prob, g, t, max(2, quad_n // 2))
-    fine = _general_eval(prob, g, t, quad_n)
-    if return_error:
-        return fine, abs(fine - coarse)
-    return fine

@@ -26,7 +26,6 @@ __all__ = [
     "silkworm_rhs_right",
     "make_silkworm_spec",
     "SilkwormSolution",
-    "silkworm_exact",
     "make_linear_spec",
 ]
 
@@ -53,26 +52,19 @@ class SilkwormParams:
                 f"fecundity lam must be nonnegative and finite, got {self.lam}")
 
 
-def _stage_indices(t: float, step: float):
-    """Node index of ``t`` modulo one period, in exact integer arithmetic.
-
-    Requires ``5/step`` (hence ``4/step``) to be an integer, which the grid
-    construction enforces for the silkworm driver; this avoids any float
-    comparison against the stage boundaries ``5k`` and ``5k+4``.
-    """
-    m = int(round(t / step))
-    per = int(round(5.0 / step))
-    moth = int(round(4.0 / step))
-    return m, m % per, moth
-
-
 def silkworm_rhs(t: float, x: float, history: TrajectoryHistory,
                  params: SilkwormParams) -> float:
-    """Staged right-hand side: decay, moth death, or hatch integral."""
-    m, r, moth = _stage_indices(t, history.step)
-    if m > 0 and r == 0:
+    """Staged right-hand side: decay, moth death, or hatch integral.
+
+    The stage comes from the offset ``t - 5*floor(t/5)`` into the period.
+    Grid nodes at hatch and moth-death times are snapped to the stored jump
+    times ``5k+5`` and ``5k+4``, on which the offset is exact, so the
+    comparisons with 0 and 4 need no tolerance.
+    """
+    r = t - 5.0 * math.floor(t / 5.0)
+    if r == 0.0 and t > 0.0:
         return params.lam * history.integral(t - 5.0, t - 1.0)
-    if r == moth:
+    if r == 4.0:
         return -x
     return -params.c * x
 
@@ -169,15 +161,6 @@ class SilkwormSolution:
         died = arr == 5.0 * np.floor(arr / 5.0) + 4.0
         out[died] = 0.0
         return float(out[0]) if scalar else out
-
-    def generation_start(self, k: int) -> float:
-        """Population right after the hatch at ``t = 5k``."""
-        return float(self._amps[k])
-
-
-def silkworm_exact(t, params: SilkwormParams):
-    """Convenience wrapper building a fresh :class:`SilkwormSolution`."""
-    return SilkwormSolution(params)(t)
 
 
 def make_linear_spec(d: float, x0: float) -> IvpSpec:

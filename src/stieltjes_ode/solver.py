@@ -112,26 +112,18 @@ class IvpSpec:
     ``x``; ``history`` is the trajectory computed so far (ignore it for
     plain ``f(t, x)`` problems).  ``rhs_right`` evaluates the right limit
     ``f(t+, x)`` and defaults to ``rhs``, which is valid whenever
-    ``f(., x)`` is right-continuous at the jump times.  ``constants``
-    optionally carries known regularity constants ``(K1, K2, K3, H)`` used
-    by the error-bound machinery; they are measured numerically otherwise.
+    ``f(., x)`` is right-continuous at the jump times.
     """
 
     rhs: Callable
     x0: float
     rhs_right: Optional[Callable] = None
-    constants: Optional[tuple] = None
 
     def __post_init__(self):
         if self.rhs_right is None:
             self.rhs_right = self.rhs
         if not math.isfinite(self.x0):
             raise ValueError(f"initial value must be finite, got {self.x0}")
-        if self.constants is not None:
-            if len(self.constants) != 4:
-                raise ValueError("constants must be (K1, K2, K3, H)")
-            if any(c < 0 for c in self.constants):
-                raise ValueError("regularity constants must be nonnegative")
 
 
 class TrajectoryHistory:

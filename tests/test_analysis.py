@@ -247,23 +247,6 @@ class TestBoundConstants:
         with pytest.raises(ValueError):
             theoretical_bounds(c, 1.0, 0.0, 1e-4)
 
-    def test_provided_constants_take_precedence(self):
-        g, _, exact, exact_right = benchmark_setup()
-        part = build_partition(g, 0.1)
-        spec = IvpSpec(rhs=lambda t, x, hist: 0.5 * x, x0=1.0,
-                       constants=(2.0, 0.5, 0.5, 7.0))
-        consts = measure_constants(spec, part, exact, exact_right)
-        assert (consts.k1, consts.k2, consts.k3, consts.lip) == \
-            (2.0, 0.5, 0.5, 7.0)
-
-    def test_provided_k1_below_max_gap_rejected(self):
-        g, _, exact, exact_right = benchmark_setup()
-        part = build_partition(g, 0.1)
-        spec = IvpSpec(rhs=lambda t, x, hist: 0.5 * x, x0=1.0,
-                       constants=(0.5, 0.5, 0.5, 7.0))
-        with pytest.raises(ValueError, match="K1"):
-            measure_constants(spec, part, exact, exact_right)
-
     def test_companion_bounds_scale_the_corrector_bound(self):
         c = BoundConstants(k1=1.0, k2=1.0, k3=1.0, lip=1.0, h=0.1, num_jumps=2)
         base = theoretical_bounds(c, 1.0, 0.0, 1e-4)

@@ -173,45 +173,19 @@ def test_measure_additivity(a, b, frac):
     assert total >= gaps.sum() - 1e-12
 
 
-class TestDecompose:
-    def test_driver_decomposes_into_own_jumps(self, silkworm):
-        f_cont, f_jump = silkworm.decompose(silkworm.value, silkworm.right_value)
-        for d, gap in zip(silkworm.jump_times, silkworm.jump_gaps):
-            assert f_jump(d + 1e-9) - f_jump(d) == pytest.approx(gap)
-
-    def test_continuous_function_has_zero_jump_part(self, silkworm):
-        f = lambda t: np.sin(np.asarray(t, dtype=float))
-        f_cont, f_jump = silkworm.decompose(f, f)
-        ts = np.linspace(0, 10, 101)
-        assert np.all(f_jump(ts) == 0.0)
-        assert f_cont(3.7) == pytest.approx(f(3.7))
-
-    def test_scaled_driver_scales_jumps(self, silkworm):
-        f = lambda t: 2.0 * silkworm.value(t)
-        fr = lambda t: 2.0 * silkworm.right_value(t)
-        _, f_jump = silkworm.decompose(f, fr)
-        for d, gap in zip(silkworm.jump_times, silkworm.jump_gaps):
-            assert f_jump(d + 1e-9) - f_jump(d) == pytest.approx(2.0 * gap)
-
-    def test_parts_sum_back_to_f(self, silkworm):
-        f = lambda t: silkworm.value(t) + np.cos(np.asarray(t, dtype=float))
-        fr = lambda t: silkworm.right_value(t) + np.cos(np.asarray(t, dtype=float))
-        f_cont, f_jump = silkworm.decompose(f, fr)
-        ts = np.linspace(0, 10, 301)
-        np.testing.assert_allclose(f_cont(ts) + f_jump(ts), f(ts), atol=1e-12)
-
-
 def test_transfer_of_lipschitz_regularity():
-    # f = c1*g + c2*sin(g) is g-Lipschitz with constant |c1| + |c2|; the
-    # decomposition must keep jump sizes and continuous-part increments
-    # within that constant
+    # f = c1*g + c2*sin(g) is g-Lipschitz with constant |c1| + |c2|; its
+    # jump sizes and the increments of its continuous part
+    # f(t) - sum_{d<t} (f(d+) - f(d)) must stay within that constant
     rng = np.random.default_rng(1234)
     g = make_test_derivator(3, alpha=4.0)
     c1, c2 = 0.8, -1.1
     h_f = abs(c1) + abs(c2)
     f = lambda t: c1 * g.value(t) + c2 * np.sin(g.value(t))
     fr = lambda t: c1 * g.right_value(t) + c2 * np.sin(g.right_value(t))
-    f_cont, _ = g.decompose(f, fr)
+    deltas = [fr(d) - f(d) for d in g.jump_times]
+    f_cont = lambda t: f(t) - sum(
+        delta for d, delta in zip(g.jump_times, deltas) if d < t)
     for d, gap in zip(g.jump_times, g.jump_gaps):
         assert abs(fr(d) - f(d)) <= h_f * gap + 1e-12
     ts = rng.uniform(0.0, 10.0, size=(1000, 2))

@@ -6,8 +6,8 @@ import pytest
 from stieltjes_ode.analysis import error_report
 from stieltjes_ode.derivator import make_silkworm_derivator
 from stieltjes_ode.models import (SilkwormParams, SilkwormSolution,
-                                  make_silkworm_spec, silkworm_exact,
-                                  silkworm_rhs, silkworm_rhs_right)
+                                  make_silkworm_spec, silkworm_rhs,
+                                  silkworm_rhs_right)
 from stieltjes_ode.solver import TrajectoryHistory, build_partition, solve
 
 PARAMS = SilkwormParams(c=1.2, lam=1.1, x0=8.0, T=10.0)
@@ -82,6 +82,11 @@ class TestRhs:
                                                    np.arange(41) * h))
         assert silkworm_rhs(5.0, 0.0, hist, PARAMS) == pytest.approx(expected)
 
+    def test_node_off_the_period_grid_decays(self):
+        # on an h = 1.3 grid 3.9 is the fourth node but not a moth death
+        hist = history_on_grid(np.zeros(4), 1.3)
+        assert silkworm_rhs(3.9, 2.0, hist, PARAMS) == -PARAMS.c * 2.0
+
     def test_right_limit_always_decays(self):
         hist = history_on_grid(np.zeros(60), 0.1)
         for t in (1.0, 4.0, 5.0):
@@ -90,11 +95,11 @@ class TestRhs:
 
 class TestExactSolution:
     def test_first_generation_decay(self):
-        assert silkworm_exact(2.0, PARAMS) == pytest.approx(
+        assert SilkwormSolution(PARAMS)(2.0) == pytest.approx(
             8.0 * math.exp(-1.2))
 
     def test_egg_phase_is_empty(self):
-        assert silkworm_exact(4.5, PARAMS) == 0.0
+        assert SilkwormSolution(PARAMS)(4.5) == 0.0
 
     def test_second_generation_recursion(self):
         exact = SilkwormSolution(PARAMS)
@@ -124,7 +129,7 @@ class TestExactSolution:
     def test_life_span_mass_against_mpmath(self, c):
         mp = pytest.importorskip("mpmath")
         params = SilkwormParams(c=c, lam=1.1, x0=8.0)
-        mass = (SilkwormSolution(params).generation_start(1)
+        mass = (SilkwormSolution(params).right(5.0)
                 / (params.lam * params.x0))
 
         def g(s):  # one life span of the staged driver, in mpmath arithmetic
@@ -147,7 +152,8 @@ class TestExactSolution:
     def test_right_limits(self):
         exact = SilkwormSolution(PARAMS)
         assert exact.right(4.0) == 0.0  # moths die
-        assert exact.right(5.0) == pytest.approx(exact.generation_start(1))
+        # a hatch: the right limit is where the next generation starts
+        assert exact.right(5.0) == pytest.approx(exact(np.nextafter(5.0, 6.0)))
         assert exact.right(1.0) == pytest.approx(exact(1.0))  # continuous point
 
 
