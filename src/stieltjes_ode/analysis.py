@@ -111,15 +111,14 @@ def truncation_errors(exact: Callable, exact_right: Callable, spec: IvpSpec,
     x = np.asarray(exact(nodes), dtype=float)
     x_right = np.asarray(exact_right(nodes[:-1]), dtype=float)
     hist = TrajectoryHistory(nodes, x, part.h, len(nodes))
-    dg = part.g_left[1:] - part.g_right[:-1]
     x_end = x[1:]
     f_plus = _on_arrays(spec.rhs_right, hist, nodes[:-1], x_right)
-    resid_pred = x_end - x_right - f_plus * dg
+    resid_pred = x_end - x_right - f_plus * part.dg
     f_end = _on_arrays(spec.rhs, hist, nodes[1:], x_end)
-    resid_corr = x_end - x_right - 0.5 * (f_plus + f_end) * dg
-    x_star = x_right + f_plus * dg
+    resid_corr = x_end - x_right - 0.5 * (f_plus + f_end) * part.dg
+    x_star = x_right + f_plus * part.dg
     f_pred = _on_arrays(spec.rhs, hist, nodes[1:], x_star)
-    resid_comb = x_end - x_right - 0.5 * (f_plus + f_pred) * dg
+    resid_comb = x_end - x_right - 0.5 * (f_plus + f_pred) * part.dg
     return resid_pred, resid_corr, resid_comb
 
 

@@ -140,7 +140,7 @@ def run_silkworm(args) -> int:
         traj = solver.solve(spec, part)
     # Heun's decay factor 1 - z + z^2/2 exceeds 1 once z = c*dg exceeds 2:
     # the state then grows without bound but may stay finite
-    z = args.c * float(np.max(part.g_left[1:] - part.g_right[:-1]))
+    z = args.c * float(np.max(part.dg))
     if z > 2.0:
         raise ConfigError(f"the step is unstable for this decay rate: "
                           f"z = c*dg = {z:.4g} > 2 on the steepest step")

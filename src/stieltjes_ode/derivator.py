@@ -71,6 +71,11 @@ def _segment_grids(g, a, b, n):
             yield np.linspace(lo, hi, m + 1)
 
 
+def _check_domain_end(T):
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"domain end T must be positive and finite, got {T}")
+
+
 class Derivator:
     """Increasing left-continuous ``g`` on ``[0, T]`` with finite jumps.
 
@@ -91,8 +96,7 @@ class Derivator:
 
     def __init__(self, domain_end, continuous_part, jump_times=(), jump_gaps=()):
         T = float(domain_end)
-        if not (T > 0.0 and math.isfinite(T)):
-            raise ValueError(f"domain end must be positive and finite, got {T}")
+        _check_domain_end(T)
         times = np.asarray(jump_times, dtype=float)
         gaps = np.asarray(jump_gaps, dtype=float)
         if times.shape != gaps.shape or times.ndim > 1:
@@ -234,8 +238,8 @@ def make_phi(alpha: float) -> Callable:
     steepness; the output is exactly 0 for ``x <= 0`` and exactly 1 for
     ``x >= 1``.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     a = float(alpha)
 
     def phi(x):
@@ -265,8 +269,9 @@ def make_test_derivator(num_jumps: int, alpha: float = 4.0, T: float = 10.0,
     ``snap`` (or any decade refinement) contains every jump; solver runs
     need that.
     """
-    if T <= 0:
-        raise ValueError(f"domain end must be positive, got {T}")
+    _check_domain_end(T)
+    if snap is not None and not 0.0 < snap < math.inf:
+        raise ValueError(f"snap must be positive and finite, got {snap}")
     if num_jumps < 0:
         raise ValueError(f"num_jumps must be nonnegative, got {num_jumps}")
     phi = make_phi(alpha)
@@ -310,24 +315,21 @@ def make_silkworm_derivator(T: float) -> Derivator:
     (flat); unit jumps at ``5k+4`` (moth death) and ``5k+5`` (hatching)
     extend it with period 5: ``g(t+5) = g(t) + 4``.
     """
-    if T <= 0:
-        raise ValueError(f"domain end must be positive, got {T}")
+    _check_domain_end(T)
+    periods = math.ceil(T / 5.0)
+    if 2 * periods > MAX_GRID_STEPS:
+        raise ValueError(f"domain end T={T} asks for about {0.4 * T:.4g} "
+                         f"jumps, more than the {MAX_GRID_STEPS} steps a grid "
+                         f"may have")
 
     def cont(t):
         arr = np.asarray(t, dtype=float)
         m = np.floor(arr / 5.0)
         return 2.0 * m + _silkworm_base(arr - 5.0 * m)
 
-    times = []
-    k = 0
-    while True:
-        for cand in (5.0 * k + 4.0, 5.0 * k + 5.0):
-            if 0.0 < cand < T:
-                times.append(cand)
-        if 5.0 * k + 5.0 >= T:
-            break
-        k += 1
-    times = np.asarray(times)
+    starts = 5.0 * np.arange(periods)
+    times = np.column_stack((starts + 4.0, starts + 5.0)).ravel()
+    times = times[times < T]
     return Derivator(T, cont, times, np.ones_like(times))
 
 

@@ -182,10 +182,6 @@ def tilde_coefficients(prob: LinearProblem, g: Derivator, t: float):
     return d_val / denom, f_val / denom
 
 
-def _jump_factors(d: float, gaps: np.ndarray) -> np.ndarray:
-    return (1.0 - d * gaps) * np.exp(d * gaps)
-
-
 def homogeneous_solution(d: float, x0: float, g: Derivator, t,
                          from_right: bool = False):
     """Exact solution of ``x'_g + d x = 0`` with constant ``d``.
@@ -198,61 +194,28 @@ def homogeneous_solution(d: float, x0: float, g: Derivator, t,
     _require_admissible(d, g, strict=True)
     arr, scalar = np.asarray(t, dtype=float), np.asarray(t).ndim == 0
     g_vals = g.right_value(arr) if from_right else g.value(arr)
-    prefix = np.concatenate(([1.0], np.cumprod(_jump_factors(d, g.jump_gaps))))
+    factors = (1.0 - d * g.jump_gaps) * np.exp(d * g.jump_gaps)
+    prefix = np.concatenate(([1.0], np.cumprod(factors)))
     side = "right" if from_right else "left"
     prods = prefix[np.searchsorted(g.jump_times, arr, side=side)]
     out = x0 * np.exp(-d * g_vals) * prods
     return float(out) if scalar else out
 
 
-def _forced_weight(d: float, g: Derivator, upto_index: int, t_right_cont: float,
-                   prefix_prod: np.ndarray, prefix_gap: np.ndarray) -> float:
-    """Measure integral of exp(d g(s)) / prod_{u<=s} factors over [0, t)."""
-    times = g.jump_times[:upto_index]
-    gaps = g.jump_gaps[:upto_index]
-    cont = g.continuous_value
-    total = 0.0
-    # atoms: the integrand divided by (1 - d*gap) collapses with the jump
-    # factor, so each atom contributes with the product taken before its jump
-    for i, (s, gap) in enumerate(zip(times, gaps)):
-        g_s = cont(s) + prefix_gap[i]
-        total += math.exp(d * g_s) / prefix_prod[i] * gap / (1.0 - d * gap)
-    # continuous segments: substitute u = gC(s), which integrates exactly
-    cuts = np.concatenate(([0.0], times, [t_right_cont]))
-    for i in range(len(cuts) - 1):
-        lo, hi = cuts[i], cuts[i + 1]
-        if hi <= lo:
-            continue
-        c_lo, c_hi = cont(lo), cont(hi)
-        scale = math.exp(d * prefix_gap[i]) / prefix_prod[i]
-        if d == 0.0:
-            total += scale * (c_hi - c_lo)
-        else:
-            total += scale * (math.exp(d * c_hi) - math.exp(d * c_lo)) / d
-    return total
-
-
 def constant_linear_solution(d: float, forcing: float, x0: float, g: Derivator,
-                             t: float, from_right: bool = False) -> float:
+                             t, from_right: bool = False):
     """Exact solution of ``x'_g + d x = forcing`` with constant coefficients.
 
-    The homogeneous part multiplies the jump products of
-    :func:`homogeneous_solution`; the forced part integrates the adapted
-    exponential in closed form (jump atoms exactly, continuous segments by
-    monotone substitution, so no refinement error is left).  Requires
-    ``d * gap < 1`` at every jump.
+    The constant ``forcing/d`` solves the equation at every time, jumps
+    included, so ``x = x0 H + forcing (1 - H)/d`` with ``H`` the
+    :func:`homogeneous_solution` started from 1; for ``d = 0`` it is ``x0 +
+    forcing g(t)``.  Requires ``d * gap < 1`` at every jump; accepts scalar
+    or array ``t``.
     """
-    _require_admissible(d, g, strict=True)
-    t = float(t)
-    side = "right" if from_right else "left"
-    hi = int(np.searchsorted(g.jump_times, t, side=side))
-    gaps = g.jump_gaps
-    prefix_prod = np.concatenate(([1.0], np.cumprod(_jump_factors(d, gaps))))
-    prefix_gap = np.concatenate(([0.0], np.cumsum(gaps)))
-    g_t = g.right_value(t) if from_right else g.value(t)
-    envelope = math.exp(-d * g_t) * prefix_prod[hi]
-    weight = _forced_weight(d, g, hi, t, prefix_prod, prefix_gap)
-    return x0 * envelope + forcing * envelope * weight
+    if d == 0.0:
+        return x0 + forcing * (g.right_value(t) if from_right else g.value(t))
+    hom = homogeneous_solution(d, 1.0, g, t, from_right)
+    return x0 * hom + forcing * (1.0 - hom) / d
 
 
 def general_linear_solution(prob: LinearProblem, g: Derivator, t: float,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivator import _silkworm_base
+from .derivator import _check_domain_end, _silkworm_base
 from .solver import IvpSpec, TrajectoryHistory
 
 __all__ = [
@@ -50,6 +50,7 @@ class SilkwormParams:
         if not 0 <= self.lam < math.inf:
             raise ValueError(
                 f"fecundity lam must be nonnegative and finite, got {self.lam}")
+        _check_domain_end(self.T)
 
 
 def silkworm_rhs(t: float, x: float, history: TrajectoryHistory,

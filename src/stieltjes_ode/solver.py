@@ -1,7 +1,7 @@
 """Predictor-corrector time stepping driven by a monotone derivator.
 
-On a uniform grid ``t_k = k*h`` whose nodes contain every jump of the driver
-``g``, the scheme advances three quantities per step:
+On a partition ``0 = t_0 < .. < t_{N+1} = T`` whose nodes contain every jump
+of the driver ``g``, the scheme advances three quantities per step:
 
     u_k+     = u_k + f(t_k, u_k) * gap(t_k)                  (jump update)
     u*_{k+1} = u_k+ + f(t_k+, u_k+) * (g(t_{k+1}) - g(t_k+))  (predictor)
@@ -34,37 +34,65 @@ __all__ = [
     "solve_perturbed",
 ]
 
-# relative slack when matching jump times to grid nodes
-_GRID_TOL = 1e-9
-
-
 class GridMismatchError(ValueError):
-    """The uniform grid cannot host the driver: the domain is not an integer
-    number of steps, or some jump time falls between nodes."""
+    """The partition cannot host the driver: the domain is not an integer
+    number of steps, or some jump time is not a node."""
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Uniform grid bound to a derivator, with per-node driver data.
+    """Nodes ``0 = t_0 < .. < t_{N+1} = T`` bound to a derivator.
 
-    ``nodes`` holds ``t_0 .. t_{N+1}`` with ``t_{N+1} = T``; nodes matched to
-    a jump are snapped to the exact stored jump time (the mismatch is below
-    ``h * 1e-9`` by construction) so jump lookups stay exact.  ``gaps``,
-    ``g_left`` and ``g_right`` cache ``gap(t_k)``, ``g(t_k)`` and ``g(t_k+)``
-    per node; the solver reads only these arrays in its inner loop.
+    Any node array works as long as every jump time of ``g`` is a node
+    exactly (bit for bit), so the jump lookups need no tolerance; the
+    uniform grids of :func:`build_partition` are the case whose nodes are
+    snapped to the jump times.  ``h`` is the largest step, ``gaps[k]`` is
+    ``gap(t_k)`` and ``dg[k]`` is the continuous measure ``g(t_{k+1}) -
+    g(t_k+)`` of step ``k``; the solver reads only these arrays in its
+    inner loop.
     """
 
     g: Derivator
     h: float
     nodes: np.ndarray
     gaps: np.ndarray
-    g_left: np.ndarray
-    g_right: np.ndarray
+    dg: np.ndarray
 
     @property
     def n_steps(self) -> int:
         """Number of steps ``N + 1``; the grid has ``N + 2`` nodes."""
         return len(self.nodes) - 1
+
+    @classmethod
+    def from_nodes(cls, g: Derivator, nodes) -> Partition:
+        """Partition of ``[0, T]`` with the given nodes.
+
+        ``nodes`` must be a 1-d array of at most ``MAX_GRID_STEPS`` steps,
+        finite and strictly increasing from ``0`` to ``T``, otherwise
+        ``ValueError``; a jump time that is not a node raises
+        :class:`GridMismatchError`.  The array is used as given, not copied.
+        """
+        nodes = np.asarray(nodes, dtype=float)
+        if nodes.ndim != 1 or not 2 <= nodes.size <= MAX_GRID_STEPS + 1:
+            raise ValueError(f"nodes must be a 1-d array of 1 to "
+                             f"{MAX_GRID_STEPS} steps, got shape {nodes.shape}")
+        T = g.domain_end
+        steps = np.diff(nodes)
+        # increasing from 0 to a finite T also rules out NaN and inf nodes
+        if not (nodes[0] == 0.0 and nodes[-1] == T and np.all(steps > 0.0)):
+            raise ValueError(f"nodes must be finite and strictly increasing "
+                             f"from 0 to {T}")
+        # jump times lie inside (0, T), so each one has a node at or after it
+        at = np.searchsorted(nodes, g.jump_times)
+        missing = g.jump_times[nodes[at] != g.jump_times]
+        if missing.size:
+            raise GridMismatchError(f"jump at t={missing[0]} is not a node; "
+                                    f"the scheme requires every jump as a node")
+        gaps = np.zeros(nodes.size)
+        gaps[at] = g.jump_gaps
+        g_left = g.value(nodes)
+        dg = g_left[1:] - (g_left[:-1] + gaps[:-1])
+        return cls(g, float(steps.max()), nodes, gaps, dg)
 
 
 def build_partition(g: Derivator, h: float) -> Partition:
@@ -72,9 +100,10 @@ def build_partition(g: Derivator, h: float) -> Partition:
 
     ``T/h`` must be an integer (to float accuracy) and every jump time must
     sit within ``h * 1e-9`` of a grid node, otherwise a
-    :class:`GridMismatchError` names the first offending jump.  A grid of
-    more than ``MAX_GRID_STEPS`` steps raises ``ValueError`` before anything
-    is allocated.
+    :class:`GridMismatchError` names the first offending jump.  Matched
+    nodes are snapped to the exact jump times.  A grid of more than
+    ``MAX_GRID_STEPS`` steps raises ``ValueError`` before anything is
+    allocated.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step must be positive and finite, got {h}")
@@ -89,19 +118,16 @@ def build_partition(g: Derivator, h: float) -> Partition:
             f"domain end {T} is not an integer number of steps {h}")
     nodes = np.arange(n_total + 1, dtype=float) * h
     nodes[-1] = T
-    gaps = np.zeros(n_total + 1)
-    for d, gap in zip(g.jump_times, g.jump_gaps):
-        idx = int(round(d / h))
-        if idx >= n_total or abs(nodes[idx] - d) > h * _GRID_TOL:
-            raise GridMismatchError(
-                f"jump at t={d} is not a node of the step-{h} grid; "
-                f"the scheme requires every jump on the grid")
-        nodes[idx] = d
-        gaps[idx] = gap
-    cont = g.continuous_value(nodes)
-    g_left = cont + np.concatenate(([0.0], np.cumsum(gaps[:-1])))
-    g_right = g_left + gaps
-    return Partition(g, h, nodes, gaps, g_left, g_right)
+    times = g.jump_times
+    idx = np.rint(times / h).astype(np.intp)
+    off = (idx >= n_total) | (
+        np.abs(nodes[np.minimum(idx, n_total)] - times) > h * 1e-9)
+    if np.any(off):
+        raise GridMismatchError(
+            f"jump at t={times[np.argmax(off)]} is not a node of the step-{h} "
+            f"grid; the scheme requires every jump on the grid")
+    nodes[idx] = times
+    return Partition.from_nodes(g, nodes)
 
 
 @dataclass
@@ -199,9 +225,8 @@ def _run_scheme(spec: IvpSpec, part: Partition, rho_plus, rho_star,
     history = TrajectoryHistory(part.nodes, values, part.h, 1)
     # memoryviews hand out and take Python floats: the same IEEE arithmetic
     # as numpy scalars, at a fraction of the cost per element
-    nodes, gaps, g_left, g_right, rho_plus, rho_star, rho = map(memoryview, (
-        part.nodes, part.gaps, part.g_left, part.g_right, rho_plus, rho_star,
-        rho))
+    nodes, gaps, dgs, rho_plus, rho_star, rho = map(memoryview, (
+        part.nodes, part.gaps, part.dg, rho_plus, rho_star, rho))
     out_u, out_plus, out_star = map(memoryview, (values, right_values,
                                                  predictor_values))
     u_k = out_u[0]
@@ -210,7 +235,7 @@ def _run_scheme(spec: IvpSpec, part: Partition, rho_plus, rho_star,
         t_next = nodes[k + 1]
         try:
             u_plus = u_k + rhs(t_k, u_k, history) * gaps[k] + rho_plus[k]
-            dg = g_left[k + 1] - g_right[k]
+            dg = dgs[k]
             f_plus = rhs_right(t_k, u_plus, history)
             u_star = u_plus + f_plus * dg + rho_star[k]
             f_star = rhs(t_next, u_star, history)

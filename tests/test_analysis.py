@@ -203,7 +203,7 @@ class TestArrayProtocol:
         x = exact(nodes)
         x_right = exact.right(nodes[:-1])
         hist = TrajectoryHistory(nodes, x, part.h, len(nodes))
-        dg = part.g_left[1:] - part.g_right[:-1]
+        dg = part.dg
         for k in range(part.n_steps):
             f_plus = base.rhs_right(nodes[k], x_right[k], hist)
             f_end = base.rhs(nodes[k + 1], x[k + 1], hist)

@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stieltjes_ode
 from stieltjes_ode.cli import main
+
+PACKAGE_ROOT = Path(stieltjes_ode.__file__).resolve().parents[1]
 
 
 def run(args):
@@ -239,3 +246,34 @@ def test_unknown_subcommand_exits_2():
 
 def test_missing_subcommand_exits_2():
     assert run([]) == 2
+
+
+MALFORMED = [
+    ["silkworm", "--T", "inf"], ["silkworm", "--T", "nan"],
+    ["silkworm", "--T", "0"], ["silkworm", "--T", "1e300", "--h", "1e299"],
+    ["linear-convergence", "--T", "inf"],
+    ["linear-convergence", "--snap", "0"],
+    ["linear-convergence", "--snap", "nan"],
+    ["linear-convergence", "--snap", "-0.1"],
+    ["bounds", "--T", "inf"], ["bounds", "--snap", "0"],
+    ["silkworm", "--h", "inf"], ["linear-convergence", "--h", "nan"],
+    ["bounds", "--h", "inf"],
+    ["silkworm", "--c", "inf"], ["silkworm", "--c", "nan"],
+    ["silkworm", "--x0", "nan"], ["linear-convergence", "--x0", "inf"],
+    ["bounds", "--x0", "nan"],
+    ["linear-convergence", "--alpha", "inf"], ["bounds", "--alpha", "nan"],
+]
+
+
+@pytest.mark.parametrize("args", MALFORMED, ids=" ".join)
+def test_malformed_input_exits_with_one_line(args, tmp_path):
+    # a child process with a timeout, so that a hang fails the case instead
+    # of stalling the suite
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT))
+    done = subprocess.run([sys.executable, "-m", "stieltjes_ode.cli", *args],
+                          capture_output=True, text=True, timeout=60,
+                          cwd=tmp_path, env=env)
+    assert done.returncode in (2, 3)
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error:")
+    assert "RuntimeWarning" not in done.stderr

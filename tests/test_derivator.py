@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stieltjes_ode import derivator
 from stieltjes_ode.derivator import (Derivator, from_descriptor,
                                      identity_derivator, make_phi,
                                      make_silkworm_derivator,
                                      make_test_derivator)
+from stieltjes_ode.models import SilkwormParams
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +146,42 @@ def test_builtin_drivers_construct(T):
         from_descriptor({"kind": "custom", "T": T, "continuous": name})
 
 
+@pytest.mark.parametrize("T", [0.5, 3.9, 4.0, 5.0, 9.0, 10.0, 12.5, 5e3 + 1])
+def test_silkworm_jump_times_match_the_loop(T):
+    # the loop the vectorised construction replaced, kept as the reference
+    times = []
+    k = 0
+    while 5.0 * k + 4.0 < T:
+        times += [c for c in (5.0 * k + 4.0, 5.0 * k + 5.0) if c < T]
+        k += 1
+    assert np.array_equal(make_silkworm_derivator(T).jump_times, times)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("build", [
+    make_silkworm_derivator, lambda T: make_test_derivator(2, T=T),
+    lambda T: SilkwormParams(c=1.2, lam=1.1, x0=8.0, T=T)],
+    ids=["silkworm", "test", "params"])
+def test_builders_reject_bad_domain_end_by_name(build, T):
+    with pytest.raises(ValueError, match="domain end T"):
+        build(T)
+
+
+def test_silkworm_rejects_more_jumps_than_a_grid_holds(monkeypatch):
+    monkeypatch.setattr(derivator, "MAX_GRID_STEPS", 10)
+    assert make_silkworm_derivator(25.0).n_jumps == 9
+    with pytest.raises(ValueError, match="jumps"):
+        make_silkworm_derivator(25.5)
+    with pytest.raises(ValueError, match="jumps"):
+        make_silkworm_derivator(1e300)
+
+
+@pytest.mark.parametrize("snap", [0.0, -0.1, math.nan, math.inf])
+def test_test_derivator_rejects_bad_snap_by_name(snap):
+    with pytest.raises(ValueError, match="snap"):
+        make_test_derivator(2, snap=snap)
+
+
 def test_right_minus_left_is_gap(silkworm):
     ts = np.concatenate((np.linspace(0.0, 9.99, 211), silkworm.jump_times))
     for t in ts:
@@ -220,6 +258,11 @@ class TestPhi:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
             make_phi(0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            make_phi(alpha)
 
 
 class TestTestDerivator:

@@ -161,6 +161,16 @@ class TestConstantLinearSolution:
         assert constant_linear_solution(1.0, 1.0, 0.0, g, 1.0) == pytest.approx(
             1.0 - math.exp(-1.0))
 
+    @pytest.mark.parametrize("from_right", [False, True])
+    @pytest.mark.parametrize("d", [0.0, 0.4, -0.7])
+    def test_array_call_matches_scalar_calls(self, d, from_right):
+        g = make_test_derivator(3, snap=0.1)
+        ts = np.linspace(0.0, 10.0, 41)[:-1 if from_right else None]
+        values = constant_linear_solution(d, 1.3, 0.6, g, ts, from_right)
+        np.testing.assert_allclose(values, [
+            constant_linear_solution(d, 1.3, 0.6, g, t, from_right)
+            for t in ts], rtol=1e-15, atol=0.0)
+
     def test_zero_forcing_matches_homogeneous(self):
         g = make_test_derivator(2, snap=0.1)
         for t in (0.0, 1.7, 5.0, 10.0):

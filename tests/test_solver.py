@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stieltjes_ode import solver
 from stieltjes_ode.derivator import (MAX_GRID_STEPS, Derivator,
                                      identity_derivator,
                                      make_silkworm_derivator,
@@ -14,7 +15,7 @@ from stieltjes_ode.linear import (LinearProblem, general_linear_solution,
                                   homogeneous_solution)
 from stieltjes_ode.models import (SilkwormParams, make_linear_spec,
                                   make_silkworm_spec)
-from stieltjes_ode.solver import (GridMismatchError, IvpSpec,
+from stieltjes_ode.solver import (GridMismatchError, IvpSpec, Partition,
                                   TrajectoryHistory, build_partition, solve,
                                   solve_perturbed)
 
@@ -67,9 +68,92 @@ class TestBuildPartition:
     def test_driver_values_cached_per_node(self):
         g = make_silkworm_derivator(10.0)
         part = build_partition(g, 0.5)
-        np.testing.assert_allclose(part.g_left, g.value(part.nodes), atol=1e-12)
-        np.testing.assert_allclose(part.g_right[:-1],
-                                   g.right_value(part.nodes[:-1]), atol=1e-12)
+        np.testing.assert_array_equal(part.gaps[:-1],
+                                      g.jump_gap(part.nodes[:-1]))
+        np.testing.assert_allclose(part.dg, g.value(part.nodes[1:])
+                                   - g.right_value(part.nodes[:-1]),
+                                   atol=1e-12)
+
+
+def wavy_nodes(g, h):
+    """The step-``h`` grid with its interior nodes off the jumps moved by
+    ``0.3*h*sin(7t)``: a non-uniform partition on the same jump nodes."""
+    part = build_partition(g, h)
+    nodes = part.nodes + 0.3 * h * np.sin(7.0 * part.nodes)
+    fixed = part.gaps > 0.0
+    fixed[[0, -1]] = True
+    nodes[fixed] = part.nodes[fixed]
+    return nodes
+
+
+class TestPartitionFromNodes:
+    def setup_method(self):
+        self.g = make_test_derivator(4, snap=0.1)
+        self.nodes = build_partition(self.g, 0.1).nodes
+
+    def edited(self, index, value):
+        nodes = self.nodes.copy()
+        nodes[index] = value
+        return nodes
+
+    @pytest.mark.parametrize("case", ["unsorted", "repeated", "nan", "inf",
+                                      "first", "last", "2-d", "one node"])
+    def test_malformed_nodes_rejected(self, case):
+        nodes = {"unsorted": self.edited([5, 6], [0.6, 0.5]),
+                 "repeated": self.edited(6, 0.5),
+                 "nan": self.edited(5, math.nan),
+                 "inf": self.edited(5, math.inf),
+                 "first": self.edited(0, 0.01),
+                 "last": self.edited(-1, 9.99),
+                 "2-d": self.nodes.reshape(1, -1),
+                 "one node": self.nodes[:1]}[case]
+        with pytest.raises(ValueError) as info:
+            Partition.from_nodes(self.g, nodes)
+        assert not isinstance(info.value, GridMismatchError)
+
+    def test_missing_jump_named(self):
+        jump = self.g.jump_times[1]
+        nodes = self.nodes[self.nodes != jump]
+        with pytest.raises(GridMismatchError, match=str(jump)):
+            Partition.from_nodes(self.g, nodes)
+
+    def test_oversized_node_array_rejected(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_GRID_STEPS", 99)
+        with pytest.raises(ValueError, match="1 to 99 steps"):
+            Partition.from_nodes(self.g, self.nodes)
+
+    @pytest.mark.parametrize("g, h", [
+        (make_silkworm_derivator(10.0), 1e-2),
+        (make_test_derivator(4, snap=0.1), 1e-3),
+        (identity_derivator(1.0), 0.25)])
+    def test_uniform_grid_is_the_node_case(self, g, h):
+        part = build_partition(g, h)
+        again = Partition.from_nodes(g, part.nodes.copy())
+        assert again.g is part.g and again.h == part.h
+        for name in ("nodes", "gaps", "dg"):
+            assert np.array_equal(getattr(again, name), getattr(part, name))
+
+    @pytest.mark.parametrize("make_nodes", [
+        lambda g: build_partition(g, 1e-2).nodes,
+        lambda g: wavy_nodes(g, 1e-2)])
+    @pytest.mark.parametrize("g", [make_silkworm_derivator(10.0),
+                                   make_test_derivator(4, snap=0.1)])
+    def test_dg_is_the_measure_of_each_step(self, g, make_nodes):
+        part = Partition.from_nodes(g, make_nodes(g))
+        nodes, gaps = part.nodes, part.gaps
+        want = g.value(nodes[1:]) - (g.value(nodes[:-1]) + gaps[:-1])
+        assert np.array_equal(part.dg, want)
+        assert part.h == np.max(np.diff(nodes))
+
+    def test_second_order_on_non_uniform_nodes(self):
+        spec = make_linear_spec(-0.5, 1.0)
+        errs = []
+        for h in (1e-2, 1e-3):
+            part = Partition.from_nodes(self.g, wavy_nodes(self.g, h))
+            assert not np.allclose(np.diff(part.nodes), h, rtol=0.1)
+            exact = homogeneous_solution(-0.5, 1.0, self.g, part.nodes)
+            errs.append(np.max(np.abs(solve(spec, part).values - exact)))
+        assert math.log10(errs[0] / errs[1]) >= 1.9
 
 
 class TestStep:
@@ -129,7 +213,7 @@ class TestSolve:
         part = build_partition(g, 0.1)
         c = 2.5
         traj = solve(IvpSpec(rhs=lambda t, x, hist: c, x0=1.0), part)
-        dg = np.diff(part.g_left)
+        dg = part.gaps[:-1] + part.dg
         np.testing.assert_allclose(np.diff(traj.values), c * dg,
                                    rtol=1e-12, atol=1e-13)
         assert traj.values[-1] == pytest.approx(1.0 + c * g.value(10.0),
@@ -226,7 +310,7 @@ def reference_scheme(spec, part, rho_plus=None, rho_star=None, rho=None):
         u_plus = u_k + spec.rhs(t_k, u_k, hist) * part.gaps[k]
         if rho_plus is not None:
             u_plus += rho_plus[k]
-        dg = part.g_left[k + 1] - part.g_right[k]
+        dg = part.dg[k]
         f_plus = spec.rhs_right(t_k, u_plus, hist)
         u_star = u_plus + f_plus * dg
         if rho_star is not None:
