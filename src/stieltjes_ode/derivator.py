@@ -7,8 +7,9 @@ stored as a continuous nondecreasing part plus a finite sorted list of jumps
 measure is ``measure(a, b) = g(b) - g(a)`` for ``[a, b)``; jump times carry
 point masses.
 
-Derivators are immutable after construction and safe to share between
-threads; every evaluation accepts scalars or numpy arrays.
+Derivators are immutable after construction (apart from a private memo of
+the last continuous-part evaluation, see :class:`Derivator`) and safe to
+share between threads; every evaluation accepts scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ MAX_GRID_STEPS = 10 ** 7
 
 # the continuous part is checked for monotonicity on this many uniform samples
 _MONOTONE_SAMPLES = 1025
+
+# grid points per block of the refinement oracle: about 256 kB per array.
+# One oracle block (``_ORACLE_BLOCK + 1`` points) is also the largest
+# argument ``Derivator`` keeps in its continuous-part memo.
+_ORACLE_BLOCK = 2 ** 15
 
 
 def _as_float_array(t):
@@ -92,6 +98,22 @@ class Derivator:
         Strictly increasing jump times inside the open interval ``(0, T)``
         and their positive gaps.  No jump may sit at 0 (``g`` must be
         continuous at 0) or at ``T`` (jumps live in ``[0, T)``).
+
+    Notes
+    -----
+    ``value``, ``right_value`` and ``continuous_value`` remember the last
+    array they passed to the continuous part, with its raw values, so the
+    refinement oracle's ``f(block)`` and ``continuous_value(block)``
+    evaluate the part once per point.  A remembered value is served only for
+    an argument of the same shape and the same bits (``-0.0`` and ``0.0``
+    differ, and so do NaN payloads), so an argument changed in place between
+    two calls gets fresh values.  Scalars, arrays of more than
+    ``_ORACLE_BLOCK + 1`` points and parts that return a view of their
+    argument are never remembered.  The memo is one tuple of a private copy
+    of the argument and the raw values, replaced whole and never handed
+    out: every call returns fresh arrays, so a thread that reads a stale
+    tuple still gets the values of its own argument.  The continuous part
+    must therefore be a pure function of time.
     """
 
     def __init__(self, domain_end, continuous_part, jump_times=(), jump_gaps=()):
@@ -130,6 +152,8 @@ class Derivator:
         # prefix[i] = sum of the first i gaps, so prefix[searchsorted(times, t)]
         # is the jump mass strictly before t
         self._prefix = np.concatenate(([0.0], np.cumsum(gaps)))
+        # (copy of the last remembered argument, its raw continuous values)
+        self._memo = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -142,24 +166,57 @@ class Derivator:
         return float(self.jump_gaps.max()) if self.jump_gaps.size else 0.0
 
     def _check_domain(self, arr, closed_right=True):
-        hi_ok = arr <= self.domain_end if closed_right else arr < self.domain_end
-        if not np.all((arr >= 0.0) & hi_ok):
+        # ``min``/``max`` propagate NaN, which then fails both comparisons
+        if arr.size and not (arr.min() >= 0.0 and (
+                arr.max() <= self.domain_end if closed_right
+                else arr.max() < self.domain_end)):
             bracket = "]" if closed_right else ")"
             raise ValueError(
                 f"time outside the domain [0, {self.domain_end}{bracket}")
 
+    def _raw_continuous(self, arr):
+        """``continuous_part(arr)`` as floats, through the one-entry memo.
+
+        The result may be the memo's own array: callers derive a fresh
+        array from it and never hand it out.
+        """
+        memo = self._memo
+        if memo is not None and memo[0].shape == arr.shape and np.array_equal(
+                memo[0].view(np.uint64), arr.view(np.uint64)):
+            return memo[1]
+        raw = np.asarray(self.continuous_part(arr), dtype=float)
+        if (0 < arr.ndim and arr.size <= _ORACLE_BLOCK + 1
+                and not np.may_share_memory(raw, arr)):
+            self._memo = (arr.copy(), raw)
+        return raw
+
+    def _prefix_at(self, arr, side):
+        """``prefix[searchsorted(jump_times, arr, side)]``: the jump mass
+        before each point (``side="left"``) or up to it (``"right"``).
+
+        A sorted 1-d ``arr`` (every oracle block and partition) is cut into
+        one run per jump interval instead of being searched point by point;
+        the values are the same.
+        """
+        if arr.ndim == 1 and arr.size > 1 and not (arr[1:] < arr[:-1]).any():
+            ends = np.searchsorted(arr, self.jump_times,
+                                   side="right" if side == "left" else "left")
+            return np.repeat(self._prefix,
+                             np.diff(ends, prepend=0, append=arr.size))
+        return self._prefix[np.searchsorted(self.jump_times, arr, side=side)]
+
     def continuous_value(self, t):
         """Continuous part ``g^C(t)``, normalized so ``g^C(0) = 0``."""
         arr, scalar = _as_float_array(t)
-        out = np.asarray(self.continuous_part(arr), dtype=float) - self._c0
+        out = self._raw_continuous(arr) - self._c0
         return float(out) if scalar else out
 
     def value(self, t):
         """``g(t)``: continuous part plus all gaps strictly before ``t``."""
         arr, scalar = _as_float_array(t)
         self._check_domain(arr)
-        out = (np.asarray(self.continuous_part(arr), dtype=float) - self._c0
-               + self._prefix[np.searchsorted(self.jump_times, arr, side="left")])
+        out = (self._raw_continuous(arr) - self._c0
+               + self._prefix_at(arr, "left"))
         return float(out) if scalar else out
 
     __call__ = value
@@ -168,8 +225,8 @@ class Derivator:
         """Right limit ``g(t+)``; includes the gap at ``t`` itself."""
         arr, scalar = _as_float_array(t)
         self._check_domain(arr, closed_right=False)
-        out = (np.asarray(self.continuous_part(arr), dtype=float) - self._c0
-               + self._prefix[np.searchsorted(self.jump_times, arr, side="right")])
+        out = (self._raw_continuous(arr) - self._c0
+               + self._prefix_at(arr, "right"))
         return float(out) if scalar else out
 
     def jump_gap(self, t):
@@ -248,9 +305,19 @@ def make_phi(alpha: float) -> Callable:
         out[arr >= 1.0] = 1.0
         inner = (arr > 0.0) & (arr < 1.0)
         if np.any(inner):
-            z = -2.0 * a * np.tan(0.5 * np.pi * (2.0 * arr[inner] - 1.0))
+            # 1 / (1 + exp(-2a * tan(pi/2 * (2x - 1)))), in place on the
+            # gathered copy, in the same operation order
+            z = arr[inner]
+            z *= 2.0
+            z -= 1.0
+            z *= 0.5 * np.pi
+            np.tan(z, out=z)
+            z *= -2.0 * a
             with np.errstate(over="ignore"):
-                out[inner] = 1.0 / (1.0 + np.exp(z))
+                np.exp(z, out=z)
+            z += 1.0
+            np.divide(1.0, z, out=z)
+            out[inner] = z
         return float(out) if scalar else out
 
     return phi
@@ -279,10 +346,11 @@ def make_test_derivator(num_jumps: int, alpha: float = 4.0, T: float = 10.0,
     def cont(t):
         # one ramp per point: below 4 the later ramps are exactly 0, from 4
         # (8) on the earlier ones are exactly 1, so ``k + phi`` is the same
-        # float as the three-term sum
+        # float as the three-term sum.  Multiplying by 0.25 and 0.5 is exact
+        # scaling: the same floats as dividing by 4 and 2, and faster.
         arr = np.asarray(t, dtype=float)
-        k = np.clip(np.floor(arr / 4.0), 0.0, 2.0)
-        return k + phi((arr - 4.0 * k) / 2.0)
+        k = np.clip(np.floor(arr * 0.25), 0.0, 2.0)
+        return k + phi((arr - 4.0 * k) * 0.5)
 
     times = np.array([T * j / (num_jumps + 1) for j in range(1, num_jumps + 1)])
     if snap is not None and times.size:
@@ -339,32 +407,59 @@ _BUILTIN_CONTINUOUS = {
 }
 
 
+def _field(obj: dict, name: str, kind, default, where="descriptor"):
+    """``kind(obj[name])``, or ``default`` when the field is absent or null.
+
+    A missing required field (``default`` is ``...``) or a value ``kind``
+    cannot convert raises ``ValueError`` naming the field.
+    """
+    value = obj.get(name)
+    if value is None:
+        if default is ...:
+            raise ValueError(f"{where} has no {name!r} field")
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where} field {name!r} must be {what}, "
+                         f"got {value!r}") from None
+
+
 def from_descriptor(desc: dict) -> Derivator:
     """Build a derivator from its JSON descriptor (see README for the schema).
 
     ``{"kind": "identity" | "test" | "silkworm" | "custom", "T": ...}`` plus
     kind-specific fields: ``alpha``/``num_jumps``/``snap`` for ``test``,
-    ``continuous`` (a named builtin) and ``jumps`` for ``custom``.
+    ``continuous`` (a named builtin) and ``jumps`` for ``custom``.  A field
+    of the wrong type, or a jump without ``t`` or ``gap``, raises
+    ``ValueError`` naming it.
     """
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ValueError("derivator descriptor must be an object with a 'kind'")
     kind = desc["kind"]
-    T = float(desc.get("T", 10.0))
+    T = _field(desc, "T", float, 10.0)
     if kind == "identity":
         return identity_derivator(T)
     if kind == "test":
-        return make_test_derivator(int(desc.get("num_jumps", 0)),
-                                   float(desc.get("alpha", 4.0)), T,
-                                   desc.get("snap"))
+        return make_test_derivator(_field(desc, "num_jumps", int, 0),
+                                   _field(desc, "alpha", float, 4.0), T,
+                                   _field(desc, "snap", float, None))
     if kind == "silkworm":
         return make_silkworm_derivator(T)
     if kind == "custom":
         name = desc.get("continuous", "identity")
-        if name not in _BUILTIN_CONTINUOUS:
+        if not isinstance(name, str) or name not in _BUILTIN_CONTINUOUS:
             raise ValueError(f"unknown continuous part {name!r}; "
                              f"choose from {sorted(_BUILTIN_CONTINUOUS)}")
         jumps = desc.get("jumps", [])
-        times = [float(j["t"]) for j in jumps]
-        gaps = [float(j["gap"]) for j in jumps]
+        if not isinstance(jumps, list) or not all(
+                isinstance(j, dict) for j in jumps):
+            raise ValueError("descriptor field 'jumps' must be a list of "
+                             "objects with 't' and 'gap'")
+        times = [_field(j, "t", float, ..., f"jump {i}")
+                 for i, j in enumerate(jumps)]
+        gaps = [_field(j, "gap", float, ..., f"jump {i}")
+                for i, j in enumerate(jumps)]
         return Derivator(T, _BUILTIN_CONTINUOUS[name], times, gaps)
     raise ValueError(f"unknown derivator kind {kind!r}")

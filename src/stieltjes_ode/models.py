@@ -166,4 +166,6 @@ class SilkwormSolution:
 
 def make_linear_spec(d: float, x0: float) -> IvpSpec:
     """Solver spec for the homogeneous linear benchmark ``x'_g = -d x``."""
+    if not math.isfinite(d):
+        raise ValueError(f"damping d must be finite, got {d}")
     return IvpSpec(rhs=lambda t, x, hist: -d * x, x0=x0)

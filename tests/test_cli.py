@@ -262,6 +262,8 @@ MALFORMED = [
     ["silkworm", "--x0", "nan"], ["linear-convergence", "--x0", "inf"],
     ["bounds", "--x0", "nan"],
     ["linear-convergence", "--alpha", "inf"], ["bounds", "--alpha", "nan"],
+    ["bounds", "--d", "nan"], ["bounds", "--d", "inf"],
+    ["linear-convergence", "--d", "inf", "--jumps", "2", "--h", "1e-1"],
 ]
 
 
@@ -277,3 +279,5 @@ def test_malformed_input_exits_with_one_line(args, tmp_path):
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith("error:")
     assert "RuntimeWarning" not in done.stderr
+    if "--d" in args:
+        assert "damping d" in done.stderr

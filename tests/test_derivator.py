@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -199,6 +201,26 @@ def test_continuous_part_nondecreasing_on_random_samples(g):
     assert np.all(np.diff(vals) >= -1e-12)
 
 
+@pytest.mark.parametrize("g", [make_silkworm_derivator(10.0),
+                               make_test_derivator(4, alpha=3.0),
+                               identity_derivator(10.0)],
+                         ids=["silkworm", "ramps", "identity"])
+def test_sorted_points_get_the_values_of_shuffled_ones(g):
+    # sorted arrays take the jump mass run by run, unsorted ones point by
+    # point; both must give the same bits, also on and next to jump times
+    rng = np.random.default_rng(7)
+    ts = np.sort(np.concatenate((
+        rng.uniform(0.0, 10.0, 500), g.jump_times, g.jump_times,
+        np.nextafter(g.jump_times, 0.0), np.nextafter(g.jump_times, 10.0),
+        [0.0, -0.0, 10.0])))
+    for method, pts in ((g.value, ts), (g.right_value, ts[ts < 10.0])):
+        perm = rng.permutation(pts.size)
+        in_order = method(pts)
+        shuffled = method(pts[perm])
+        assert np.array_equal(in_order[perm].view(np.uint64),
+                              shuffled.view(np.uint64))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(0.0, 1.0))
 def test_measure_additivity(a, b, frac):
@@ -263,6 +285,135 @@ class TestPhi:
     def test_rejects_non_finite_alpha(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             make_phi(alpha)
+
+    @pytest.mark.parametrize("alpha", [1.0, 3.3, 4.0, 6.0])
+    def test_bit_equal_to_the_masked_expression(self, alpha):
+        def reference(x):
+            out = np.zeros_like(x)
+            out[x >= 1.0] = 1.0
+            inner = (x > 0.0) & (x < 1.0)
+            z = -2.0 * alpha * np.tan(0.5 * np.pi * (2.0 * x[inner] - 1.0))
+            with np.errstate(over="ignore"):
+                out[inner] = 1.0 / (1.0 + np.exp(z))
+            return out
+
+        edges = [0.0, 1.0, np.nextafter(0.0, -1.0), np.nextafter(0.0, 1.0),
+                 np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), math.inf,
+                 -math.inf, math.nan, -0.0]
+        rng = np.random.default_rng(11)
+        xs = np.concatenate((edges, rng.uniform(-0.5, 1.5, 5000),
+                             rng.uniform(0.0, 1.0, 5000)))
+        phi = make_phi(alpha)
+        expected = reference(xs).view(np.uint64)
+        assert np.array_equal(phi(xs).view(np.uint64), expected)
+        scalars = np.array([phi(float(x)) for x in edges])
+        assert np.array_equal(scalars.view(np.uint64), expected[:len(edges)])
+
+
+class CountingPart:
+    """Continuous part that counts the points it is evaluated at."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.points = 0
+
+    def __call__(self, t):
+        arr = np.asarray(t, dtype=float)
+        self.points += arr.size
+        return self.fn(arr)
+
+
+class TestContinuousMemo:
+    @staticmethod
+    def counted(fn=lambda t: t + 0.25 * np.sin(t), T=3.0):
+        part = CountingPart(fn)
+        g = Derivator(T, part, [1.0], [0.5])
+        part.points = 0
+        return g, part
+
+    def test_one_evaluation_serves_all_three_methods(self):
+        g, part = self.counted()
+        ts = np.linspace(0.0, 2.5, 101)
+        v = g.value(ts)
+        r = g.right_value(ts)
+        c = g.continuous_value(ts)
+        assert part.points == ts.size
+        fresh = ts + 0.25 * np.sin(ts)
+        assert np.array_equal(c, fresh)
+        assert np.array_equal(v, fresh + np.where(ts > 1.0, 0.5, 0.0))
+        assert np.array_equal(r, fresh + np.where(ts >= 1.0, 0.5, 0.0))
+
+    def test_argument_changed_in_place_gets_fresh_values(self):
+        g, part = self.counted()
+        ts = np.linspace(0.0, 2.5, 101)
+        g.continuous_value(ts)
+        ts[50] = 0.3
+        out = g.continuous_value(ts)
+        assert part.points == 2 * ts.size
+        assert np.array_equal(out, ts + 0.25 * np.sin(ts))
+
+    def test_signed_zeros_do_not_share_an_entry(self):
+        g, _ = self.counted(lambda t: np.copysign(1.0, t) + t)
+        assert g.continuous_value(np.zeros(3)).tolist() == [0.0] * 3
+        assert g.continuous_value(-np.zeros(3)).tolist() == [-2.0] * 3
+
+    def test_returned_arrays_are_fresh(self):
+        g, _ = self.counted()
+        ts = np.linspace(0.0, 2.5, 11)
+        first = g.continuous_value(ts)
+        first[:] = 99.0
+        assert np.array_equal(g.continuous_value(ts), ts + 0.25 * np.sin(ts))
+        assert g.continuous_value(ts) is not g.continuous_value(ts)
+
+    def test_identity_part_is_not_aliased(self):
+        g = identity_derivator(2.0)
+        ts = np.linspace(0.0, 1.5, 11)
+        outs = [g.value(ts), g.right_value(ts), g.continuous_value(ts)]
+        assert not any(np.shares_memory(out, ts) for out in outs)
+        # a remembered view of ``ts`` would follow it when it changes
+        same = ts.copy()
+        ts *= 0.5
+        assert np.array_equal(g.continuous_value(same), same)
+
+    def test_arrays_over_one_oracle_block_are_not_remembered(self):
+        g, part = self.counted()
+        capped = np.linspace(0.0, 2.5, derivator._ORACLE_BLOCK + 1)
+        g.value(capped)
+        g.continuous_value(capped)
+        assert part.points == capped.size
+        part.points = 0
+        big = np.linspace(0.0, 2.5, derivator._ORACLE_BLOCK + 2)
+        g.value(big)
+        g.continuous_value(big)
+        assert part.points == 2 * big.size
+
+    def test_scalars_are_not_remembered(self):
+        g, part = self.counted()
+        g.value(0.5)
+        g.continuous_value(0.5)
+        assert part.points == 2
+
+    def test_threads_sharing_a_driver_get_their_own_values(self):
+        g, _ = self.counted()
+        grids = [np.linspace(0.0, 2.5, 50 + k) for k in range(4)]
+
+        def check(ts):
+            fresh = ts + 0.25 * np.sin(ts)
+            left = fresh + np.where(ts > 1.0, 0.5, 0.0)
+            for _ in range(200):
+                v = g.value(ts)
+                c = g.continuous_value(ts)
+                if not (np.array_equal(c, fresh) and np.array_equal(v, left)):
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert all(pool.map(check, grids, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestTestDerivator:
@@ -335,7 +486,29 @@ class TestDescriptor:
         {"kind": "nope", "T": 1.0},
         {"kind": "custom", "T": 1.0, "continuous": "unknown"},
         "not a dict",
+        {"kind": "test", "snap": "x"},
+        {"kind": "custom", "T": 2.0, "jumps": [{"t": 1.0}]},
     ])
     def test_bad_descriptors(self, desc):
         with pytest.raises(ValueError):
             from_descriptor(desc)
+
+    @pytest.mark.parametrize("desc, field", [
+        ({"kind": "test", "snap": "x"}, "'snap'"),
+        ({"kind": "test", "num_jumps": "two"}, "'num_jumps'"),
+        ({"kind": "test", "num_jumps": math.inf}, "'num_jumps'"),
+        ({"kind": "test", "alpha": [4]}, "'alpha'"),
+        ({"kind": "identity", "T": "ten"}, "'T'"),
+        ({"kind": "custom", "T": 2.0, "jumps": [{"t": "x", "gap": 1.0}]},
+         "'t'"),
+        ({"kind": "custom", "T": 2.0, "jumps": [{"t": 1.0}]}, "'gap'"),
+        ({"kind": "custom", "T": 2.0, "jumps": {"t": 1.0}}, "'jumps'"),
+    ])
+    def test_bad_field_is_named(self, desc, field):
+        with pytest.raises(ValueError, match=field):
+            from_descriptor(desc)
+
+    def test_null_snap_means_no_snap(self):
+        g = from_descriptor({"kind": "test", "num_jumps": 2, "snap": None})
+        expected = make_test_derivator(2).jump_times
+        assert g.jump_times.tolist() == expected.tolist()

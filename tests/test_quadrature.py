@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from stieltjes_ode import quadrature
-from stieltjes_ode.derivator import (MAX_GRID_STEPS, Derivator, _f_on_arrays,
+from stieltjes_ode.derivator import (_ORACLE_BLOCK, MAX_GRID_STEPS, Derivator,
+                                     _f_on_arrays, _segment_grids,
                                      identity_derivator, make_test_derivator)
 from stieltjes_ode.quadrature import (RuleKind, corrected_onepoint_rule,
                                       corrected_trapezoid_rule, error_bound,
@@ -188,6 +189,31 @@ class TestOracle:
             devs = [abs(x - y) for x, y in zip(vals[:-1], vals[1:])]
             ratios = [x / y for x, y in zip(devs[:-1], devs[1:])]
             assert all(lo <= r <= hi for r in ratios), (fr, ratios)
+
+
+class TestOracleDriverEvaluations:
+    """The oracle's ``f(block)`` and ``continuous_value(block)`` share one
+    evaluation of the continuous part, through the driver's memo."""
+
+    @pytest.mark.parametrize("n", [3000, 3 * _ORACLE_BLOCK])
+    def test_continuous_part_runs_once_per_block_point(self, n):
+        points = [0]
+
+        def part(t):
+            arr = np.asarray(t, dtype=float)
+            points[0] += arr.size
+            return arr + 0.25 * np.sin(arr)
+
+        g = Derivator(3.0, part, [1.0, 2.0], [0.5, 0.5])
+        f, f_right, _ = make_lipschitz_integrand(g, 0.7, -1.3)
+        points[0] = 0
+        oracle_integral(f, g, 0.5, 2.5, n, f_right)
+        # consecutive blocks of a segment share their end point
+        grid = sum(min(start + _ORACLE_BLOCK, len(xs) - 1) - start + 1
+                   for xs in _segment_grids(g, 0.5, 2.5, n)
+                   for start in range(0, len(xs) - 1, _ORACLE_BLOCK))
+        # plus f(d) at both jumps and f_right(d) where their segments start
+        assert points[0] == grid + 4
 
 
 class TestErrorBound:
