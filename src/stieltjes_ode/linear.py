@@ -20,7 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .derivator import Derivator, _f_on_arrays, _segment_grids
+from .derivator import Derivator, _f_on_arrays, _grid_block, _segment_grids
 
 __all__ = [
     "LinearProblem",
@@ -160,7 +160,8 @@ def hat_exponential(c: Coefficient, g: Derivator, t: float,
     if not callable(c):
         log_mag += float(c) * g.continuous_value(t)
     else:
-        for xs in _segment_grids(g, 0.0, t, quad_n):
+        for lo, hi, m in _segment_grids(g, 0.0, t, quad_n):
+            xs = _grid_block(lo, hi, m, 0, m)
             cv = g.continuous_value(xs)
             fv = _f_on_arrays(c, xs)
             log_mag += float(np.sum(0.5 * (fv[1:] + fv[:-1]) * np.diff(cv)))
@@ -235,7 +236,8 @@ def general_linear_solution(prob: LinearProblem, g: Derivator, t: float,
     sign = 1.0
     forced = 0.0
     # segment i ends at jump i, the last segment at t
-    for i, xs in enumerate(_segment_grids(g, 0.0, t, quad_n)):
+    for i, (lo, hi, m) in enumerate(_segment_grids(g, 0.0, t, quad_n)):
+        xs = _grid_block(lo, hi, m, 0, m)
         cv = g.continuous_value(xs)
         dv = _f_on_arrays(d_fun, xs)
         hv = _f_on_arrays(h_fun, xs)

@@ -27,7 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .derivator import (_ORACLE_BLOCK, MAX_GRID_STEPS, Derivator,
-                        _f_on_arrays, _segment_grids, make_test_derivator)
+                        _f_on_arrays, _grid_block, _segment_grids,
+                        make_test_derivator)
 
 __all__ = [
     "RuleKind",
@@ -110,7 +111,8 @@ def oracle_integral(f, g: Derivator, a: float, b: float, n: int,
     above.
 
     ``f`` and the continuous part are evaluated on blocks of
-    ``_ORACLE_BLOCK`` grid points, so their temporaries stay cache-sized;
+    ``_ORACLE_BLOCK`` grid points, each built on its own (``np.linspace``'s
+    points), so the temporaries stay cache-sized and no whole grid is held;
     each segment's trapezoid terms are summed once, in grid order.  When
     ``f`` evaluates ``g`` on the block, ``continuous_value(block)`` is served
     from the driver's memo, so the continuous part runs once per point.
@@ -121,17 +123,16 @@ def oracle_integral(f, g: Derivator, a: float, b: float, n: int,
                          f"subintervals, got {n}")
     times, gaps = g.jumps_in(a, b)
     total = sum(_eval(f, d) * gap for d, gap in zip(times, gaps))
-    for xs in _segment_grids(g, a, b, n):
-        m = len(xs) - 1
-        right_start = f_right is not None and xs[0] in g.jump_times
+    for lo, hi, m in _segment_grids(g, a, b, n):
+        right_start = f_right is not None and lo in g.jump_times
         terms = np.empty(m)
         for start in range(0, m, _ORACLE_BLOCK):
             stop = min(start + _ORACLE_BLOCK, m)
-            block = xs[start:stop + 1]
+            block = _grid_block(lo, hi, m, start, stop)
             fv = _f_on_arrays(f, block)
             if start == 0 and right_start:
-                # a copy: ``f`` may hand back its argument, a view of ``xs``
-                fv = np.concatenate(([_eval(f_right, xs[0])], fv[1:]))
+                # a copy: ``f`` may hand back its argument, the block
+                fv = np.concatenate(([_eval(f_right, lo)], fv[1:]))
             cv = g.continuous_value(block)
             # 0.5 * (fv[1:] + fv[:-1]) * diff(cv), written in place
             out = terms[start:stop]

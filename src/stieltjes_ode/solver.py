@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -225,25 +226,23 @@ def _run_scheme(spec: IvpSpec, part: Partition, rho_plus, rho_star,
     history = TrajectoryHistory(part.nodes, values, part.h, 1)
     # memoryviews hand out and take Python floats: the same IEEE arithmetic
     # as numpy scalars, at a fraction of the cost per element
-    nodes, gaps, dgs, rho_plus, rho_star, rho = map(memoryview, (
-        part.nodes, part.gaps, part.dg, rho_plus, rho_star, rho))
+    nodes = memoryview(part.nodes)
     out_u, out_plus, out_star = map(memoryview, (values, right_values,
                                                  predictor_values))
     u_k = out_u[0]
-    for k in range(n_steps):
-        t_k = nodes[k]
-        t_next = nodes[k + 1]
+    for k, (t_k, t_next, gap, dg, r_plus, r_star, r) in enumerate(zip(
+            nodes, nodes[1:], memoryview(part.gaps), memoryview(part.dg),
+            rho_plus, rho_star, rho)):
         try:
-            u_plus = u_k + rhs(t_k, u_k, history) * gaps[k] + rho_plus[k]
-            dg = dgs[k]
+            u_plus = u_k + rhs(t_k, u_k, history) * gap + r_plus
             f_plus = rhs_right(t_k, u_plus, history)
-            u_star = u_plus + f_plus * dg + rho_star[k]
+            u_star = u_plus + f_plus * dg + r_star
             f_star = rhs(t_next, u_star, history)
         except Exception as exc:
             raise RuntimeError(
                 f"right-hand side evaluation failed at node {k} "
                 f"(step to t={t_next}): {exc}") from exc
-        u_k = u_plus + 0.5 * (f_plus + f_star) * dg + rho[k]
+        u_k = u_plus + 0.5 * (f_plus + f_star) * dg + r
         if not math.isfinite(u_k):
             raise FloatingPointError(
                 f"state became non-finite stepping to node {k + 1} "
@@ -258,8 +257,7 @@ def _run_scheme(spec: IvpSpec, part: Partition, rho_plus, rho_star,
 def solve(spec: IvpSpec, part: Partition) -> Trajectory:
     """Run the scheme over the whole partition; deterministic."""
     # -0.0 is the additive identity of IEEE floats, signed zeros included
-    zero = np.full(part.n_steps, -0.0)
-    return _run_scheme(spec, part, zero, zero, zero)
+    return _run_scheme(spec, part, repeat(-0.0), repeat(-0.0), repeat(-0.0))
 
 
 def solve_perturbed(spec: IvpSpec, part: Partition, rho_plus, rho_star,
@@ -276,4 +274,4 @@ def solve_perturbed(spec: IvpSpec, part: Partition, rho_plus, rho_star,
     for name, arr in zip(("rho_plus", "rho_star", "rho"), rhos):
         if arr.shape != (n,):
             raise ValueError(f"{name} must have length {n}, got {arr.shape}")
-    return _run_scheme(spec, part, *rhos)
+    return _run_scheme(spec, part, *map(memoryview, rhos))

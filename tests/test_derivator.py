@@ -288,15 +288,6 @@ class TestPhi:
 
     @pytest.mark.parametrize("alpha", [1.0, 3.3, 4.0, 6.0])
     def test_bit_equal_to_the_masked_expression(self, alpha):
-        def reference(x):
-            out = np.zeros_like(x)
-            out[x >= 1.0] = 1.0
-            inner = (x > 0.0) & (x < 1.0)
-            z = -2.0 * alpha * np.tan(0.5 * np.pi * (2.0 * x[inner] - 1.0))
-            with np.errstate(over="ignore"):
-                out[inner] = 1.0 / (1.0 + np.exp(z))
-            return out
-
         edges = [0.0, 1.0, np.nextafter(0.0, -1.0), np.nextafter(0.0, 1.0),
                  np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), math.inf,
                  -math.inf, math.nan, -0.0]
@@ -304,10 +295,149 @@ class TestPhi:
         xs = np.concatenate((edges, rng.uniform(-0.5, 1.5, 5000),
                              rng.uniform(0.0, 1.0, 5000)))
         phi = make_phi(alpha)
-        expected = reference(xs).view(np.uint64)
+        expected = masked_phi(alpha, xs).view(np.uint64)
         assert np.array_equal(phi(xs).view(np.uint64), expected)
         scalars = np.array([phi(float(x)) for x in edges])
         assert np.array_equal(scalars.view(np.uint64), expected[:len(edges)])
+
+
+def masked_phi(alpha, x):
+    """The ramp written with boolean masks: the reference for both of
+    ``make_phi``'s paths."""
+    out = np.zeros_like(x)
+    out[x >= 1.0] = 1.0
+    inner = (x > 0.0) & (x < 1.0)
+    z = -2.0 * alpha * np.tan(0.5 * np.pi * (2.0 * x[inner] - 1.0))
+    with np.errstate(over="ignore"):
+        out[inner] = 1.0 / (1.0 + np.exp(z))
+    return out
+
+
+def masked_ramps(alpha, t):
+    """The test driver's continuous part by boolean masks."""
+    k = np.clip(np.floor(t * 0.25), 0.0, 2.0)
+    return k + masked_phi(alpha, (t - 4.0 * k) * 0.5)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestSortedRuns:
+    """Sorted 1-d arrays take one slice per run; the values are the bits
+    of the masked expression."""
+
+    ALPHAS = [1.0, 3.3, 4.0, 6.0]
+
+    @staticmethod
+    def edges(ends):
+        ends = np.asarray(ends, dtype=float)
+        return np.concatenate((ends, np.nextafter(ends, -np.inf),
+                               np.nextafter(ends, np.inf),
+                               [math.inf, -math.inf, 0.0, -0.0]))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_phi_sorted_path(self, alpha):
+        rng = np.random.default_rng(3)
+        xs = np.sort(np.concatenate((self.edges([0.0, 1.0]),
+                                     rng.uniform(-0.5, 1.5, 10000),
+                                     rng.uniform(0.0, 1.0, 10000))))
+        assert derivator._is_sorted(xs)
+        phi = make_phi(alpha)
+        assert np.array_equal(bits(phi(xs)), bits(masked_phi(alpha, xs)))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_ramps_sorted_path(self, alpha):
+        rng = np.random.default_rng(4)
+        ts = np.sort(np.concatenate((
+            self.edges([0.0, 2.0, 4.0, 6.0, 8.0, 10.0]),
+            rng.uniform(-1.0, 11.0, 20000))))
+        cont = make_test_derivator(0, alpha=alpha).continuous_part
+        expected = bits(masked_ramps(alpha, ts))
+        assert np.array_equal(bits(cont(ts)), expected)
+        # single runs, and runs that start or end on a cut
+        for lo, hi in ((0.5, 3.9), (4.0, 8.0), (8.0, 10.0), (-1.0, 4.0)):
+            part = ts[(ts >= lo) & (ts <= hi)]
+            assert np.array_equal(bits(cont(part)),
+                                  bits(masked_ramps(alpha, part)))
+
+    def test_repeated_values(self):
+        # measure_constants grids repeat their nodes
+        ts = np.repeat(np.linspace(-0.5, 10.5, 301), 3)
+        cont = make_test_derivator(0, alpha=3.3).continuous_part
+        assert np.array_equal(bits(cont(ts)), bits(masked_ramps(3.3, ts)))
+        xs = ts * 0.1
+        assert np.array_equal(bits(make_phi(3.3)(xs)),
+                              bits(masked_phi(3.3, xs)))
+
+    def test_nan_takes_the_mask_path(self):
+        ts = np.linspace(0.0, 10.0, 101)
+        ts[37] = math.nan
+        assert not derivator._is_sorted(ts)
+        assert not derivator._is_sorted(np.array([0.0, math.nan]))
+        out = make_test_derivator(0, alpha=4.0).continuous_part(ts)
+        assert math.isnan(out[37])
+        keep = np.arange(ts.size) != 37
+        assert np.array_equal(bits(out[keep]),
+                              bits(masked_ramps(4.0, ts)[keep]))
+        assert np.array_equal(bits(make_phi(4.0)(ts * 0.1)),
+                              bits(masked_phi(4.0, ts * 0.1)))
+
+    def test_two_d_and_scalars(self):
+        ts = np.sort(np.random.default_rng(5).uniform(-1.0, 11.0, 600))
+        grid = ts.reshape(20, 30)
+        assert not derivator._is_sorted(grid)
+        cont = make_test_derivator(0, alpha=4.0).continuous_part
+        phi = make_phi(4.0)
+        assert np.array_equal(bits(cont(grid)), bits(masked_ramps(4.0, grid)))
+        assert np.array_equal(bits(phi(grid * 0.1)),
+                              bits(masked_phi(4.0, grid * 0.1)))
+        for t in self.edges([0.0, 2.0, 4.0, 8.0, 10.0]).tolist() + [3.3]:
+            assert bits(cont(t)) == bits(masked_ramps(4.0, np.array(t)))
+            assert bits(phi(t / 10)) == bits(masked_phi(4.0, np.array(t / 10)))
+
+
+class TestGridBlock:
+    """``_grid_block`` builds ``linspace`` points without the whole grid."""
+
+    @staticmethod
+    def check(lo, hi, m, start, stop):
+        block = derivator._grid_block(lo, hi, m, start, stop)
+        expected = np.linspace(lo, hi, m + 1)[start:stop + 1]
+        assert np.array_equal(bits(block), bits(expected))
+
+    def test_every_block_of_a_long_grid(self):
+        lo, hi, m = 0.0, 10.0, 10 ** 6
+        full = np.linspace(lo, hi, m + 1)
+        size = derivator._ORACLE_BLOCK
+        for start in range(0, m, size):
+            stop = min(start + size, m)
+            block = derivator._grid_block(lo, hi, m, start, stop)
+            assert np.array_equal(bits(block), bits(full[start:stop + 1]))
+
+    def test_random_pieces(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            lo = float(rng.uniform(0.0, 9.0))
+            hi = lo + 10.0 ** float(rng.uniform(-12.0, 1.0))
+            m = int(rng.integers(1, 5000))
+            start = int(rng.integers(0, m))
+            stop = int(rng.integers(start + 1, m + 1))
+            self.check(lo, hi, m, start, stop)
+            self.check(np.float64(lo), np.float64(hi), m, 0, m)
+
+    def test_one_subinterval(self):
+        self.check(2.5, 7.25, 1, 0, 1)
+        self.check(0.0, 5e-324, 1, 0, 1)
+
+    def test_subnormal_width_takes_numpy_zero_step_branch(self):
+        lo, hi, m = 0.0, 3 * 5e-324, 7
+        assert (hi - lo) / m == 0.0
+        # the inner points are not all ``lo``: numpy scales before it rounds
+        assert len(set(np.linspace(lo, hi, m + 1).tolist())) > 2
+        for start, stop in ((0, 7), (0, 3), (3, 7), (2, 5)):
+            self.check(lo, hi, m, start, stop)
+        self.check(1e-310, 1e-310 + 3e-323, 16, 0, 16)
 
 
 class CountingPart:
@@ -503,10 +633,24 @@ class TestDescriptor:
          "'t'"),
         ({"kind": "custom", "T": 2.0, "jumps": [{"t": 1.0}]}, "'gap'"),
         ({"kind": "custom", "T": 2.0, "jumps": {"t": 1.0}}, "'jumps'"),
+        ({"kind": "test", "num_jumps": 2.7}, "'num_jumps'"),
+        ({"kind": "test", "num_jumps": True}, "'num_jumps'"),
+        ({"kind": "test", "num_jumps": False}, "'num_jumps'"),
+        ({"kind": "test", "alpha": True}, "'alpha'"),
+        ({"kind": "test", "snap": True}, "'snap'"),
+        ({"kind": "identity", "T": True}, "'T'"),
+        ({"kind": "custom", "T": 2.0, "jumps": [{"t": True, "gap": 1.0}]},
+         "'t'"),
+        ({"kind": "custom", "T": 2.0, "jumps": [{"t": 1.0, "gap": True}]},
+         "'gap'"),
     ])
     def test_bad_field_is_named(self, desc, field):
         with pytest.raises(ValueError, match=field):
             from_descriptor(desc)
+
+    def test_integral_float_count_passes(self):
+        g = from_descriptor({"kind": "test", "num_jumps": 2.0})
+        assert g.n_jumps == 2
 
     def test_null_snap_means_no_snap(self):
         g = from_descriptor({"kind": "test", "num_jumps": 2, "snap": None})

@@ -151,6 +151,19 @@ class TestOracle:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_grid_is_built_block_by_block(self):
+        # one segment of 10**6 subintervals: its terms take 8 MB, the whole
+        # grid would take another 8 MB
+        g = make_test_derivator(0, alpha=3.3)
+        f, f_right, _ = make_lipschitz_integrand(g, 0.7, -1.3)
+        tracemalloc.start()
+        try:
+            oracle_integral(f, g, 0.5, 9.5, 10 ** 6, f_right)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
     @pytest.mark.parametrize("a, b, n", [(0.3, 9.7, 1000), (2.5, 7.5, 333),
                                          (5.0, 9.0, 90), (0.0, 10.0, 4)])
     def test_blocked_equals_unblocked(self, monkeypatch, a, b, n):
@@ -209,9 +222,9 @@ class TestOracleDriverEvaluations:
         points[0] = 0
         oracle_integral(f, g, 0.5, 2.5, n, f_right)
         # consecutive blocks of a segment share their end point
-        grid = sum(min(start + _ORACLE_BLOCK, len(xs) - 1) - start + 1
-                   for xs in _segment_grids(g, 0.5, 2.5, n)
-                   for start in range(0, len(xs) - 1, _ORACLE_BLOCK))
+        grid = sum(min(start + _ORACLE_BLOCK, m) - start + 1
+                   for _, _, m in _segment_grids(g, 0.5, 2.5, n)
+                   for start in range(0, m, _ORACLE_BLOCK))
         # plus f(d) at both jumps and f_right(d) where their segments start
         assert points[0] == grid + 4
 
