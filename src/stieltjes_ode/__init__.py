@@ -13,8 +13,7 @@ linear solutions (:mod:`~stieltjes_ode.linear`), benchmark models
 
 from .derivator import (Derivator, from_descriptor, identity_derivator,
                         make_phi, make_silkworm_derivator, make_test_derivator)
-from .quadrature import (RuleKind, corrected_onepoint_rule,
-                         corrected_trapezoid_rule, error_bound, evaluate_rule,
+from .quadrature import (RuleKind, error_bound, evaluate_rule,
                          oracle_integral, run_bound_suite)
 from .solver import (IvpSpec, GridMismatchError, Partition, Trajectory,
                      TrajectoryHistory, build_partition, solve,

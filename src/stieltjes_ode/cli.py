@@ -54,7 +54,11 @@ def _load_derivator(arg):
     """Accept an inline JSON descriptor or a path to one."""
     if os.path.exists(arg):
         with open(arg, "r", encoding="utf-8") as fh:
-            desc = json.load(fh)
+            try:
+                desc = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise ConfigError(f"--derivator file {arg!r} does not hold "
+                                  f"valid JSON: {exc}") from exc
     else:
         try:
             desc = json.loads(arg)
@@ -313,9 +317,11 @@ def main(argv=None) -> int:
     except solver.GridMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, FloatingPointError, RuntimeError) as exc:
-        # a failing or diverging solve is a configuration error too: exit
-        # code 1 stays reserved for property and bound violations
+    except (ConfigError, ValueError, FloatingPointError, RuntimeError,
+            OSError) as exc:
+        # a failing or diverging solve, or a file that cannot be read or
+        # written, is a configuration error too: exit code 1 stays reserved
+        # for property and bound violations
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

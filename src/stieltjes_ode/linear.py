@@ -197,8 +197,7 @@ def homogeneous_solution(d: float, x0: float, g: Derivator, t,
     g_vals = g.right_value(arr) if from_right else g.value(arr)
     factors = (1.0 - d * g.jump_gaps) * np.exp(d * g.jump_gaps)
     prefix = np.concatenate(([1.0], np.cumprod(factors)))
-    side = "right" if from_right else "left"
-    prods = prefix[np.searchsorted(g.jump_times, arr, side=side)]
+    prods = g._prefix_at(prefix, arr, "right" if from_right else "left")
     out = x0 * np.exp(-d * g_vals) * prods
     return float(out) if scalar else out
 

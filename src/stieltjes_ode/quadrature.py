@@ -1,17 +1,19 @@
 """Quadrature rules for integrals against a monotone driver on one interval.
 
 All rules approximate the measure integral of ``f`` over ``[a, b)`` driven by
-a :class:`~stieltjes_ode.derivator.Derivator` ``g``.  Point masses at jump
-times are always summed exactly; the rules differ in how they treat the
-continuous part:
+a :class:`~stieltjes_ode.derivator.Derivator` ``g``.  They form a 2x2
+family, one :class:`RuleKind` each, evaluated by the one function
+``evaluate_rule``.  Point masses at jump times are always summed exactly;
+``kind.trapezoid`` picks the weights of the continuous part:
 
 * one-point:     ``f(a) * (gC(b) - gC(a))``
 * trapezoid:     ``(f(a) + f(b))/2 * (gC(b) - gC(a))``
-* corrected one-point / trapezoid: same weights applied to the continuous
-  part of ``f`` relative to ``[a, b]``, plus cross terms
-  ``(f(d+) - f(d)) * (gC(b) - gC(d))`` at each jump, which is what makes
-  them second order for ``g``-Lipschitz integrands.  With ``f_right = f``
-  the cross terms vanish: that is how the plain rules are evaluated.
+
+and ``kind.corrected`` applies them to the continuous part of ``f``
+relative to ``[a, b]``, plus cross terms ``(f(d+) - f(d)) * (gC(b) -
+gC(d))`` at each jump, which is what makes the corrected rules second order
+for ``g``-Lipschitz integrands.  The plain rules read ``f`` in place of
+``f_right``, so their cross terms vanish.
 
 ``oracle_integral`` is an independent reference (jump sums plus a composite
 trapezoid refinement of the continuous part) used by the property suite, and
@@ -32,8 +34,6 @@ from .derivator import (_ORACLE_BLOCK, MAX_GRID_STEPS, Derivator,
 
 __all__ = [
     "RuleKind",
-    "corrected_onepoint_rule",
-    "corrected_trapezoid_rule",
     "oracle_integral",
     "error_bound",
     "evaluate_rule",
@@ -43,10 +43,23 @@ __all__ = [
 
 
 class RuleKind(enum.Enum):
+    """One rule of the family: one-point or trapezoid, plain or corrected."""
+
     ONE_POINT = "one-point"
     TRAPEZOID = "trapezoid"
     CORRECTED_ONE_POINT = "corrected-one-point"
     CORRECTED_TRAPEZOID = "corrected-trapezoid"
+
+    @property
+    def trapezoid(self) -> bool:
+        """Trapezoid weights on the continuous part, else one-point."""
+        return self in (RuleKind.TRAPEZOID, RuleKind.CORRECTED_TRAPEZOID)
+
+    @property
+    def corrected(self) -> bool:
+        """The jump cross terms are kept: ``f_right`` is read."""
+        return self in (RuleKind.CORRECTED_ONE_POINT,
+                        RuleKind.CORRECTED_TRAPEZOID)
 
 
 def _check_interval(g: Derivator, a: float, b: float):
@@ -60,40 +73,33 @@ def _eval(f: Callable, x):
     return float(f(float(x)))
 
 
-def corrected_onepoint_rule(f, f_right, g: Derivator, a: float, b: float) -> float:
-    """One-point rule on the continuous parts with jump cross terms.
+def evaluate_rule(kind: RuleKind, f, f_right, g: Derivator, a: float,
+                  b: float) -> float:
+    """The rule ``kind`` (a ``RuleKind`` or its value string) on ``[a, b)``.
 
-    Uses the decomposition of ``f`` restricted to ``[a, b]``, so only
-    ``f``/``f_right`` values on the interval are needed; assumes the
-    discontinuities of ``f`` sit inside the jump set of ``g``.
+    Only ``f``/``f_right`` values on the interval are needed; the
+    discontinuities of ``f`` must sit inside the jump set of ``g``.
     """
+    kind = RuleKind(kind)
+    if not kind.corrected:
+        f_right = f
     _check_interval(g, a, b)
     cb = g.continuous_value(b)
     dc = cb - g.continuous_value(a)
-    total = _eval(f, a) * dc
-    times, gaps = g.jumps_in(a, b)
-    for d, gap in zip(times, gaps):
-        fd = _eval(f, d)
-        total += fd * gap + (_eval(f_right, d) - fd) * (cb - g.continuous_value(d))
-    return total
-
-
-def corrected_trapezoid_rule(f, f_right, g: Derivator, a: float, b: float) -> float:
-    """Trapezoid rule on the continuous parts with jump cross terms."""
-    _check_interval(g, a, b)
-    cb = g.continuous_value(b)
-    dc = cb - g.continuous_value(a)
+    # the one-point weight term comes before the jump terms, the trapezoid
+    # one after them: the summation order of the two rules, kept bit for bit
+    total = 0.0 if kind.trapezoid else _eval(f, a) * dc
     times, gaps = g.jumps_in(a, b)
     jump_in_f = 0.0
-    total = 0.0
     for d, gap in zip(times, gaps):
         fd = _eval(f, d)
         delta = _eval(f_right, d) - fd
         jump_in_f += delta
         total += fd * gap + delta * (cb - g.continuous_value(d))
-    fc_a = _eval(f, a)
-    fc_b = _eval(f, b) - jump_in_f  # continuous part of f relative to [a, b]
-    return total + 0.5 * (fc_a + fc_b) * dc
+    if kind.trapezoid:
+        # f(b) - jump_in_f: the continuous part of f relative to [a, b]
+        total += 0.5 * (_eval(f, a) + (_eval(f, b) - jump_in_f)) * dc
+    return total
 
 
 def oracle_integral(f, g: Derivator, a: float, b: float, n: int,
@@ -152,36 +158,15 @@ def error_bound(kind: RuleKind, H: float, p: float, a: float, b: float,
     corrected rules take the common Lipschitz constant ``H`` of both
     continuous parts (``p`` is forced to 1 and ``var_f`` ignored).
     """
+    kind = RuleKind(kind)
     if not b > a:
         raise ValueError(f"need b > a, got a={a}, b={b}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"Holder exponent must be in (0, 1], got {p}")
     width = b - a
-    if kind is RuleKind.ONE_POINT:
-        return H * width ** p * var_f
-    if kind is RuleKind.TRAPEZOID:
-        return H * (0.5 * width) ** p * var_f
-    if kind is RuleKind.CORRECTED_ONE_POINT:
-        return H * H * width * width
-    if kind is RuleKind.CORRECTED_TRAPEZOID:
-        return 0.5 * H * H * width * width
-    raise ValueError(f"unknown rule kind {kind!r}")
-
-
-def evaluate_rule(kind: RuleKind, f, f_right, g: Derivator, a: float,
-                  b: float) -> float:
-    """Dispatch one rule evaluation by kind.
-
-    The plain rules are the corrected ones with ``f_right = f``: without a
-    jump in ``f`` every cross term vanishes.
-    """
-    if kind in (RuleKind.ONE_POINT, RuleKind.TRAPEZOID):
-        f_right = f
-    if kind in (RuleKind.ONE_POINT, RuleKind.CORRECTED_ONE_POINT):
-        return corrected_onepoint_rule(f, f_right, g, a, b)
-    if kind in (RuleKind.TRAPEZOID, RuleKind.CORRECTED_TRAPEZOID):
-        return corrected_trapezoid_rule(f, f_right, g, a, b)
-    raise ValueError(f"unknown rule kind {kind!r}")
+    if kind.corrected:
+        return (0.5 * H if kind.trapezoid else H) * H * width * width
+    return H * (0.5 * width if kind.trapezoid else width) ** p * var_f
 
 
 def make_lipschitz_integrand(g: Derivator, c1: float, c2: float):
@@ -233,9 +218,7 @@ def run_bound_suite(num_cases: int = 200, n_oracle: int = 10 ** 6,
         f, f_right, h_f = make_lipschitz_integrand(g, c1, c2)
         h_gc = g.estimate_continuous_lipschitz(a, b)
         var_f = h_f * g.measure(a, b)                # variation bound along g
-        corrected = kind in (RuleKind.CORRECTED_ONE_POINT,
-                             RuleKind.CORRECTED_TRAPEZOID)
-        hh = max(h_gc, h_f * h_gc) if corrected else h_gc
+        hh = max(h_gc, h_f * h_gc) if kind.corrected else h_gc
         oracle = oracle_integral(f, g, a, b, n_oracle, f_right)
         value = evaluate_rule(kind, f, f_right, g, a, b)
         bound = error_bound(kind, hh, 1.0, a, b, var_f)

@@ -264,6 +264,16 @@ MALFORMED = [
     ["linear-convergence", "--alpha", "inf"], ["bounds", "--alpha", "nan"],
     ["bounds", "--d", "nan"], ["bounds", "--d", "inf"],
     ["linear-convergence", "--d", "inf", "--jumps", "2", "--h", "1e-1"],
+    # files that cannot be read or written: exit 2, never the 1 of a
+    # bound violation
+    ["linear-convergence", "--jumps", "2", "--h", "1e-1",
+     "--out", "missing/x.csv"],
+    ["silkworm", "--h", "1e-1", "--out", "missing/x.csv"],
+    ["quadrature-check", "--cases", "1", "--n-oracle", "10",
+     "--out", "missing/x.csv"],
+    ["bounds", "--out", "missing/x.csv"],
+    ["linear-convergence", "--derivator", "."],
+    ["linear-convergence", "--derivator", "bad.json"],
 ]
 
 
@@ -272,6 +282,7 @@ def test_malformed_input_exits_with_one_line(args, tmp_path):
     # a child process with a timeout, so that a hang fails the case instead
     # of stalling the suite
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT))
+    (tmp_path / "bad.json").write_text('{"kind": "test",')
     done = subprocess.run([sys.executable, "-m", "stieltjes_ode.cli", *args],
                           capture_output=True, text=True, timeout=60,
                           cwd=tmp_path, env=env)
@@ -281,3 +292,9 @@ def test_malformed_input_exits_with_one_line(args, tmp_path):
     assert "RuntimeWarning" not in done.stderr
     if "--d" in args:
         assert "damping d" in done.stderr
+    if "missing/x.csv" in args or "." in args:
+        assert done.returncode == 2
+    if "missing/x.csv" in args:
+        assert "missing/x.csv" in done.stderr
+    if "bad.json" in args:
+        assert "file 'bad.json'" in done.stderr

@@ -482,6 +482,17 @@ class TestContinuousMemo:
         assert part.points == 2 * ts.size
         assert np.array_equal(out, ts + 0.25 * np.sin(ts))
 
+    def test_array_differing_only_in_its_last_point_is_a_miss(self):
+        # the first point agrees, so only the full compare tells them apart
+        g, part = self.counted()
+        ts = np.linspace(0.0, 2.5, 101)
+        g.continuous_value(ts)
+        moved = ts.copy()
+        moved[-1] = np.nextafter(2.5, 0.0)
+        out = g.continuous_value(moved)
+        assert part.points == 2 * ts.size
+        assert np.array_equal(out, moved + 0.25 * np.sin(moved))
+
     def test_signed_zeros_do_not_share_an_entry(self):
         g, _ = self.counted(lambda t: np.copysign(1.0, t) + t)
         assert g.continuous_value(np.zeros(3)).tolist() == [0.0] * 3

@@ -146,6 +146,21 @@ class TestHomogeneousSolution:
         g = make_test_derivator(3, snap=0.1)
         assert homogeneous_solution(-0.5, 4.2, g, 0.0) == pytest.approx(4.2)
 
+    @pytest.mark.parametrize("from_right", [False, True])
+    def test_sorted_points_get_the_values_of_shuffled_ones(self, from_right):
+        # sorted points take the jump-factor product run by run, shuffled
+        # ones by a search per point; jump times and their neighbours included
+        g = make_test_derivator(4, snap=0.1)
+        near = np.concatenate([g.jump_times, np.nextafter(g.jump_times, 0.0),
+                               np.nextafter(g.jump_times, 10.0)])
+        grid = np.linspace(0.0, 10.0, 1001)[:-1]  # right limits stop before T
+        ts = np.sort(np.concatenate([grid, near]))
+        shuffled = np.random.default_rng(5).permutation(ts)
+        order = np.argsort(shuffled, kind="stable")
+        sorted_vals = homogeneous_solution(-0.5, 1.3, g, ts, from_right)
+        shuffled_vals = homogeneous_solution(-0.5, 1.3, g, shuffled, from_right)
+        assert np.array_equal(sorted_vals, shuffled_vals[order])
+
     def test_agrees_with_scheme(self):
         g = linear_driver(4.0, [2.0], [1.0])
         spec = IvpSpec(rhs=lambda t, x, hist: 0.5 * x, x0=1.0)

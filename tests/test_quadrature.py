@@ -8,9 +8,8 @@ from stieltjes_ode import quadrature
 from stieltjes_ode.derivator import (_ORACLE_BLOCK, MAX_GRID_STEPS, Derivator,
                                      _f_on_arrays, _segment_grids,
                                      identity_derivator, make_test_derivator)
-from stieltjes_ode.quadrature import (RuleKind, corrected_onepoint_rule,
-                                      corrected_trapezoid_rule, error_bound,
-                                      evaluate_rule, make_lipschitz_integrand,
+from stieltjes_ode.quadrature import (RuleKind, error_bound, evaluate_rule,
+                                      make_lipschitz_integrand,
                                       oracle_integral, run_bound_suite)
 
 
@@ -93,8 +92,8 @@ class TestCorrectedRules:
     def test_constant_with_jump_at_left_endpoint_exact(self):
         g = pure_jump_driver(2.0, [0.5], [1.0])
         kappa = 4.0
-        value = corrected_onepoint_rule(lambda t: kappa, lambda t: kappa, g,
-                                        0.5, 1.5)
+        value = evaluate_rule(RuleKind.CORRECTED_ONE_POINT, lambda t: kappa,
+                              lambda t: kappa, g, 0.5, 1.5)
         assert value == pytest.approx(kappa * g.measure(0.5, 1.5))
 
     def test_driver_as_integrand_against_oracle(self):
@@ -104,14 +103,94 @@ class TestCorrectedRules:
         f, f_right = g.value, g.right_value
         oracle = oracle_integral(f, g, 1.0, 2.0, 10 ** 6)
         assert oracle == pytest.approx(3.5, abs=1e-5)
-        one = corrected_onepoint_rule(f, f_right, g, 1.0, 2.0)
-        trap = corrected_trapezoid_rule(f, f_right, g, 1.0, 2.0)
+        one = evaluate_rule(RuleKind.CORRECTED_ONE_POINT, f, f_right, g,
+                            1.0, 2.0)
+        trap = evaluate_rule(RuleKind.CORRECTED_TRAPEZOID, f, f_right, g,
+                             1.0, 2.0)
         assert abs(one - oracle) <= error_bound(
             RuleKind.CORRECTED_ONE_POINT, 1.0, 1.0, 1.0, 2.0, 0.0)
         assert abs(trap - oracle) <= error_bound(
             RuleKind.CORRECTED_TRAPEZOID, 1.0, 1.0, 1.0, 2.0, 0.0)
         # linear continuous parts make the trapezoid variant exact here
         assert trap == pytest.approx(3.5)
+
+
+class TestRuleFamily:
+    """One ``evaluate_rule`` for the 2x2 family, pinned to the values the
+    separate one-point and trapezoid functions gave."""
+
+    # the test driver with 3 jumps (at 2.5, 5 and 7.5) and alpha = 3.3
+    INTERVALS = {"no jump": (0.3, 1.9), "jump at a": (5.0, 5.8),
+                 "interior jump": (4.2, 6.3), "ends at a jump": (4.3, 5.0),
+                 "two interior jumps": (2.0, 8.0)}
+    # (rule value, error_bound(kind, 1.7, 0.75, a, b, 2.3)) as hex floats,
+    # kinds in the order one-point, trapezoid, corrected one-point,
+    # corrected trapezoid
+    PINNED = {
+        "no jump": [
+            ("0x1.bd0fb1bafafb7p-20", "0x1.63ff4fd10c0c7p+2"),
+            ("0x1.97199979fef04p-2", "0x1.a75ac2de11834p+1"),
+            ("0x1.bd0fb1bafafb7p-20", "0x1.d97f62b6ae7d3p+2"),
+            ("0x1.97199979fef04p-2", "0x1.d97f62b6ae7d3p+1")],
+        "jump at a": [
+            ("0x1.15872b48dbeb5p+2", "0x1.a75ac2de11833p+1"),
+            ("0x1.41bd178ca39e0p+2", "0x1.f774cb3f59c3cp+0"),
+            ("0x1.515a8c8dbced8p+2", "0x1.d97f62b6ae7d1p+0"),
+            ("0x1.5fa6c82f141f2p+2", "0x1.d97f62b6ae7d1p-1")],
+        "interior jump": [
+            ("0x1.3c806c0806a20p+2", "0x1.b489823ed5872p+2"),
+            ("0x1.afb0d615dd878p+2", "0x1.039108ac458fcp+2"),
+            ("0x1.7853cd4fee6c4p+2", "0x1.97d63886594acp+3"),
+            ("0x1.afb0d61760eb8p+2", "0x1.97d63886594acp+2")],
+        "ends at a jump": [
+            ("0x1.06f71626a520cp+0", "0x1.7f0297ae15ee7p+1"),
+            ("0x1.3c80192be968ap+0", "0x1.c77a7654caf46p+0"),
+            ("0x1.06f71626a520cp+0", "0x1.6a858793dd981p+0"),
+            ("0x1.3c80192be968ap+0", "0x1.6a858793dd981p-1")],
+        "two interior jumps": [
+            ("0x1.4453d4379622ep+3", "0x1.dfaad893ff4c8p+3"),
+            ("0x1.a8cfae2c42a18p+3", "0x1.1d3640956105ap+3"),
+            ("0x1.8a89bd0ade706p+3", "0x1.a028f5c28f5c1p+6"),
+            ("0x1.a638416feb7ddp+3", "0x1.a028f5c28f5c1p+5")],
+    }
+
+    @pytest.mark.parametrize("case", list(INTERVALS))
+    def test_pinned_values(self, case):
+        g = make_test_derivator(3, alpha=3.3)
+        f, f_right, _ = make_lipschitz_integrand(g, 1.3, -0.6)
+        a, b = self.INTERVALS[case]
+        for kind, (value, bound) in zip(RuleKind, self.PINNED[case]):
+            assert evaluate_rule(kind, f, f_right, g, a, b).hex() == value
+            assert error_bound(kind, 1.7, 0.75, a, b, 2.3).hex() == bound
+
+    @pytest.mark.parametrize("kind, trapezoid, corrected", [
+        (RuleKind.ONE_POINT, False, False),
+        (RuleKind.TRAPEZOID, True, False),
+        (RuleKind.CORRECTED_ONE_POINT, False, True),
+        (RuleKind.CORRECTED_TRAPEZOID, True, True),
+    ])
+    def test_kind_properties(self, kind, trapezoid, corrected):
+        assert (kind.trapezoid, kind.corrected) == (trapezoid, corrected)
+
+    def test_plain_kinds_ignore_the_right_limit(self):
+        g = make_test_derivator(3, alpha=3.3)
+        f, f_right, _ = make_lipschitz_integrand(g, 1.3, -0.6)
+        for kind in (RuleKind.ONE_POINT, RuleKind.TRAPEZOID):
+            assert evaluate_rule(kind, f, f_right, g, 4.2, 6.3) == (
+                evaluate_rule(kind, f, f, g, 4.2, 6.3))
+
+    def test_value_strings_name_the_kinds(self):
+        g = identity_derivator(1.0)
+        f = lambda t: t
+        assert RuleKind("trapezoid") is RuleKind.TRAPEZOID
+        assert evaluate_rule("trapezoid", f, f, g, 0.0, 1.0) == (
+            evaluate_rule(RuleKind.TRAPEZOID, f, f, g, 0.0, 1.0))
+        assert error_bound("corrected-one-point", 2.0, 1.0, 0.0, 0.5,
+                           0.0) == 1.0
+        for call in (lambda: evaluate_rule("midpoint", f, f, g, 0.0, 1.0),
+                     lambda: error_bound("midpoint", 1.0, 1.0, 0.0, 1.0, 1.0)):
+            with pytest.raises(ValueError, match="midpoint"):
+                call()
 
 
 class TestOracle:
@@ -305,7 +384,8 @@ def test_subdivided_corrected_rule_additivity():
     total = 0.0
     bound_total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        total += corrected_trapezoid_rule(f, f_right, g, lo, hi)
+        total += evaluate_rule(RuleKind.CORRECTED_TRAPEZOID, f, f_right, g,
+                               lo, hi)
         h_gc = g.estimate_continuous_lipschitz(lo, hi)
         hh = max(h_gc, h_f * h_gc)
         bound_total += error_bound(RuleKind.CORRECTED_TRAPEZOID, hh, 1.0,
