@@ -40,19 +40,17 @@ __all__ = [
 class ErrorReport:
     """Per-node errors of a trajectory against an exact solution.
 
-    ``e[k] = u_k - x(t_k)`` for every node; ``e_star[k] = u*_{k+1} -
-    x(t_{k+1})``, the predictor error against the exact value (it absorbs
-    the one-point local truncation, which is why its maximum sits well
-    above the corrector's); ``e_plus[k] = u_k+ - x(t_k+)`` for ``k <= N``.
-    ``max_e`` and ``max_e_star`` run over all nodes.  ``max_e_plus`` runs
-    over the jump nodes only, where the right limit actually differs from
-    the node value; at every other node ``e_plus`` coincides with ``e``.
-    (Without jumps it falls back to all nodes.)
+    ``e[k] = u_k - x(t_k)`` for every node and ``max_e`` its largest
+    magnitude.  ``max_e_star`` is the largest predictor error ``|u*_{k+1} -
+    x(t_{k+1})|`` (it absorbs the one-point local truncation, which is why
+    it sits well above ``max_e``).  ``max_e_plus`` is the largest
+    right-limit error ``|u_k+ - x(t_k+)|`` over the jump nodes only, where
+    the right limit actually differs from the node value; at every other
+    node that error coincides with ``e``.  (Without jumps it runs over all
+    nodes but the last.)
     """
 
     e: np.ndarray
-    e_star: np.ndarray
-    e_plus: np.ndarray
     max_e: float
     max_e_star: float
     max_e_plus: float
@@ -91,12 +89,9 @@ def error_report(traj: Trajectory, exact: Callable,
     at_jump = part.gaps[:-1] > 0.0
     max_e_plus = float(np.max(np.abs(e_plus[at_jump]))) if np.any(at_jump) \
         else float(np.max(np.abs(e_plus)))
-    return ErrorReport(
-        e=e, e_star=e_star, e_plus=e_plus,
-        max_e=float(np.max(np.abs(e))),
-        max_e_star=float(np.max(np.abs(e_star))),
-        max_e_plus=max_e_plus,
-    )
+    return ErrorReport(e=e, max_e=float(np.max(np.abs(e))),
+                       max_e_star=float(np.max(np.abs(e_star))),
+                       max_e_plus=max_e_plus)
 
 
 def truncation_errors(exact: Callable, exact_right: Callable, spec: IvpSpec,
@@ -171,14 +166,14 @@ class BoundConstants:
 
 
 def measure_constants(spec: IvpSpec, part: Partition, exact: Callable,
-                      exact_right: Callable, refine: int = 20) -> BoundConstants:
+                      exact_right: Callable) -> BoundConstants:
     """Sample the regularity constants along the exact solution.
 
     ``k2`` and ``k3`` come from central differences of the right-hand side
     in the state variable over the solution's range; the Lipschitz constant
     is the largest time difference quotient of the driver's continuous part
     and of the composed right-hand side (restricted per step, so jump
-    contributions are excluded), sampled ``refine`` times per step.
+    contributions are excluded), sampled 20 times per step.
     """
     g = part.g
     nodes = part.nodes
@@ -190,7 +185,7 @@ def measure_constants(spec: IvpSpec, part: Partition, exact: Callable,
     starts = nodes[:-1]
     k2 = _state_slope(spec.rhs, hist, nodes, x, delta)
     k3 = _state_slope(spec.rhs_right, hist, starts, x_right, delta)
-    frac = np.linspace(0.0, 1.0, refine + 1)
+    frac = np.linspace(0.0, 1.0, 21)
     widths = np.diff(nodes)
     block_lips = []
     for k0 in range(0, part.n_steps, _BLOCK_STEPS):
@@ -265,20 +260,20 @@ class ConvergenceCell:
     reason: str = ""
 
 
-def convergence_table(spec_factory: Callable, g_factory: Callable,
+def convergence_table(spec: IvpSpec, g_factory: Callable,
                       exact_factory: Callable, h_values: Sequence[float],
                       jump_counts: Sequence[int]) -> list[ConvergenceCell]:
     """Run the benchmark grid and collect the three error maxima per cell.
 
-    ``g_factory(num_jumps)`` builds the driver, ``spec_factory(g)`` the
-    problem and ``exact_factory(g)`` the pair (exact, exact right limit).
+    ``spec`` is the problem, solved on every cell; ``g_factory(num_jumps)``
+    builds the driver and ``exact_factory(g)`` the pair (exact, exact right
+    limit).
     A cell whose step is incompatible with the driver's jumps is marked
     failed and the run continues.
     """
     cells = []
     for nj in jump_counts:
         g = g_factory(nj)
-        spec = spec_factory(g)
         exact, exact_right = exact_factory(g)
         for h in h_values:
             cell = ConvergenceCell(num_jumps=nj, h=h)

@@ -71,6 +71,16 @@ def _load_derivator(arg):
         raise ConfigError(f"bad derivator descriptor: {exc}") from exc
 
 
+def _check_out(path):
+    """Reject an ``--out`` the run could not write, before the run starts."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path!r} is a directory")
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise ConfigError(f"--out {path!r}: directory {parent!r} does not "
+                          f"exist or is not writable")
+
+
 def _write_text(path, text):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -98,15 +108,15 @@ def run_linear_convergence(args) -> int:
             solver.build_partition(g, h)
 
     d = args.d
-    spec_factory = lambda g: models.make_linear_spec(d, args.x0)
     exact_factory = lambda g: (
         lambda t: linear.homogeneous_solution(d, args.x0, g, t),
         lambda t: linear.homogeneous_solution(d, args.x0, g, t, from_right=True),
     )
     # an overflowing solution shows up as a non-finite cell, rejected below
     with np.errstate(over="ignore"):
-        cells = analysis.convergence_table(spec_factory, g_factory,
-                                           exact_factory, h_values, jump_counts)
+        cells = analysis.convergence_table(models.make_linear_spec(d, args.x0),
+                                           g_factory, exact_factory, h_values,
+                                           jump_counts)
     for c in cells:
         if not c.failed and not all(map(math.isfinite, (
                 c.max_e_star, c.max_e, c.max_e_plus))):
@@ -313,6 +323,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags, which is our config-error code too
         return int(exc.code) if exc.code else 0
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
     except solver.GridMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)

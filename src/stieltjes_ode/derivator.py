@@ -278,20 +278,24 @@ class Derivator:
         return self.value(b) - self.value(a)
 
     def jumps_in(self, a, b):
-        """Jump times and gaps inside ``[a, b)`` as two arrays."""
+        """Jump times and gaps inside ``[a, b)`` as two arrays; ``ValueError``
+        unless ``0 <= a <= b <= T`` (so also for a NaN end)."""
+        if not 0.0 <= a <= b <= self.domain_end:
+            raise ValueError(f"need 0 <= a <= b <= {self.domain_end}, "
+                             f"got a={a}, b={b}")
         lo = np.searchsorted(self.jump_times, a, side="left")
         hi = np.searchsorted(self.jump_times, b, side="left")
         return self.jump_times[lo:hi], self.jump_gaps[lo:hi]
 
-    def estimate_continuous_lipschitz(self, a=None, b=None, samples=4001):
+    def estimate_continuous_lipschitz(self, a, b):
         """Sampled Lipschitz constant of the continuous part on ``[a, b]``.
 
-        Maximum of consecutive difference quotients on a uniform grid,
-        floored by the mean slope so it can never undershoot the average.
+        Maximum of consecutive difference quotients on a uniform grid of
+        4001 points, floored by the mean slope so it can never undershoot
+        the average.
         """
-        a = 0.0 if a is None else float(a)
-        b = self.domain_end if b is None else float(b)
-        ts = np.linspace(a, b, samples)
+        a, b = float(a), float(b)
+        ts = np.linspace(a, b, 4001)
         vals = self.continuous_value(ts)
         quots = np.abs(np.diff(vals)) / np.diff(ts)
         mean_slope = abs(vals[-1] - vals[0]) / (b - a) if b > a else 0.0

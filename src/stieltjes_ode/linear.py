@@ -70,15 +70,12 @@ class AdmissibilityReport:
     """Outcome of the jump-admissibility check.
 
     ``offending`` lists ``(time, d*gap)`` pairs violating the selected
-    condition; ``sign_flips`` lists jump times with ``d*gap > 1``, where the
-    adapted exponential changes sign.  With finitely many jumps the
-    summability condition on ``ln|1 - d*gap|`` always holds, so it is not
-    checked.
+    condition.  With finitely many jumps the summability condition on
+    ``ln|1 - d*gap|`` always holds, so it is not checked.
     """
 
     ok: bool
     offending: list = field(default_factory=list)
-    sign_flips: list = field(default_factory=list)
 
 
 def check_admissibility(d: Coefficient, g: Derivator,
@@ -86,16 +83,12 @@ def check_admissibility(d: Coefficient, g: Derivator,
     """Check ``d(t) * gap != 1`` (or ``< 1`` when strict) at every jump."""
     d_fun = _as_time_function(d)
     offending = []
-    flips = []
     for time, gap in zip(g.jump_times, g.jump_gaps):
         prod = float(d_fun(time)) * float(gap)
         bad = prod >= 1.0 if strict else prod == 1.0
         if bad:
             offending.append((float(time), prod))
-        if prod > 1.0:
-            flips.append(float(time))
-    return AdmissibilityReport(ok=not offending, offending=offending,
-                               sign_flips=flips)
+    return AdmissibilityReport(ok=not offending, offending=offending)
 
 
 def _require_admissible(d, g, strict):
@@ -104,7 +97,6 @@ def _require_admissible(d, g, strict):
         kind = "d*gap < 1" if strict else "d*gap != 1"
         raise ValueError(
             f"inadmissible damping: {kind} fails at jumps {report.offending}")
-    return report
 
 
 def hat_transform(c: Coefficient, g: Derivator) -> Callable:
@@ -133,19 +125,17 @@ def hat_transform(c: Coefficient, g: Derivator) -> Callable:
 
 
 def hat_exponential(c: Coefficient, g: Derivator, t: float,
-                    quad_n: int = 10 ** 6, from_right: bool = False) -> float:
+                    quad_n: int = 10 ** 6) -> float:
     """Driver-adapted exponential of the coefficient ``c`` at time ``t``.
 
     Magnitude is ``exp`` of the measure integral of the hatted coefficient
     over ``[0, t)`` (constant ``c`` evaluates in closed form, otherwise the
     continuous part is refined on ``quad_n`` subintervals); the sign flips
-    once for every jump before ``t`` with ``1 + c*gap < 0``.
+    once for every jump before ``t`` with ``1 + c*gap < 0``.  A ``t``
+    outside ``[0, T]`` raises ``ValueError``.
     """
     t = float(t)
-    side = "right" if from_right else "left"
-    hi = np.searchsorted(g.jump_times, t, side=side)
-    times = g.jump_times[:hi]
-    gaps = g.jump_gaps[:hi]
+    times, gaps = g.jumps_in(0.0, t)
     c_fun = _as_time_function(c)
     log_mag = 0.0
     flips = 0
@@ -224,7 +214,7 @@ def general_linear_solution(prob: LinearProblem, g: Derivator, t: float,
 
     Evaluates the adapted-exponential representation with the continuous
     parts refined on ``quad_n`` subintervals (jump contributions are exact).
-    Requires ``d(t) * gap != 1`` at every jump.
+    Requires ``d(t) * gap != 1`` at every jump and ``t`` in ``[0, T]``.
     """
     _require_admissible(prob.damping, g, strict=False)
     t = float(t)

@@ -121,7 +121,8 @@ def build_partition(g: Derivator, h: float) -> Partition:
     nodes[-1] = T
     times = g.jump_times
     idx = np.rint(times / h).astype(np.intp)
-    off = (idx >= n_total) | (
+    # node 0 stays at 0 and node n_total at T: a jump near either is off
+    off = (idx <= 0) | (idx >= n_total) | (
         np.abs(nodes[np.minimum(idx, n_total)] - times) > h * 1e-9)
     if np.any(off):
         raise GridMismatchError(
@@ -166,8 +167,10 @@ class TrajectoryHistory:
     def integral(self, lo: float, hi: float) -> float:
         """Trapezoid integral of the stored values over ``[lo, hi]`` (in dt).
 
-        Uses the left node values; fractional end cells are handled by
-        linear interpolation.  ``lo`` is clamped to the start of the grid.
+        One trapezoid over ``lo``, the nodes strictly inside ``(lo, hi)`` and
+        ``hi``, with the end values interpolated linearly between nodes (so
+        both ends may lie in one cell).  ``lo`` is clamped to the start of
+        the grid.
         """
         lo = max(lo, self.nodes[0])
         if hi <= lo:
@@ -179,20 +182,12 @@ class TrajectoryHistory:
                 f"cannot integrate up to {hi}")
         nodes = self.nodes[:self.filled]
         values = self.values[:self.filled]
-        i0 = int(np.searchsorted(nodes, lo, side="left"))
-        i1 = int(np.searchsorted(nodes, hi, side="right")) - 1
-        total = 0.0
-        if i1 > i0:
-            xs = nodes[i0:i1 + 1]
-            ys = values[i0:i1 + 1]
-            total += float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)))
-        if i0 > 0 and nodes[i0] > lo:
-            y_lo = float(np.interp(lo, nodes, values))
-            total += 0.5 * (y_lo + values[i0]) * (nodes[i0] - lo)
-        if nodes[i1] < hi:
-            y_hi = float(np.interp(hi, nodes, values))
-            total += 0.5 * (values[i1] + y_hi) * (hi - nodes[i1])
-        return total
+        inner = slice(np.searchsorted(nodes, lo, side="right"),
+                      np.searchsorted(nodes, hi, side="left"))
+        xs = np.concatenate(([lo], nodes[inner], [hi]))
+        ys = np.concatenate(([np.interp(lo, nodes, values)], values[inner],
+                             [np.interp(hi, nodes, values)]))
+        return float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)))
 
 
 @dataclass
@@ -208,10 +203,6 @@ class Trajectory:
     values: np.ndarray
     right_values: np.ndarray
     predictor_values: np.ndarray
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.partition.nodes
 
 
 def _run_scheme(spec: IvpSpec, part: Partition, rho_plus, rho_star,

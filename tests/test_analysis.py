@@ -293,11 +293,10 @@ class TestConvergenceTable:
     @staticmethod
     def factories(d=-0.5, x0=1.0):
         g_factory = lambda nj: make_test_derivator(nj, snap=0.1)
-        spec_factory = lambda g: make_linear_spec(d, x0)
         exact_factory = lambda g: (
             lambda t: homogeneous_solution(d, x0, g, t),
             lambda t: homogeneous_solution(d, x0, g, t, from_right=True))
-        return spec_factory, g_factory, exact_factory
+        return make_linear_spec(d, x0), g_factory, exact_factory
 
     def test_single_cell(self):
         cells = convergence_table(*self.factories(), h_values=[1e-1],

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import stieltjes_ode
+from stieltjes_ode import cli
 from stieltjes_ode.cli import main
 
 PACKAGE_ROOT = Path(stieltjes_ode.__file__).resolve().parents[1]
@@ -88,6 +89,13 @@ class TestLinearConvergence:
         err = capsys.readouterr().err
         assert "inadmissible" in err
         assert "np.float64" not in err
+
+    def test_jump_next_to_zero_exits_3(self, tmp_path, capsys):
+        desc = '{"kind": "custom", "T": 1, "jumps": [{"t": 1e-12, "gap": 1}]}'
+        code = run(["linear-convergence", "--derivator", desc, "--h", "0.1",
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 3
+        assert "jump at t=1e-12" in capsys.readouterr().err
 
     def test_custom_derivator_descriptor(self, tmp_path):
         desc = {"kind": "custom", "T": 1.0, "continuous": "identity",
@@ -248,6 +256,31 @@ def test_missing_subcommand_exits_2():
     assert run([]) == 2
 
 
+RUNNERS = {"linear-convergence": "run_linear_convergence",
+           "silkworm": "run_silkworm",
+           "quadrature-check": "run_quadrature_check",
+           "bounds": "run_bounds"}
+
+
+@pytest.mark.parametrize("command", RUNNERS)
+@pytest.mark.parametrize("where", ["missing/x.csv", "."])
+def test_unwritable_out_fails_before_the_run(command, where, tmp_path,
+                                             monkeypatch, capsys):
+    def never(args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, RUNNERS[command], never)
+    monkeypatch.setattr(cli.analysis, "convergence_table", never)
+    out = str(tmp_path / where)
+    assert run([command, "--out", out]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("error:")
+    assert len(printed.err.splitlines()) == 1
+    assert repr(out) in printed.err
+    assert sorted(tmp_path.iterdir()) == []
+
+
 MALFORMED = [
     ["silkworm", "--T", "inf"], ["silkworm", "--T", "nan"],
     ["silkworm", "--T", "0"], ["silkworm", "--T", "1e300", "--h", "1e299"],
@@ -296,5 +329,6 @@ def test_malformed_input_exits_with_one_line(args, tmp_path):
         assert done.returncode == 2
     if "missing/x.csv" in args:
         assert "missing/x.csv" in done.stderr
+        assert done.stdout == ""
     if "bad.json" in args:
         assert "file 'bad.json'" in done.stderr

@@ -233,6 +233,20 @@ def test_measure_additivity(a, b, frac):
     assert total >= gaps.sum() - 1e-12
 
 
+def test_jumps_in_covers_the_closed_domain(silkworm):
+    times, gaps = silkworm.jumps_in(0.0, 10.0)
+    assert times.tolist() == [4.0, 5.0, 9.0] and gaps.tolist() == [1.0] * 3
+    assert silkworm.jumps_in(4.0, 5.0)[0].tolist() == [4.0]
+    assert silkworm.jumps_in(4.0, 4.0)[0].size == 0
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (1.0, 11.0), (2.0, 1.0),
+                                  (math.nan, 1.0), (0.0, math.nan)])
+def test_jumps_in_rejects_ends_outside_the_domain(silkworm, a, b):
+    with pytest.raises(ValueError, match="0 <= a <= b <= 10.0"):
+        silkworm.jumps_in(a, b)
+
+
 def test_transfer_of_lipschitz_regularity():
     # f = c1*g + c2*sin(g) is g-Lipschitz with constant |c1| + |c2|; its
     # jump sizes and the increments of its continuous part

@@ -22,7 +22,7 @@ class TestAdmissibility:
     def test_passes_below_one(self):
         g = linear_driver(3.0, [1.0, 2.0], [1.0, 1.0])
         report = check_admissibility(0.5, g)
-        assert report.ok and not report.sign_flips
+        assert report.ok and report.offending == []
 
     def test_fails_at_exactly_one(self):
         g = linear_driver(2.0, [1.0], [1.0])
@@ -34,7 +34,8 @@ class TestAdmissibility:
         g = linear_driver(2.0, [1.0], [1.0])
         report = check_admissibility(2.0, g, strict=False)
         assert report.ok
-        assert report.sign_flips == [1.0]
+        # d*gap > 1: the adapted exponential of -d changes sign at the jump
+        assert hat_exponential(-2.0, g, 2.0) < 0.0
 
     def test_strict_rejects_above_one(self):
         g = linear_driver(2.0, [1.0], [1.0])
@@ -293,3 +294,59 @@ def test_all_solutions_start_at_x0():
     assert constant_linear_solution(0.4, 0.9, 3.5, g, 0.0) == 3.5
     assert general_linear_solution(prob, g, 0.0) == 3.5
     assert hat_exponential(0.4, g, 0.0) == 1.0
+
+
+class TestClosedFormBits:
+    """Values captured as hex floats before the jump lookups of the closed
+    forms went through ``Derivator.jumps_in``; they must not move."""
+
+    def test_hat_exponential(self):
+        g2 = make_test_derivator(2)
+        g5 = make_test_derivator(5, snap=0.1)
+        cos = lambda t: np.cos(3.0 * t) - 0.5
+        two_jumps = linear_driver(2.0, [0.5, 1.0], [1.0, 0.25])
+        cases = [
+            (hat_exponential(0.5, g2, 3.7), "0x1.3c8df2a9684f5p+1"),
+            (hat_exponential(0.5, g2, 10.0), "0x1.42ae7e319bdeap+3"),
+            # at a jump time: that jump is not crossed yet
+            (hat_exponential(cos, g5, 5.0, quad_n=1000),
+             "-0x1.9d5af23af15e7p-5"),
+            (hat_exponential(-2.0, two_jumps, 2.0), "-0x1.2c155b8213cf4p-7"),
+        ]
+        for value, expected in cases:
+            assert value == float.fromhex(expected)
+
+    def test_general_linear_solution(self):
+        prob = LinearProblem(damping=0.5, forcing=np.sin, x0=1.25)
+        value = general_linear_solution(prob, make_test_derivator(2), 7.3,
+                                        quad_n=1000)
+        assert value == float.fromhex("0x1.48569eefb03b2p-3")
+        prob = LinearProblem(damping=lambda t: 0.3 * np.sin(t), forcing=0.7,
+                             x0=1.25)
+        value = general_linear_solution(
+            prob, make_test_derivator(5, snap=0.1), 6.5, quad_n=1000)
+        assert value == float.fromhex("0x1.8c3e01fa753e9p+2")
+
+
+class TestClosedFormDomain:
+    """Both closed forms read their jumps through ``jumps_in``, which takes
+    only times inside ``[0, T]``."""
+
+    @pytest.mark.parametrize("t", [-1.0, 11.0, math.nan])
+    @pytest.mark.parametrize("coef", [0.5, lambda t: 0.25 * np.cos(t)],
+                             ids=["constant", "callable"])
+    def test_time_outside_the_domain_rejected(self, t, coef):
+        g = make_test_derivator(2)
+        with pytest.raises(ValueError, match="<= 10.0"):
+            hat_exponential(coef, g, t, quad_n=100)
+        prob = LinearProblem(damping=coef, forcing=0.7, x0=1.0)
+        with pytest.raises(ValueError, match="<= 10.0"):
+            general_linear_solution(prob, g, t, quad_n=100)
+
+    def test_domain_ends_accepted(self):
+        g = make_test_derivator(2)
+        prob = LinearProblem(damping=0.5, forcing=0.7, x0=1.0)
+        assert hat_exponential(0.5, g, 0.0) == 1.0
+        assert math.isfinite(hat_exponential(0.5, g, 10.0))
+        assert math.isfinite(general_linear_solution(prob, g, 10.0,
+                                                     quad_n=100))

@@ -7,7 +7,9 @@ import pytest
 from stieltjes_ode import quadrature
 from stieltjes_ode.derivator import (_ORACLE_BLOCK, MAX_GRID_STEPS, Derivator,
                                      _f_on_arrays, _segment_grids,
-                                     identity_derivator, make_test_derivator)
+                                     identity_derivator,
+                                     make_silkworm_derivator,
+                                     make_test_derivator)
 from stieltjes_ode.quadrature import (RuleKind, error_bound, evaluate_rule,
                                       make_lipschitz_integrand,
                                       oracle_integral, run_bound_suite)
@@ -422,3 +424,54 @@ def test_bound_suite_hands_the_right_limit_to_the_oracle(monkeypatch):
     monkeypatch.setattr(quadrature, "oracle_integral", spy)
     run_bound_suite(num_cases=3, n_oracle=10, seed=166)
     assert len(seen) == 3 and all(callable(fr) for fr in seen)
+
+
+def exact_lipschitz_integral(g, c1, c2, a, b):
+    """Measure integral of ``F(g) = c1*g + c2*sin(g)`` over ``[a, b)``.
+
+    Between jumps ``dg = dg^C``, so a piece ``(lo, hi]`` gives the integral
+    of ``F`` from ``s0 = g(lo+)`` to ``s1 = g(hi)``, written in difference
+    form; each jump in ``[a, b)`` adds its atom ``F(g(d)) * gap``.
+    """
+    F = lambda s: c1 * s + c2 * math.sin(s)
+    times, gaps = g.jumps_in(a, b)
+    total = sum(F(g.value(d)) * gap for d, gap in zip(times, gaps))
+    cuts = [a, *(float(d) for d in times if d > a), b]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        s0, s1 = g.right_value(lo), g.value(hi)
+        total += (c1 * (s1 - s0) * (s1 + s0) / 2
+                  + 2 * c2 * math.sin((s1 + s0) / 2) * math.sin((s1 - s0) / 2))
+    return total
+
+
+def test_oracle_matches_the_closed_form_on_the_bound_suite():
+    # replay the draws of the first 20 default cases, kind draw included
+    rows = run_bound_suite(num_cases=20, n_oracle=10 ** 6, seed=20240)
+    rng = np.random.default_rng(20240)
+    kinds = list(RuleKind)
+    for row in rows:
+        nj = int(rng.integers(0, 5))
+        alpha = float(rng.uniform(1.0, 6.0))
+        g = make_test_derivator(nj, alpha=alpha, T=10.0)
+        a = float(rng.uniform(0.0, 9.0))
+        width = 10.0 ** float(rng.uniform(-3.0, math.log10(g.domain_end - a)))
+        b = min(a + width, g.domain_end)
+        c1, c2 = rng.uniform(-2.0, 2.0, size=2)
+        assert row["rule"] == kinds[int(rng.integers(0, len(kinds)))].value
+        exact = exact_lipschitz_integral(g, float(c1), float(c2), a, b)
+        assert abs(row["oracle"] - exact) <= 1e-10
+
+
+def test_oracle_bits_on_multi_block_pieces():
+    # hex floats captured from the oracle before its jump lookups were
+    # restricted to the domain; pieces of more than one block
+    g = make_test_derivator(3, alpha=1.5)
+    f, f_right, _ = make_lipschitz_integrand(g, 0.7, -1.3)
+    assert oracle_integral(f, g, 1.0, 9.0, 70000, f_right) == float.fromhex(
+        "0x1.1161455633042p+3")
+    g = make_silkworm_derivator(10.0)
+    f, f_right, _ = make_lipschitz_integrand(g, 0.7, -1.3)
+    assert oracle_integral(f, g, 4.0, 9.5, 100001, f_right) == float.fromhex(
+        "0x1.f976027876d66p+3")
+    assert oracle_integral(f, g, 4.0, 9.5, 7) == float.fromhex(
+        "0x1.dda791863a18ap+3")

@@ -44,6 +44,13 @@ class TestBuildPartition:
         with pytest.raises(GridMismatchError, match="3.33"):
             build_partition(g, 0.1)
 
+    @pytest.mark.parametrize("t", [1e-12, 0.99999999999])
+    def test_jump_next_to_an_end_node_named(self, t):
+        # within h*1e-9 of node 0 or of T: those nodes stay where they are
+        g = Derivator(1.0, lambda t: np.asarray(t, dtype=float), [t], [1.0])
+        with pytest.raises(GridMismatchError, match=f"t={t!r}"):
+            build_partition(g, 0.1)
+
     def test_identity_nodes(self):
         part = build_partition(identity_derivator(1.0), 0.25)
         np.testing.assert_allclose(part.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -426,6 +433,29 @@ class TestTrajectoryHistory:
         assert hist.integral(-3.0, 1.0) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             hist.integral(0.0, 1.5)
+
+    def test_both_ends_in_one_cell(self):
+        nodes = np.array([0.0, 1.0, 2.0])
+        hist = TrajectoryHistory(nodes, nodes.copy(), 1.0, 3)
+        assert hist.integral(0.2, 0.4) == pytest.approx(0.06, rel=1e-12)
+        assert hist.integral(1.25, 1.75) == pytest.approx(0.75, rel=1e-12)
+
+    def test_ends_in_neighbouring_cells(self):
+        nodes = np.array([0.0, 1.0, 2.0])
+        hist = TrajectoryHistory(nodes, nodes.copy(), 1.0, 3)
+        # (1.5**2 - 0.5**2) / 2, pieces [0.5, 1] and [1, 1.5]
+        assert hist.integral(0.5, 1.5) == pytest.approx(1.0, rel=1e-12)
+        values = np.array([0.0, 1.0, 0.0])  # a hat: linear on each cell
+        hist = TrajectoryHistory(nodes, values, 1.0, 3)
+        assert hist.integral(0.5, 1.5) == pytest.approx(0.75, rel=1e-12)
+
+    def test_node_ends_sum_the_node_trapezoids(self):
+        nodes = np.linspace(0.0, 5.0, 51)
+        values = np.sin(nodes)
+        hist = TrajectoryHistory(nodes, values, 0.1, 51)
+        xs, ys = nodes[7:33], values[7:33]
+        assert hist.integral(nodes[7], nodes[32]) == float(
+            np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)))
 
     def test_respects_filled_prefix(self):
         nodes = np.linspace(0.0, 1.0, 11)
