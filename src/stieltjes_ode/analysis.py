@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .derivator import _f_on_arrays
+from .derivator import Derivator, _f_on_arrays
 from .solver import (IvpSpec, GridMismatchError, Partition, Trajectory,
                      TrajectoryHistory, build_partition, solve)
 
@@ -73,16 +73,23 @@ def _state_slope(rhs: Callable, hist: TrajectoryHistory, t, x,
                         / (2 * delta)))
 
 
-def error_report(traj: Trajectory, exact: Callable,
-                 exact_right: Callable) -> ErrorReport:
-    """Compare a trajectory with the exact solution of its problem.
-
-    ``exact`` and ``exact_right`` must accept numpy arrays of times.
-    """
-    part = traj.partition
+def _sample_exact(exact: Callable, part: Partition):
+    """``exact`` on the nodes, its right limits on ``nodes[:-1]`` and the
+    history the right-hand side reads, built from the nodal values."""
     nodes = part.nodes
     x = np.asarray(exact(nodes), dtype=float)
-    x_right = np.asarray(exact_right(nodes[:-1]), dtype=float)
+    x_right = np.asarray(exact(nodes[:-1], from_right=True), dtype=float)
+    return x, x_right, TrajectoryHistory(nodes, x, part.h, len(nodes))
+
+
+def error_report(traj: Trajectory, exact: Callable) -> ErrorReport:
+    """Compare a trajectory with the exact solution of its problem.
+
+    ``exact(t, from_right=False)`` must accept numpy arrays of times; with
+    ``from_right=True`` it returns the right limits ``x(t+)``.
+    """
+    part = traj.partition
+    x, x_right, _ = _sample_exact(exact, part)
     e = traj.values - x
     e_star = traj.predictor_values - x[1:]
     e_plus = traj.right_values - x_right
@@ -94,8 +101,7 @@ def error_report(traj: Trajectory, exact: Callable,
                        max_e_plus=max_e_plus)
 
 
-def truncation_errors(exact: Callable, exact_right: Callable, spec: IvpSpec,
-                      part: Partition):
+def truncation_errors(exact: Callable, spec: IvpSpec, part: Partition):
     """Local truncation residuals of the exact solution in the scheme.
 
     Returns three arrays indexed by step (entry ``k`` belongs to node
@@ -103,9 +109,7 @@ def truncation_errors(exact: Callable, exact_right: Callable, spec: IvpSpec,
     endpoint value, and the combined residual with the predicted endpoint.
     """
     nodes = part.nodes
-    x = np.asarray(exact(nodes), dtype=float)
-    x_right = np.asarray(exact_right(nodes[:-1]), dtype=float)
-    hist = TrajectoryHistory(nodes, x, part.h, len(nodes))
+    x, x_right, hist = _sample_exact(exact, part)
     x_end = x[1:]
     f_plus = _on_arrays(spec.rhs_right, hist, nodes[:-1], x_right)
     resid_pred = x_end - x_right - f_plus * part.dg
@@ -165,8 +169,8 @@ class BoundConstants:
         return 0.5 * self.k2 * self.lip * self.h
 
 
-def measure_constants(spec: IvpSpec, part: Partition, exact: Callable,
-                      exact_right: Callable) -> BoundConstants:
+def measure_constants(spec: IvpSpec, part: Partition,
+                      exact: Callable) -> BoundConstants:
     """Sample the regularity constants along the exact solution.
 
     ``k2`` and ``k3`` come from central differences of the right-hand side
@@ -177,9 +181,7 @@ def measure_constants(spec: IvpSpec, part: Partition, exact: Callable,
     """
     g = part.g
     nodes = part.nodes
-    x = np.asarray(exact(nodes), dtype=float)
-    x_right = np.asarray(exact_right(nodes[:-1]), dtype=float)
-    hist = TrajectoryHistory(nodes, x, part.h, len(nodes))
+    x, x_right, hist = _sample_exact(exact, part)
     scale = max(1.0, float(np.max(np.abs(x))))
     delta = 1e-6 * scale
     starts = nodes[:-1]
@@ -216,23 +218,23 @@ def theoretical_bounds(consts: BoundConstants, t: float, e0: float,
     """
     g1 = consts.g1
     if g1 == 0.0:
-        raise ValueError("bound undefined: G1 = 0 (all constants zero)")
+        raise ValueError(f"bound undefined: G1 = 0 (K2={consts.k2:.4g}, "
+                         f"K3={consts.k3:.4g}, H={consts.lip:.4g})")
     amplify = (1.0 + consts.g2) ** consts.num_jumps
     return amplify * (abs(e0) + truncation_max / g1) * math.exp(g1 * t / consts.h)
 
 
 def predictor_bound(consts: BoundConstants, t: float, e0: float,
-                    truncation_max: float, at_jump: bool = False) -> float:
-    """Predictor companion of :func:`theoretical_bounds`."""
-    base = theoretical_bounds(consts, t, e0, truncation_max) * math.exp(consts.g4)
-    return base * (1.0 + consts.g5) if at_jump else base
+                    truncation_max: float) -> float:
+    """Predictor companion of :func:`theoretical_bounds`, at every node."""
+    return (theoretical_bounds(consts, t, e0, truncation_max)
+            * math.exp(consts.g4) * (1.0 + consts.g5))
 
 
 def right_limit_bound(consts: BoundConstants, t: float, e0: float,
-                      truncation_max: float, at_jump: bool = False) -> float:
-    """Right-limit companion of :func:`theoretical_bounds`."""
-    base = theoretical_bounds(consts, t, e0, truncation_max)
-    return base * (1.0 + consts.g3) if at_jump else base
+                      truncation_max: float) -> float:
+    """Right-limit companion of :func:`theoretical_bounds`, at every node."""
+    return theoretical_bounds(consts, t, e0, truncation_max) * (1.0 + consts.g3)
 
 
 def estimate_order(h_values: Sequence[float], errors: Sequence[float]) -> float:
@@ -260,27 +262,27 @@ class ConvergenceCell:
     reason: str = ""
 
 
-def convergence_table(spec: IvpSpec, g_factory: Callable,
-                      exact_factory: Callable, h_values: Sequence[float],
-                      jump_counts: Sequence[int]) -> list[ConvergenceCell]:
+def convergence_table(spec: IvpSpec, drivers: Sequence[Derivator],
+                      exact_factory: Callable,
+                      h_values: Sequence[float]) -> list[ConvergenceCell]:
     """Run the benchmark grid and collect the three error maxima per cell.
 
-    ``spec`` is the problem, solved on every cell; ``g_factory(num_jumps)``
-    builds the driver and ``exact_factory(g)`` the pair (exact, exact right
-    limit).
+    ``spec`` is the problem, solved on every driver of ``drivers`` at every
+    step of ``h_values``; ``exact_factory(g)`` builds the exact solution
+    ``exact(t, from_right=False)`` on driver ``g``.  A cell is labelled
+    with its driver's jump count.
     A cell whose step is incompatible with the driver's jumps is marked
     failed and the run continues.
     """
     cells = []
-    for nj in jump_counts:
-        g = g_factory(nj)
-        exact, exact_right = exact_factory(g)
+    for g in drivers:
+        exact = exact_factory(g)
         for h in h_values:
-            cell = ConvergenceCell(num_jumps=nj, h=h)
+            cell = ConvergenceCell(num_jumps=g.n_jumps, h=h)
             try:
                 part = build_partition(g, h)
                 traj = solve(spec, part)
-                report = error_report(traj, exact, exact_right)
+                report = error_report(traj, exact)
             except GridMismatchError as exc:
                 cell.failed = True
                 cell.reason = str(exc)

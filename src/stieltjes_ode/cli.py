@@ -12,6 +12,7 @@ violation, 2 configuration error, 3 jump/grid mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -24,29 +25,13 @@ from . import analysis, derivator, linear, models, quadrature, solver
 DEFAULT_SEED = 20240
 
 
-class ConfigError(Exception):
-    pass
-
-
-def _resolve_seed(flag_value):
-    if flag_value is not None:
-        return int(flag_value)
-    env = os.environ.get("STIELTJES_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"STIELTJES_SEED must be an integer: {env!r}") from exc
-    return DEFAULT_SEED
-
-
 def _parse_list(text, name, kind):
     try:
         values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"invalid {name} list: {text!r}") from exc
+        raise ValueError(f"invalid {name} list: {text!r}") from exc
     if not values:
-        raise ConfigError(f"empty {name} list")
+        raise ValueError(f"empty {name} list")
     return values
 
 
@@ -57,28 +42,28 @@ def _load_derivator(arg):
             try:
                 desc = json.load(fh)
             except ValueError as exc:  # bad JSON or bad UTF-8
-                raise ConfigError(f"--derivator file {arg!r} does not hold "
-                                  f"valid JSON: {exc}") from exc
+                raise ValueError(f"--derivator file {arg!r} does not hold "
+                                 f"valid JSON: {exc}") from exc
     else:
         try:
             desc = json.loads(arg)
         except json.JSONDecodeError as exc:
-            raise ConfigError(
+            raise ValueError(
                 f"--derivator is neither a file nor valid JSON: {arg!r}") from exc
     try:
         return derivator.from_descriptor(desc)
     except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad derivator descriptor: {exc}") from exc
+        raise ValueError(f"bad derivator descriptor: {exc}") from exc
 
 
 def _check_out(path):
     """Reject an ``--out`` the run could not write, before the run starts."""
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
-        raise ConfigError(f"--out {path!r} is a directory")
+        raise ValueError(f"--out {path!r} is a directory")
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
-        raise ConfigError(f"--out {path!r}: directory {parent!r} does not "
-                          f"exist or is not writable")
+        raise ValueError(f"--out {path!r}: directory {parent!r} does not "
+                         f"exist or is not writable")
 
 
 def _write_text(path, text):
@@ -94,41 +79,39 @@ def run_linear_convergence(args) -> int:
     jump_counts = _parse_list(args.jumps, "jump-count", int)
 
     if args.derivator is not None:
-        fixed = _load_derivator(args.derivator)
-        g_factory = lambda nj: fixed
-        jump_counts = [fixed.n_jumps]
+        built = [_load_derivator(args.derivator)]
     else:
-        g_factory = lambda nj: derivator.make_test_derivator(
-            nj, alpha=args.alpha, T=args.T, snap=args.snap)
+        built = (derivator.make_test_derivator(nj, alpha=args.alpha, T=args.T,
+                                               snap=args.snap)
+                 for nj in jump_counts)
 
-    # fail fast on any jump/grid mismatch before burning time on the grid
-    for nj in jump_counts:
-        g = g_factory(nj)
+    # fail fast on any jump/grid mismatch before burning time on the grid;
+    # each driver is checked as soon as it is built
+    drivers = []
+    for g in built:
         for h in h_values:
             solver.build_partition(g, h)
+        drivers.append(g)
 
     d = args.d
-    exact_factory = lambda g: (
-        lambda t: linear.homogeneous_solution(d, args.x0, g, t),
-        lambda t: linear.homogeneous_solution(d, args.x0, g, t, from_right=True),
-    )
+    exact_factory = lambda g: functools.partial(linear.homogeneous_solution,
+                                                d, args.x0, g)
     # an overflowing solution shows up as a non-finite cell, rejected below
     with np.errstate(over="ignore"):
         cells = analysis.convergence_table(models.make_linear_spec(d, args.x0),
-                                           g_factory, exact_factory, h_values,
-                                           jump_counts)
+                                           drivers, exact_factory, h_values)
     for c in cells:
         if not c.failed and not all(map(math.isfinite, (
                 c.max_e_star, c.max_e, c.max_e_plus))):
-            raise ConfigError(f"the error maximum of the cell jumps={c.num_jumps}, "
-                              f"h={c.h:g} is not finite (the solution "
-                              f"overflows the float range)")
+            raise ValueError(f"the error maximum of the cell jumps={c.num_jumps}, "
+                             f"h={c.h:g} is not finite (the solution "
+                             f"overflows the float range)")
     if args.format == "json":
         payload = [vars(c) for c in cells]
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     else:
         _write_text(args.out, analysis.format_convergence_csv(cells))
-    for nj in jump_counts:
+    for nj in (g.n_jumps for g in drivers):
         rows = [c for c in cells if c.num_jumps == nj and not c.failed]
         if len(rows) >= 2:
             order_e = analysis.estimate_order([c.h for c in rows],
@@ -156,10 +139,10 @@ def run_silkworm(args) -> int:
     # the state then grows without bound but may stay finite
     z = args.c * float(np.max(part.dg))
     if z > 2.0:
-        raise ConfigError(f"the step is unstable for this decay rate: "
-                          f"z = c*dg = {z:.4g} > 2 on the steepest step")
+        raise ValueError(f"the step is unstable for this decay rate: "
+                         f"z = c*dg = {z:.4g} > 2 on the steepest step")
     exact = models.SilkwormSolution(params)
-    report = analysis.error_report(traj, exact, exact.right)
+    report = analysis.error_report(traj, exact)
     lines = ["t,numeric,exact,error"]
     # Python floats format faster than numpy scalars, to the same text
     columns = (part.nodes, traj.values, exact(part.nodes), report.e)
@@ -177,11 +160,10 @@ def run_silkworm(args) -> int:
 
 def run_quadrature_check(args) -> int:
     if args.cases < 1:
-        raise ConfigError("need at least one case")
-    seed = _resolve_seed(args.seed)
+        raise ValueError("need at least one case")
     rows = quadrature.run_bound_suite(num_cases=args.cases,
-                                      n_oracle=args.n_oracle, seed=seed)
-    lines = [f"# seed={seed}", "case,rule,value,oracle,bound,pass"]
+                                      n_oracle=args.n_oracle, seed=args.seed)
+    lines = [f"# seed={args.seed}", "case,rule,value,oracle,bound,pass"]
     failures = 0
     for r in rows:
         ok = r["passed"]
@@ -202,15 +184,12 @@ def run_bounds(args) -> int:
     part = solver.build_partition(g, args.h)
     d = args.d
     spec = models.make_linear_spec(d, args.x0)
-    exact = lambda t: linear.homogeneous_solution(d, args.x0, g, t)
-    exact_right = lambda t: linear.homogeneous_solution(d, args.x0, g, t,
-                                                        from_right=True)
+    exact = functools.partial(linear.homogeneous_solution, d, args.x0, g)
     # an overflowing solution shows up as non-finite maxima, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         traj = solver.solve(spec, part)
-        report = analysis.error_report(traj, exact, exact_right)
-        _, _, resid_comb = analysis.truncation_errors(exact, exact_right, spec,
-                                                      part)
+        report = analysis.error_report(traj, exact)
+        _, _, resid_comb = analysis.truncation_errors(exact, spec, part)
         resid_max = float(np.max(np.abs(resid_comb)))
     measured = {"corrector error": report.max_e,
                 "predictor error": report.max_e_star,
@@ -218,20 +197,18 @@ def run_bounds(args) -> int:
                 "truncation residual": resid_max}
     bad = [name for name, v in measured.items() if not math.isfinite(v)]
     if bad:
-        raise ConfigError(f"non-finite maximum of the {', '.join(bad)} (the "
-                          f"solution overflows the float range)")
-    consts = analysis.measure_constants(spec, part, exact, exact_right)
+        raise ValueError(f"non-finite maximum of the {', '.join(bad)} (the "
+                         f"solution overflows the float range)")
+    consts = analysis.measure_constants(spec, part, exact)
     try:
         bounds = (analysis.theoretical_bounds(consts, args.T, 0.0, resid_max),
-                  analysis.predictor_bound(consts, args.T, 0.0, resid_max,
-                                           at_jump=True),
-                  analysis.right_limit_bound(consts, args.T, 0.0, resid_max,
-                                             at_jump=True))
+                  analysis.predictor_bound(consts, args.T, 0.0, resid_max),
+                  analysis.right_limit_bound(consts, args.T, 0.0, resid_max))
     except OverflowError:
         bounds = (math.inf,)
     if not all(map(math.isfinite, bounds)):
-        raise ConfigError("the a-priori bound exceeds the float range "
-                          f"(G1*T/h = {consts.g1 * args.T / args.h:.4g})")
+        raise ValueError("the a-priori bound exceeds the float range "
+                         f"(G1*T/h = {consts.g1 * args.T / args.h:.4g})")
     bound, bound_star, bound_plus = bounds
     print(f"measured constants: K1={consts.k1:.4g} K2={consts.k2:.4g} "
           f"K3={consts.k3:.4g} H={consts.lip:.4g}")
@@ -296,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="randomized rule-vs-bound property suite")
     p.add_argument("--cases", type=int, default=200)
     p.add_argument("--n-oracle", type=int, default=10 ** 6)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default="quadrature_check.csv")
     p.set_defaults(func=run_quadrature_check)
 
@@ -329,8 +306,7 @@ def main(argv=None) -> int:
     except solver.GridMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, FloatingPointError, RuntimeError,
-            OSError) as exc:
+    except (ValueError, FloatingPointError, RuntimeError, OSError) as exc:
         # a failing or diverging solve, or a file that cannot be read or
         # written, is a configuration error too: exit code 1 stays reserved
         # for property and bound violations

@@ -377,6 +377,10 @@ def make_test_derivator(num_jumps: int, alpha: float = 4.0, T: float = 10.0,
         raise ValueError(f"snap must be positive and finite, got {snap}")
     if num_jumps < 0:
         raise ValueError(f"num_jumps must be nonnegative, got {num_jumps}")
+    if num_jumps > MAX_GRID_STEPS:
+        raise ValueError(f"num_jumps={num_jumps} asks for more jumps than the "
+                         f"{MAX_GRID_STEPS} steps a grid may have, and every "
+                         f"jump must be a grid node")
     phi = make_phi(alpha)
 
     def cont(t):
@@ -393,7 +397,7 @@ def make_test_derivator(num_jumps: int, alpha: float = 4.0, T: float = 10.0,
         k = np.clip(np.floor(arr * 0.25), 0.0, 2.0)
         return k + phi((arr - 4.0 * k) * 0.5)
 
-    times = np.array([T * j / (num_jumps + 1) for j in range(1, num_jumps + 1)])
+    times = T * np.arange(1, num_jumps + 1, dtype=float) / (num_jumps + 1)
     if snap is not None and times.size:
         times = np.round(times / snap) * snap
         if np.any(np.diff(times) <= 0) or times[0] <= 0 or times[-1] >= T:

@@ -137,7 +137,9 @@ class SilkwormSolution:
             amps.append(params.lam * amps[-1] * mass)
         self._amps = np.array(amps)
 
-    def __call__(self, t):
+    def __call__(self, t, from_right=False):
+        """Population at ``t``; with ``from_right`` its right limit: zero
+        after moth death, a fresh hatch after ``5k``."""
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
@@ -148,19 +150,12 @@ class SilkwormSolution:
         if np.any(alive):
             amps = self._amps[np.minimum(k[alive], len(self._amps) - 1)]
             out[alive] = amps * np.exp(-self.params.c * _silkworm_base(offset[alive]))
-        return float(out[0]) if scalar else out
-
-    def right(self, t):
-        """Right limit: zero after moth death, a fresh hatch after ``5k``."""
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        out = self(arr)
-        k = np.round(arr / 5.0).astype(int)
-        hatch = (arr == 5.0 * k) & (k >= 1)
-        out[hatch] = self._amps[np.minimum(k[hatch], len(self._amps) - 1)]
-        died = arr == 5.0 * np.floor(arr / 5.0) + 4.0
-        out[died] = 0.0
+        if from_right:
+            died = arr == 5.0 * k + 4.0
+            j = np.round(arr / 5.0).astype(int)
+            hatch = (arr == 5.0 * j) & (j >= 1)
+            out[hatch] = self._amps[np.minimum(j[hatch], len(self._amps) - 1)]
+            out[died] = 0.0
         return float(out[0]) if scalar else out
 
 

@@ -6,6 +6,7 @@ lines; every tolerance is pinned here, nothing is calibrated at run time.
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -45,16 +46,14 @@ def linear_benchmark_grid():
     for nj in (2, 4):
         g = make_test_derivator(nj, snap=0.1)
         spec = make_linear_spec(-0.5, 1.0)
-        exact = lambda t, g=g: homogeneous_solution(-0.5, 1.0, g, t)
-        exact_right = lambda t, g=g: homogeneous_solution(-0.5, 1.0, g, t,
-                                                          from_right=True)
+        exact = partial(homogeneous_solution, -0.5, 1.0, g)
         for h in (1e-1, 1e-2, 1e-3, 1e-4):
             part = build_partition(g, h)
             traj = solve(spec, part)
-            rep = error_report(traj, exact, exact_right)
+            rep = error_report(traj, exact)
             cells[(nj, h)] = {
                 "g": g, "spec": spec, "part": part,
-                "exact": exact, "exact_right": exact_right, "report": rep,
+                "exact": exact, "report": rep,
             }
     elapsed = time.perf_counter() - start
     return cells, elapsed
@@ -124,10 +123,8 @@ def test_criterion_4_truncation_bounds(linear_benchmark_grid):
     cells, _ = linear_benchmark_grid
     cell = cells[(2, 1e-2)]
     g, spec, part = cell["g"], cell["spec"], cell["part"]
-    pred, corr, comb = truncation_errors(cell["exact"], cell["exact_right"],
-                                         spec, part)
-    consts = measure_constants(spec, part, cell["exact"],
-                               cell["exact_right"])
+    pred, corr, comb = truncation_errors(cell["exact"], spec, part)
+    consts = measure_constants(spec, part, cell["exact"])
     H, K2, h = consts.lip, consts.k2, part.h
     ok_star = np.all(np.abs(pred) <= H * H * h * h)
     ok_corr = np.all(np.abs(corr) <= 0.5 * H * H * h * h)
@@ -172,7 +169,7 @@ def test_criterion_6_silkworm_reproduction():
         start = time.perf_counter()
         part = build_partition(g, h)
         traj = solve(spec, part)
-        rep = error_report(traj, exact, exact.right)
+        rep = error_report(traj, exact)
         if h == 1e-4:
             elapsed_fine = time.perf_counter() - start
         errs[h] = rep.max_e
@@ -193,10 +190,8 @@ def test_criterion_7_global_error_bound(linear_benchmark_grid):
     worst_margin = math.inf
     for (nj, h), cell in cells.items():
         g, spec, part = cell["g"], cell["spec"], cell["part"]
-        _, _, comb = truncation_errors(cell["exact"], cell["exact_right"],
-                                       spec, part)
-        consts = measure_constants(spec, part, cell["exact"],
-                                   cell["exact_right"])
+        _, _, comb = truncation_errors(cell["exact"], spec, part)
+        consts = measure_constants(spec, part, cell["exact"])
         bound = theoretical_bounds(consts, g.domain_end, 0.0,
                                    float(np.max(np.abs(comb))))
         holds = cell["report"].max_e <= bound
@@ -216,9 +211,8 @@ def test_criterion_8_stability(linear_benchmark_grid):
     n = part.n_steps
     pert_traj = solve_perturbed(spec, part, np.full(n, eps),
                                 np.full(n, eps), np.full(n, eps))
-    pert = error_report(pert_traj, cell["exact"], cell["exact_right"])
-    consts = measure_constants(spec, part, cell["exact"],
-                               cell["exact_right"])
+    pert = error_report(pert_traj, cell["exact"])
+    consts = measure_constants(spec, part, cell["exact"])
     g1, g2, g6 = consts.g1, consts.g2, consts.g6
     # perturbation share of the stability bound; the truncation part
     # cancels against the unperturbed run

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,9 +29,12 @@ REF_STEPS = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
 def benchmark_setup(num_jumps=2, d=-0.5, x0=1.0):
     g = make_test_derivator(num_jumps, snap=0.1)
     spec = make_linear_spec(d, x0)
-    exact = lambda t: homogeneous_solution(d, x0, g, t)
-    exact_right = lambda t: homogeneous_solution(d, x0, g, t, from_right=True)
-    return g, spec, exact, exact_right
+    return g, spec, partial(homogeneous_solution, d, x0, g)
+
+
+def constant(value):
+    """Exact solution that stays at ``value``, from either side."""
+    return lambda t, from_right=False: np.full(np.shape(t), value)
 
 
 class TestErrorReport:
@@ -39,29 +43,31 @@ class TestErrorReport:
         spec = IvpSpec(rhs=lambda t, x, hist: 0.0, x0=2.0)
         part = build_partition(g, 0.1)
         traj = solve(spec, part)
-        const = lambda t: np.full(np.asarray(t, dtype=float).shape, 2.0)
-        report = error_report(traj, const, const)
+        report = error_report(traj, constant(2.0))
         assert report.max_e == 0.0
         assert report.max_e_star == 0.0
         assert report.max_e_plus == 0.0
 
     def test_self_comparison_is_zero(self):
-        g, spec, _, _ = benchmark_setup()
+        g, spec, _ = benchmark_setup()
         part = build_partition(g, 0.1)
         traj = solve(spec, part)
-        exact = lambda t: np.interp(t, part.nodes, traj.values)
         lookup = dict(zip(part.nodes[:-1].tolist(), traj.right_values))
-        exact_right = lambda ts: np.array(
-            [lookup[float(t)] for t in np.atleast_1d(ts)])
-        report = error_report(traj, exact, exact_right)
+
+        def exact(ts, from_right=False):
+            if from_right:
+                return np.array([lookup[float(t)] for t in np.atleast_1d(ts)])
+            return np.interp(ts, part.nodes, traj.values)
+
+        report = error_report(traj, exact)
         assert report.max_e == 0.0
         assert report.max_e_plus == 0.0
 
     def test_benchmark_maxima_match_reference_values(self):
-        g, spec, exact, exact_right = benchmark_setup()
+        g, spec, exact = benchmark_setup()
         part = build_partition(g, 0.1)
         traj = solve(spec, part)
-        report = error_report(traj, exact, exact_right)
+        report = error_report(traj, exact)
         # jump placement is not pinned by the source table, so allow slack
         assert report.max_e_star == pytest.approx(REF_H1["e_star"], rel=0.25)
         assert report.max_e == pytest.approx(REF_H1["e"], rel=0.25)
@@ -73,8 +79,7 @@ class TestTruncationErrors:
         g = make_test_derivator(2, snap=0.1)
         spec = IvpSpec(rhs=lambda t, x, hist: 0.0, x0=1.5)
         part = build_partition(g, 0.1)
-        const = lambda t: np.full(np.asarray(t, dtype=float).shape, 1.5)
-        pred, corr, comb = truncation_errors(const, const, spec, part)
+        pred, corr, comb = truncation_errors(constant(1.5), spec, part)
         assert np.max(np.abs(pred)) == 0.0
         assert np.max(np.abs(corr)) == 0.0
         assert np.max(np.abs(comb)) == 0.0
@@ -83,18 +88,18 @@ class TestTruncationErrors:
         g = identity_derivator(1.0)
         spec = IvpSpec(rhs=lambda t, x, hist: -x, x0=1.0)
         part = build_partition(g, 1e-2)
-        exact = lambda t: np.exp(-np.asarray(t, dtype=float))
-        pred, corr, _ = truncation_errors(exact, exact, spec, part)
-        consts = measure_constants(spec, part, exact, exact)
+        exact = lambda t, from_right=False: np.exp(-np.asarray(t, dtype=float))
+        pred, corr, _ = truncation_errors(exact, spec, part)
+        consts = measure_constants(spec, part, exact)
         H, h = consts.lip, part.h
         assert np.max(np.abs(pred)) <= H * H * h * h
         assert np.max(np.abs(corr)) <= 0.5 * H * H * h * h
 
     def test_benchmark_bounds_pointwise(self):
-        g, spec, exact, exact_right = benchmark_setup()
+        g, spec, exact = benchmark_setup()
         part = build_partition(g, 1e-2)
-        pred, corr, comb = truncation_errors(exact, exact_right, spec, part)
-        consts = measure_constants(spec, part, exact, exact_right)
+        pred, corr, comb = truncation_errors(exact, spec, part)
+        consts = measure_constants(spec, part, exact)
         H, K2, h = consts.lip, consts.k2, part.h
         assert np.max(np.abs(pred)) <= H * H * h * h
         assert np.max(np.abs(corr)) <= 0.5 * H * H * h * h
@@ -103,13 +108,54 @@ class TestTruncationErrors:
 
     def test_residual_over_step_shrinks_with_step(self):
         # consistency: max residual over step decreases as the grid refines
-        g, spec, exact, exact_right = benchmark_setup()
+        g, spec, exact = benchmark_setup()
         ratios = []
         for h in (1e-1, 1e-2, 1e-3):
             part = build_partition(g, h)
-            _, _, comb = truncation_errors(exact, exact_right, spec, part)
+            _, _, comb = truncation_errors(exact, spec, part)
             ratios.append(np.max(np.abs(comb)) / h)
         assert ratios[2] < ratios[1] < ratios[0]
+
+
+class TestExactProtocol:
+    """Each analysis pass reads the exact solution through one callable:
+    ``exact(t)`` on the nodes and ``exact(t, from_right=True)`` on every
+    node but the last."""
+
+    @staticmethod
+    def counting(g, calls):
+        def exact(t, **kwargs):
+            calls.append((np.array(t, copy=True), kwargs))
+            return homogeneous_solution(-0.5, 1.0, g, t, **kwargs)
+        return exact
+
+    def assert_nodes_then_right_limits(self, calls, nodes):
+        (first, kw_first), (second, kw_second) = calls[:2]
+        assert np.array_equal(first, nodes) and kw_first == {}
+        assert np.array_equal(second, nodes[:-1])
+        assert kw_second == {"from_right": True}
+
+    def test_error_report_and_truncation_errors(self):
+        g, spec, _ = benchmark_setup()
+        part = build_partition(g, 1e-2)
+        traj = solve(spec, part)
+        for run in (lambda exact: error_report(traj, exact),
+                    lambda exact: truncation_errors(exact, spec, part)):
+            calls = []
+            run(self.counting(g, calls))
+            assert len(calls) == 2
+            self.assert_nodes_then_right_limits(calls, part.nodes)
+
+    def test_measure_constants_also_samples_the_refinement(self):
+        g, spec, _ = benchmark_setup()
+        part = build_partition(g, 1e-3)  # 10000 steps: five blocks
+        calls = []
+        measure_constants(spec, part, self.counting(g, calls))
+        self.assert_nodes_then_right_limits(calls, part.nodes)
+        blocks = calls[2:]
+        assert len(blocks) == 5
+        assert all(kwargs == {} for _, kwargs in blocks)
+        assert sum(t.size for t, _ in blocks) == 20 * part.n_steps
 
 
 class TestArrayProtocol:
@@ -124,19 +170,16 @@ class TestArrayProtocol:
             return fn(t, x, hist)
         return wrapped
 
-    def analyse(self, g, spec, exact, exact_right, h):
+    def analyse(self, g, spec, exact, h):
         part = build_partition(g, h)
-        resid = truncation_errors(exact, exact_right, spec, part)
-        consts = measure_constants(spec, part, exact, exact_right)
+        resid = truncation_errors(exact, spec, part)
+        consts = measure_constants(spec, part, exact)
         return part, resid, consts
 
     def assert_same(self, g, spec, twin, h=1e-3, d=-0.5, x0=1.0):
-        exact = lambda t: homogeneous_solution(d, x0, g, t)
-        exact_right = lambda t: homogeneous_solution(d, x0, g, t,
-                                                     from_right=True)
-        _, resid, consts = self.analyse(g, spec, exact, exact_right, h)
-        _, resid_twin, consts_twin = self.analyse(g, twin, exact,
-                                                  exact_right, h)
+        exact = partial(homogeneous_solution, d, x0, g)
+        _, resid, consts = self.analyse(g, spec, exact, h)
+        _, resid_twin, consts_twin = self.analyse(g, twin, exact, h)
         for a, b in zip(resid, resid_twin):
             assert np.array_equal(a, b)
         assert consts == consts_twin
@@ -164,23 +207,24 @@ class TestArrayProtocol:
         assert 0 in calls and 1 in calls
 
     def test_array_path_calls_rhs_per_block(self):
-        g, spec, exact, exact_right = benchmark_setup()
+        g, spec, exact = benchmark_setup()
         calls = []
         spec = IvpSpec(rhs=self.counted(spec.rhs, calls), x0=spec.x0)
-        self.analyse(g, spec, exact, exact_right, 1e-3)
+        self.analyse(g, spec, exact, 1e-3)
         assert 0 not in calls
         assert len(calls) < 20  # against 22 per node point by point
 
     def test_blocks_cover_the_whole_grid(self):
         # x grows along the last ramp, so the largest quotient of the
         # composed rhs sits in the last block of steps
-        g, spec, exact, exact_right = benchmark_setup(num_jumps=4)
-        part, _, consts = self.analyse(g, spec, exact, exact_right, 1e-3)
+        g, spec, exact = benchmark_setup(num_jumps=4)
+        part, _, consts = self.analyse(g, spec, exact, 1e-3)
         nodes = part.nodes
         frac = np.linspace(0.0, 1.0, 21)
         ts = nodes[:-1, None] + np.diff(nodes)[:, None] * frac[None, :]
         fv = spec.rhs(ts, exact(ts), None)
-        fv[:, 0] = spec.rhs(nodes[:-1], exact_right(nodes[:-1]), None)
+        fv[:, 0] = spec.rhs(nodes[:-1], exact(nodes[:-1], from_right=True),
+                            None)
         cv = g.continuous_value(ts)
         dts = np.diff(ts, axis=1)
         lip = max(np.max(np.abs(np.diff(cv, axis=1)) / dts),
@@ -196,12 +240,12 @@ class TestArrayProtocol:
         spec = IvpSpec(rhs=self.counted(base.rhs, calls),
                        rhs_right=base.rhs_right, x0=params.x0)
         part, (pred, corr, comb), consts = self.analyse(
-            g, spec, exact, exact.right, 1e-2)
+            g, spec, exact, 1e-2)
         assert 0 in calls  # the stage lookup rejects arrays
         # reference: the three residuals node by node
         nodes = part.nodes
         x = exact(nodes)
-        x_right = exact.right(nodes[:-1])
+        x_right = exact(nodes[:-1], from_right=True)
         hist = TrajectoryHistory(nodes, x, part.h, len(nodes))
         dg = part.dg
         for k in range(part.n_steps):
@@ -244,17 +288,15 @@ class TestBoundConstants:
 
     def test_zero_constants_rejected(self):
         c = BoundConstants(k1=0.0, k2=0.0, k3=0.0, lip=0.0, h=0.1, num_jumps=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"G1 = 0 \(K2=0, K3=0, H=0\)"):
             theoretical_bounds(c, 1.0, 0.0, 1e-4)
 
     def test_companion_bounds_scale_the_corrector_bound(self):
         c = BoundConstants(k1=1.0, k2=1.0, k3=1.0, lip=1.0, h=0.1, num_jumps=2)
         base = theoretical_bounds(c, 1.0, 0.0, 1e-4)
-        assert predictor_bound(c, 1.0, 0.0, 1e-4) == pytest.approx(
-            base * math.exp(c.g4))
-        assert predictor_bound(c, 1.0, 0.0, 1e-4, at_jump=True) == \
+        assert predictor_bound(c, 1.0, 0.0, 1e-4) == \
             pytest.approx(base * math.exp(c.g4) * (1 + c.g5))
-        assert right_limit_bound(c, 1.0, 0.0, 1e-4, at_jump=True) == \
+        assert right_limit_bound(c, 1.0, 0.0, 1e-4) == \
             pytest.approx(base * (1 + c.g3))
 
 
@@ -291,37 +333,47 @@ class TestEstimateOrder:
 
 class TestConvergenceTable:
     @staticmethod
-    def factories(d=-0.5, x0=1.0):
-        g_factory = lambda nj: make_test_derivator(nj, snap=0.1)
-        exact_factory = lambda g: (
-            lambda t: homogeneous_solution(d, x0, g, t),
-            lambda t: homogeneous_solution(d, x0, g, t, from_right=True))
-        return make_linear_spec(d, x0), g_factory, exact_factory
+    def factories(jump_counts, d=-0.5, x0=1.0):
+        drivers = [make_test_derivator(nj, snap=0.1) for nj in jump_counts]
+        exact_factory = lambda g: partial(homogeneous_solution, d, x0, g)
+        return make_linear_spec(d, x0), drivers, exact_factory
 
     def test_single_cell(self):
-        cells = convergence_table(*self.factories(), h_values=[1e-1],
-                                  jump_counts=[2])
+        cells = convergence_table(*self.factories([2]), h_values=[1e-1])
         assert len(cells) == 1
         cell = cells[0]
         assert not cell.failed
         assert cell.max_e > 0 and cell.max_e_star > 0 and cell.max_e_plus > 0
 
     def test_errors_decrease_along_each_row(self):
-        cells = convergence_table(*self.factories(), h_values=[1e-1, 1e-2],
-                                  jump_counts=[2, 4])
+        cells = convergence_table(*self.factories([2, 4]),
+                                  h_values=[1e-1, 1e-2])
         for nj in (2, 4):
             row = [c for c in cells if c.num_jumps == nj]
             assert row[0].max_e > row[1].max_e
 
     def test_incompatible_cell_marked_failed_and_run_continues(self):
-        cells = convergence_table(*self.factories(), h_values=[0.3, 1e-1],
-                                  jump_counts=[2])
+        cells = convergence_table(*self.factories([2]), h_values=[0.3, 1e-1])
         assert cells[0].failed and "10.0" in cells[0].reason
         assert not cells[1].failed
 
+    def test_cells_take_the_jump_count_of_their_driver(self):
+        spec, _, exact_factory = self.factories([])
+        built = []
+
+        def counted_factory(g):
+            built.append(g)
+            return exact_factory(g)
+
+        drivers = [make_test_derivator(4, snap=0.1), identity_derivator(10.0)]
+        cells = convergence_table(spec, drivers, counted_factory,
+                                  h_values=[1e-1, 1e-2])
+        assert [c.num_jumps for c in cells] == [4, 4, 0, 0]
+        assert len(built) == 2 and all(a is b for a, b in zip(built, drivers))
+        assert not any(c.failed for c in cells)
+
     def test_csv_format(self):
-        cells = convergence_table(*self.factories(), h_values=[1e-1],
-                                  jump_counts=[2])
+        cells = convergence_table(*self.factories([2]), h_values=[1e-1])
         text = format_convergence_csv(cells)
         lines = text.strip().split("\n")
         assert lines[0] == "num_jumps,h,max_e_star,max_e,max_e_plus"

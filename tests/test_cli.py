@@ -191,14 +191,12 @@ class TestQuadratureCheck:
                         "10000", "--seed", "7", "--out", str(out)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        out_env = tmp_path / "env.csv"
+    def test_seed_reaches_the_header(self, tmp_path):
+        out_default = tmp_path / "default.csv"
         out_flag = tmp_path / "flag.csv"
-        monkeypatch.setenv("STIELTJES_SEED", "99")
         assert run(["quadrature-check", "--cases", "2", "--n-oracle", "10000",
-                    "--out", str(out_env)]) == 0
-        assert "# seed=99" in out_env.read_text()
-        # explicit flag wins over the environment
+                    "--out", str(out_default)]) == 0
+        assert f"# seed={cli.DEFAULT_SEED}" in out_default.read_text()
         assert run(["quadrature-check", "--cases", "2", "--n-oracle", "10000",
                     "--seed", "5", "--out", str(out_flag)]) == 0
         assert "# seed=5" in out_flag.read_text()
@@ -238,6 +236,15 @@ class TestBounds:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: non-finite maximum of the corrector error")
+
+    def test_zero_factor_of_g1_named(self, capsys):
+        # d = 0 makes the right-hand side flat in the state: K2 = K3 = 0,
+        # while H, the steepest slope of the driver's ramps, stays pi
+        code = run(["bounds", "--d", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("error: bound undefined: G1 = 0 (K2=0, K3=0, "
+                       "H=3.142)\n")
 
     def test_bound_overflow_exits_2(self, capsys):
         code = run(["bounds", "--h", "0.01", "--jumps", "5", "--d", "-0.82",
@@ -307,6 +314,8 @@ MALFORMED = [
     ["bounds", "--out", "missing/x.csv"],
     ["linear-convergence", "--derivator", "."],
     ["linear-convergence", "--derivator", "bad.json"],
+    # rejected by name before any jump time is allocated
+    ["bounds", "--jumps", "1000000000"],
 ]
 
 
@@ -332,3 +341,6 @@ def test_malformed_input_exits_with_one_line(args, tmp_path):
         assert done.stdout == ""
     if "bad.json" in args:
         assert "file 'bad.json'" in done.stderr
+    if "1000000000" in args:
+        assert done.returncode == 2
+        assert "num_jumps=1000000000" in done.stderr

@@ -178,6 +178,22 @@ def test_silkworm_rejects_more_jumps_than_a_grid_holds(monkeypatch):
         make_silkworm_derivator(1e300)
 
 
+def test_test_derivator_rejects_more_jumps_than_a_grid_holds(monkeypatch):
+    monkeypatch.setattr(derivator, "MAX_GRID_STEPS", 10)
+    assert make_test_derivator(10).n_jumps == 10
+    with pytest.raises(ValueError, match="num_jumps=11 .* 10 steps"):
+        make_test_derivator(11)
+
+
+@pytest.mark.parametrize("num_jumps", [0, 1, 2, 7, 99, 1000])
+@pytest.mark.parametrize("T", [10.0, 3.7])
+def test_test_derivator_jump_times_match_the_loop(num_jumps, T):
+    # the list the vectorised construction replaced, kept as the reference
+    times = [T * j / (num_jumps + 1) for j in range(1, num_jumps + 1)]
+    assert np.array_equal(make_test_derivator(num_jumps, T=T).jump_times,
+                          times)
+
+
 @pytest.mark.parametrize("snap", [0.0, -0.1, math.nan, math.inf])
 def test_test_derivator_rejects_bad_snap_by_name(snap):
     with pytest.raises(ValueError, match="snap"):

@@ -12,6 +12,23 @@ from stieltjes_ode.solver import TrajectoryHistory, build_partition, solve
 
 PARAMS = SilkwormParams(c=1.2, lam=1.1, x0=8.0, T=10.0)
 
+# right limits of SilkwormSolution(c=1.2, lam=1.1, x0=8, T=15) on the h=1e-2
+# grid, by node index: every jump node and its neighbours, every 100th node
+RIGHT_LIMITS_T15 = {
+    0: '0x1.0000000000000p+3', 100: '0x1.6a375a119353fp+1',
+    200: '0x1.346c4167a12dep+1', 300: '0x1.346c4167a12dep+1',
+    399: '0x1.b81eac3f86d9dp-1', 400: '0x0.0p+0', 401: '0x0.0p+0',
+    499: '0x0.0p+0', 500: '0x1.7cdaccf1837a1p+3',
+    501: '0x1.51d6a8aeab0b1p+3', 600: '0x1.0d6fdf674ec87p+2',
+    700: '0x1.cad84c2ec1edfp+1', 800: '0x1.cad84c2ec1edfp+1',
+    899: '0x1.4762d91251384p+0', 900: '0x0.0p+0', 901: '0x0.0p+0',
+    999: '0x0.0p+0', 1000: '0x1.1b4d25b756dc1p+4',
+    1001: '0x1.f69b61a4b1a40p+3', 1100: '0x1.90d85894eda30p+2',
+    1200: '0x1.55509e4dc2d57p+2', 1300: '0x1.55509e4dc2d57p+2',
+    1399: '0x1.e70e8a7bab555p+0', 1400: '0x0.0p+0', 1401: '0x0.0p+0',
+    1500: '0x1.a578a67b023cdp+4',
+}
+
 
 def history_on_grid(values, h):
     nodes = np.arange(len(values)) * h
@@ -121,7 +138,7 @@ class TestExactSolution:
         exact = SilkwormSolution(PARAMS)
         for k in (1, 2):
             integral = window_integral(exact, 5.0 * (k - 1))
-            assert exact.right(5.0 * k) == pytest.approx(
+            assert exact(5.0 * k, from_right=True) == pytest.approx(
                 PARAMS.lam * integral, abs=1e-8)
 
     @pytest.mark.parametrize("c", [1e-6, 0.6, 0.9, 1.2, 2.01, 2.5, 50.0,
@@ -129,7 +146,7 @@ class TestExactSolution:
     def test_life_span_mass_against_mpmath(self, c):
         mp = pytest.importorskip("mpmath")
         params = SilkwormParams(c=c, lam=1.1, x0=8.0)
-        mass = (SilkwormSolution(params).right(5.0)
+        mass = (SilkwormSolution(params)(5.0, from_right=True)
                 / (params.lam * params.x0))
 
         def g(s):  # one life span of the staged driver, in mpmath arithmetic
@@ -151,10 +168,27 @@ class TestExactSolution:
 
     def test_right_limits(self):
         exact = SilkwormSolution(PARAMS)
-        assert exact.right(4.0) == 0.0  # moths die
+        assert exact(4.0, from_right=True) == 0.0  # moths die
         # a hatch: the right limit is where the next generation starts
-        assert exact.right(5.0) == pytest.approx(exact(np.nextafter(5.0, 6.0)))
-        assert exact.right(1.0) == pytest.approx(exact(1.0))  # continuous point
+        assert exact(5.0, from_right=True) == pytest.approx(
+            exact(np.nextafter(5.0, 6.0)))
+        # continuous point
+        assert exact(1.0, from_right=True) == pytest.approx(exact(1.0))
+
+    def test_right_limits_bitwise_on_a_grid(self):
+        # hex values of the right limits as the separate right-limit method
+        # computed them, on a grid with moth-death (4, 9, 14), hatch (5, 10,
+        # 15) and interior nodes; off those six nodes the right limit is the
+        # value itself
+        params = SilkwormParams(c=1.2, lam=1.1, x0=8.0, T=15.0)
+        nodes = build_partition(make_silkworm_derivator(15.0), 1e-2).nodes
+        exact = SilkwormSolution(params)
+        expected = exact(nodes)
+        for k, value in RIGHT_LIMITS_T15.items():
+            expected[k] = float.fromhex(value)
+        assert np.array_equal(exact(nodes, from_right=True), expected)
+        assert np.flatnonzero(expected != exact(nodes)).tolist() == [
+            400, 500, 900, 1000, 1400, 1500]
 
 
 def test_scheme_tracks_exact_solution():
@@ -163,5 +197,5 @@ def test_scheme_tracks_exact_solution():
     spec = make_silkworm_spec(PARAMS)
     traj = solve(spec, part)
     exact = SilkwormSolution(PARAMS)
-    report = error_report(traj, exact, exact.right)
+    report = error_report(traj, exact)
     assert report.max_e <= 5e-2
