@@ -18,10 +18,9 @@ from .quadrature import (RuleKind, error_bound, evaluate_rule,
 from .solver import (IvpSpec, GridMismatchError, Partition, Trajectory,
                      TrajectoryHistory, build_partition, solve,
                      solve_perturbed)
-from .linear import (AdmissibilityReport, LinearProblem, check_admissibility,
-                     constant_linear_solution, general_linear_solution,
-                     hat_exponential, hat_transform, homogeneous_solution,
-                     tilde_coefficients)
+from .linear import (check_admissibility, constant_linear_solution,
+                     general_linear_solution, hat_exponential, hat_transform,
+                     homogeneous_solution, tilde_coefficients)
 from .models import (SilkwormParams, SilkwormSolution, make_linear_spec,
                      make_silkworm_spec, silkworm_rhs, silkworm_rhs_right)
 from .analysis import (BoundConstants, ConvergenceCell, ErrorReport,

@@ -6,7 +6,8 @@ solution is expressed through a driver-adapted exponential: coefficients are
 driver's measure, and exponentiated, with a sign flip recorded at every jump
 where ``1 + c(t) gap`` is negative.  A jump is admissible as long as
 ``d(t) * gap != 1``; the constant-coefficient closed forms additionally
-require ``d * gap < 1``, which keeps every product factor positive.
+require ``d * gap < 1``, which keeps every product factor positive.  Every
+closed form takes its arguments in the order ``(coefficients, x0, g, t)``.
 
 With classical time (no jumps, ``g(t) = t``) everything reduces to the
 textbook formulas.
@@ -15,16 +16,13 @@ textbook formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
 
-from .derivator import Derivator, _f_on_arrays, _grid_block, _segment_grids
+from .derivator import Derivator, _f_on_arrays, _segment_grids
 
 __all__ = [
-    "LinearProblem",
-    "AdmissibilityReport",
     "check_admissibility",
     "hat_transform",
     "hat_exponential",
@@ -51,36 +49,14 @@ def _as_time_function(v: Coefficient) -> Callable:
     return const
 
 
-@dataclass
-class LinearProblem:
-    """Damping ``d``, forcing term, and initial value of the linear equation.
-
-    ``damping`` and ``forcing`` may be constants or callables of time.  The
-    forcing is the inhomogeneous right-hand side (kept distinct from the
-    grid step, which is written ``h`` everywhere else in this package).
-    """
-
-    damping: Coefficient
-    forcing: Coefficient
-    x0: float
-
-
-@dataclass
-class AdmissibilityReport:
-    """Outcome of the jump-admissibility check.
-
-    ``offending`` lists ``(time, d*gap)`` pairs violating the selected
-    condition.  With finitely many jumps the summability condition on
-    ``ln|1 - d*gap|`` always holds, so it is not checked.
-    """
-
-    ok: bool
-    offending: list = field(default_factory=list)
-
-
 def check_admissibility(d: Coefficient, g: Derivator,
-                        strict: bool = False) -> AdmissibilityReport:
-    """Check ``d(t) * gap != 1`` (or ``< 1`` when strict) at every jump."""
+                        strict: bool = False) -> list[tuple[float, float]]:
+    """The ``(time, d*gap)`` pairs of the jumps that violate ``d(t) * gap !=
+    1`` (or ``< 1`` when strict); empty when every jump is admissible.
+
+    With finitely many jumps the summability condition on ``ln|1 - d*gap|``
+    always holds, so it is not checked.
+    """
     d_fun = _as_time_function(d)
     offending = []
     for time, gap in zip(g.jump_times, g.jump_gaps):
@@ -88,15 +64,15 @@ def check_admissibility(d: Coefficient, g: Derivator,
         bad = prod >= 1.0 if strict else prod == 1.0
         if bad:
             offending.append((float(time), prod))
-    return AdmissibilityReport(ok=not offending, offending=offending)
+    return offending
 
 
 def _require_admissible(d, g, strict):
-    report = check_admissibility(d, g, strict=strict)
-    if not report.ok:
+    offending = check_admissibility(d, g, strict=strict)
+    if offending:
         kind = "d*gap < 1" if strict else "d*gap != 1"
         raise ValueError(
-            f"inadmissible damping: {kind} fails at jumps {report.offending}")
+            f"inadmissible damping: {kind} fails at jumps {offending}")
 
 
 def hat_transform(c: Coefficient, g: Derivator) -> Callable:
@@ -151,22 +127,23 @@ def hat_exponential(c: Coefficient, g: Derivator, t: float,
         log_mag += float(c) * g.continuous_value(t)
     else:
         for lo, hi, m in _segment_grids(g, 0.0, t, quad_n):
-            xs = _grid_block(lo, hi, m, 0, m)
+            xs = np.linspace(lo, hi, m + 1)
             cv = g.continuous_value(xs)
             fv = _f_on_arrays(c, xs)
             log_mag += float(np.sum(0.5 * (fv[1:] + fv[:-1]) * np.diff(cv)))
     return (-1.0) ** flips * math.exp(log_mag)
 
 
-def tilde_coefficients(prob: LinearProblem, g: Derivator, t: float):
+def tilde_coefficients(d: Coefficient, forcing: Coefficient, g: Derivator,
+                       t: float):
     """Coefficients of the right-limit form: both divided by ``1 - d*gap``.
 
     At non-jump times this is the identity.
     """
     t = float(t)
     gap = g.jump_gap(t)
-    d_val = float(_as_time_function(prob.damping)(t))
-    f_val = float(_as_time_function(prob.forcing)(t))
+    d_val = float(_as_time_function(d)(t))
+    f_val = float(_as_time_function(forcing)(t))
     denom = 1.0 - d_val * gap
     if denom == 0.0:
         raise ValueError(f"inadmissible jump at t={t}: d*gap = 1")
@@ -208,25 +185,27 @@ def constant_linear_solution(d: float, forcing: float, x0: float, g: Derivator,
     return x0 * hom + forcing * (1.0 - hom) / d
 
 
-def general_linear_solution(prob: LinearProblem, g: Derivator, t: float,
+def general_linear_solution(d: Coefficient, forcing: Coefficient, x0: float,
+                            g: Derivator, t: float,
                             quad_n: int = 10 ** 6) -> float:
     """Solution of the linear equation with time-dependent coefficients.
 
+    ``d`` and ``forcing`` may be constants or callables of time.
     Evaluates the adapted-exponential representation with the continuous
     parts refined on ``quad_n`` subintervals (jump contributions are exact).
     Requires ``d(t) * gap != 1`` at every jump and ``t`` in ``[0, T]``.
     """
-    _require_admissible(prob.damping, g, strict=False)
+    _require_admissible(d, g, strict=False)
     t = float(t)
-    d_fun = _as_time_function(prob.damping)
-    h_fun = _as_time_function(prob.forcing)
+    d_fun = _as_time_function(d)
+    h_fun = _as_time_function(forcing)
     times, gaps = g.jumps_in(0.0, t)
     log_mag = 0.0
     sign = 1.0
     forced = 0.0
     # segment i ends at jump i, the last segment at t
     for i, (lo, hi, m) in enumerate(_segment_grids(g, 0.0, t, quad_n)):
-        xs = _grid_block(lo, hi, m, 0, m)
+        xs = np.linspace(lo, hi, m + 1)
         cv = g.continuous_value(xs)
         dv = _f_on_arrays(d_fun, xs)
         hv = _f_on_arrays(h_fun, xs)
@@ -248,4 +227,4 @@ def general_linear_solution(prob: LinearProblem, g: Derivator, t: float,
             if denom < 0.0:
                 sign = -sign
     e_hat_t = sign * math.exp(log_mag)
-    return (prob.x0 + forced) / e_hat_t
+    return (x0 + forced) / e_hat_t

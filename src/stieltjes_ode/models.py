@@ -131,30 +131,34 @@ class SilkwormSolution:
     def __init__(self, params: SilkwormParams):
         self.params = params
         mass = _life_span_mass(params.c)
-        n_gen = int(math.floor(params.T / 5.0)) + 1
-        amps = [params.x0]
-        for _ in range(n_gen):
+        amps = [params.x0]  # one per generation that starts in [0, T]
+        for _ in range(int(math.floor(params.T / 5.0))):
             amps.append(params.lam * amps[-1] * mass)
         self._amps = np.array(amps)
 
     def __call__(self, t, from_right=False):
         """Population at ``t``; with ``from_right`` its right limit: zero
-        after moth death, a fresh hatch after ``5k``."""
+        after moth death, a fresh hatch after ``5k``.  Both sides take every
+        ``t`` in the closed ``[0, T]``; a point outside it, NaN included,
+        raises ``ValueError``."""
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
+        # ``min``/``max`` propagate NaN, which then fails both comparisons
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= self.params.T):
+            raise ValueError(f"time outside the domain [0, {self.params.T}]")
         k = np.floor(arr / 5.0).astype(int)
         offset = arr - 5.0 * k
         out = np.zeros_like(arr)
         alive = (offset <= 4.0) & ((offset > 0.0) | (k == 0))
         if np.any(alive):
-            amps = self._amps[np.minimum(k[alive], len(self._amps) - 1)]
+            amps = self._amps[k[alive]]
             out[alive] = amps * np.exp(-self.params.c * _silkworm_base(offset[alive]))
         if from_right:
             died = arr == 5.0 * k + 4.0
             j = np.round(arr / 5.0).astype(int)
             hatch = (arr == 5.0 * j) & (j >= 1)
-            out[hatch] = self._amps[np.minimum(j[hatch], len(self._amps) - 1)]
+            out[hatch] = self._amps[j[hatch]]
             out[died] = 0.0
         return float(out[0]) if scalar else out
 

@@ -356,6 +356,8 @@ class TestConvergenceTable:
         cells = convergence_table(*self.factories([2]), h_values=[0.3, 1e-1])
         assert cells[0].failed and "10.0" in cells[0].reason
         assert not cells[1].failed
+        assert format_convergence_csv(cells).splitlines()[1] == (
+            "2,3.0000e-01,failed,failed,failed")
 
     def test_cells_take_the_jump_count_of_their_driver(self):
         spec, _, exact_factory = self.factories([])

@@ -316,6 +316,8 @@ MALFORMED = [
     ["linear-convergence", "--derivator", "bad.json"],
     # rejected by name before any jump time is allocated
     ["bounds", "--jumps", "1000000000"],
+    ["bounds", "--jumps", "-1"],
+    ["linear-convergence", "--h", ","],
 ]
 
 

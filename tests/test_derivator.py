@@ -64,6 +64,10 @@ def test_identity_value():
     g = identity_derivator(1.0)
     assert g.value(0.3) == 0.3
     assert g.value(0.0) == 0.0
+    # no jumps: every gap is zero, scalar or array
+    assert g.jump_gap(0.3) == 0.0 and isinstance(g.jump_gap(0.3), float)
+    gaps = g.jump_gap(np.array([0.0, 0.5, 0.75]))
+    assert gaps.shape == (3,) and not gaps.any()
 
 
 def test_normalization_subtracts_continuous_offset():
@@ -89,6 +93,7 @@ def test_right_value_rejects_domain_end(silkworm):
     ([1.0], [0.0]),          # zero gap
     ([1.0], [-0.5]),         # negative gap
     ([2.0, 1.0], [1.0, 1.0]),  # unsorted
+    ([1.0, 2.0], [1.0]),       # one gap short
 ])
 def test_constructor_rejects_bad_jumps(times, gaps):
     with pytest.raises(ValueError):

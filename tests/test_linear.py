@@ -5,7 +5,7 @@ import pytest
 
 from stieltjes_ode.derivator import (Derivator, identity_derivator,
                                      make_test_derivator)
-from stieltjes_ode.linear import (LinearProblem, check_admissibility,
+from stieltjes_ode.linear import (check_admissibility,
                                   constant_linear_solution,
                                   general_linear_solution, hat_exponential,
                                   hat_transform, homogeneous_solution,
@@ -21,25 +21,21 @@ def linear_driver(T, times, gaps):
 class TestAdmissibility:
     def test_passes_below_one(self):
         g = linear_driver(3.0, [1.0, 2.0], [1.0, 1.0])
-        report = check_admissibility(0.5, g)
-        assert report.ok and report.offending == []
+        assert check_admissibility(0.5, g) == []
 
     def test_fails_at_exactly_one(self):
         g = linear_driver(2.0, [1.0], [1.0])
-        report = check_admissibility(1.0, g)
-        assert not report.ok
-        assert report.offending == [(1.0, 1.0)]
+        assert check_admissibility(1.0, g) == [(1.0, 1.0)]
 
     def test_above_one_passes_nonstrict_with_flips(self):
         g = linear_driver(2.0, [1.0], [1.0])
-        report = check_admissibility(2.0, g, strict=False)
-        assert report.ok
+        assert check_admissibility(2.0, g, strict=False) == []
         # d*gap > 1: the adapted exponential of -d changes sign at the jump
         assert hat_exponential(-2.0, g, 2.0) < 0.0
 
     def test_strict_rejects_above_one(self):
         g = linear_driver(2.0, [1.0], [1.0])
-        assert not check_admissibility(2.0, g, strict=True).ok
+        assert check_admissibility(2.0, g, strict=True) == [(1.0, 2.0)]
 
 
 class TestHatTransform:
@@ -102,23 +98,19 @@ class TestTildeCoefficients:
         self.g = linear_driver(3.0, [1.0], [1.0])
 
     def test_identity_off_jumps(self):
-        prob = LinearProblem(damping=0.5, forcing=2.0, x0=0.0)
-        assert tilde_coefficients(prob, self.g, 0.25) == (0.5, 2.0)
+        assert tilde_coefficients(0.5, 2.0, self.g, 0.25) == (0.5, 2.0)
 
     def test_halved_denominator(self):
-        prob = LinearProblem(damping=0.5, forcing=0.0, x0=0.0)
-        d_t, _ = tilde_coefficients(prob, self.g, 1.0)
+        d_t, _ = tilde_coefficients(0.5, 0.0, self.g, 1.0)
         assert d_t == pytest.approx(1.0)
 
     def test_negative_branch(self):
-        prob = LinearProblem(damping=2.0, forcing=0.0, x0=0.0)
-        d_t, _ = tilde_coefficients(prob, self.g, 1.0)
+        d_t, _ = tilde_coefficients(2.0, 0.0, self.g, 1.0)
         assert d_t == pytest.approx(-2.0)
 
     def test_singular_jump_rejected(self):
-        prob = LinearProblem(damping=1.0, forcing=0.0, x0=0.0)
         with pytest.raises(ValueError):
-            tilde_coefficients(prob, self.g, 1.0)
+            tilde_coefficients(1.0, 0.0, self.g, 1.0)
 
 
 class TestHomogeneousSolution:
@@ -228,28 +220,25 @@ class TestConstantLinearSolution:
 class TestGeneralLinearSolution:
     def test_matches_constant_solution(self):
         g = linear_driver(3.0, [1.0, 2.0], [0.5, 1.0])
-        prob = LinearProblem(damping=0.7, forcing=1.3, x0=2.0)
         expected = constant_linear_solution(0.7, 1.3, 2.0, g, 2.5)
-        value = general_linear_solution(prob, g, 2.5, quad_n=10 ** 6)
+        value = general_linear_solution(0.7, 1.3, 2.0, g, 2.5, quad_n=10 ** 6)
         assert value == pytest.approx(expected, abs=1e-9)
 
     def test_zero_damping_reduces_to_measure_integral(self):
         g = linear_driver(3.0, [1.0], [2.0])
-        prob = LinearProblem(damping=0.0, forcing=1.5, x0=0.25)
-        value = general_linear_solution(prob, g, 2.0, quad_n=10 ** 5)
+        value = general_linear_solution(0.0, 1.5, 0.25, g, 2.0, quad_n=10 ** 5)
         assert value == pytest.approx(0.25 + 1.5 * g.value(2.0), rel=1e-9)
 
     def test_time_dependent_damping_classical(self):
         g = identity_derivator(2.0)
-        prob = LinearProblem(damping=lambda t: t, forcing=0.0, x0=1.0)
-        value = general_linear_solution(prob, g, 1.5, quad_n=10 ** 5)
+        value = general_linear_solution(lambda t: t, 0.0, 1.0, g, 1.5,
+                                        quad_n=10 ** 5)
         assert value == pytest.approx(math.exp(-1.5 ** 2 / 2.0), rel=1e-7)
 
     def test_initial_value_and_error_estimate(self):
         g = linear_driver(3.0, [1.0], [0.5])
-        prob = LinearProblem(damping=0.3, forcing=0.7, x0=1.2)
-        assert general_linear_solution(prob, g, 0.0) == 1.2
-        value = general_linear_solution(prob, g, 2.0, quad_n=10 ** 5)
+        assert general_linear_solution(0.3, 0.7, 1.2, g, 0.0) == 1.2
+        value = general_linear_solution(0.3, 0.7, 1.2, g, 2.0, quad_n=10 ** 5)
         assert value == pytest.approx(
             constant_linear_solution(0.3, 0.7, 1.2, g, 2.0), abs=1e-8)
 
@@ -257,9 +246,8 @@ class TestGeneralLinearSolution:
         # d*gap = 2 > 1: admissible in the general sense, solution changes
         # sign past the jump relative to the plain exponential envelope
         g = linear_driver(2.0, [1.0], [1.0])
-        prob = LinearProblem(damping=2.0, forcing=0.0, x0=1.0)
-        before = general_linear_solution(prob, g, 1.0, quad_n=10 ** 4)
-        after = general_linear_solution(prob, g, 1.5, quad_n=10 ** 4)
+        before = general_linear_solution(2.0, 0.0, 1.0, g, 1.0, quad_n=10 ** 4)
+        after = general_linear_solution(2.0, 0.0, 1.0, g, 1.5, quad_n=10 ** 4)
         assert before > 0.0
         assert after < 0.0
         # the jump multiplies the state by (1 - d*gap) = -1
@@ -267,9 +255,8 @@ class TestGeneralLinearSolution:
 
     def test_inadmissible_rejected(self):
         g = linear_driver(2.0, [1.0], [1.0])
-        prob = LinearProblem(damping=1.0, forcing=0.0, x0=1.0)
         with pytest.raises(ValueError):
-            general_linear_solution(prob, g, 1.5)
+            general_linear_solution(1.0, 0.0, 1.0, g, 1.5)
 
 
 def test_semigroup_property():
@@ -289,10 +276,9 @@ def test_semigroup_property():
 
 def test_all_solutions_start_at_x0():
     g = make_test_derivator(2, snap=0.1)
-    prob = LinearProblem(damping=0.4, forcing=0.9, x0=3.5)
     assert homogeneous_solution(0.4, 3.5, g, 0.0) == 3.5
     assert constant_linear_solution(0.4, 0.9, 3.5, g, 0.0) == 3.5
-    assert general_linear_solution(prob, g, 0.0) == 3.5
+    assert general_linear_solution(0.4, 0.9, 3.5, g, 0.0) == 3.5
     assert hat_exponential(0.4, g, 0.0) == 1.0
 
 
@@ -317,14 +303,13 @@ class TestClosedFormBits:
             assert value == float.fromhex(expected)
 
     def test_general_linear_solution(self):
-        prob = LinearProblem(damping=0.5, forcing=np.sin, x0=1.25)
-        value = general_linear_solution(prob, make_test_derivator(2), 7.3,
+        value = general_linear_solution(0.5, np.sin, 1.25,
+                                        make_test_derivator(2), 7.3,
                                         quad_n=1000)
         assert value == float.fromhex("0x1.48569eefb03b2p-3")
-        prob = LinearProblem(damping=lambda t: 0.3 * np.sin(t), forcing=0.7,
-                             x0=1.25)
         value = general_linear_solution(
-            prob, make_test_derivator(5, snap=0.1), 6.5, quad_n=1000)
+            lambda t: 0.3 * np.sin(t), 0.7, 1.25,
+            make_test_derivator(5, snap=0.1), 6.5, quad_n=1000)
         assert value == float.fromhex("0x1.8c3e01fa753e9p+2")
 
 
@@ -339,14 +324,12 @@ class TestClosedFormDomain:
         g = make_test_derivator(2)
         with pytest.raises(ValueError, match="<= 10.0"):
             hat_exponential(coef, g, t, quad_n=100)
-        prob = LinearProblem(damping=coef, forcing=0.7, x0=1.0)
         with pytest.raises(ValueError, match="<= 10.0"):
-            general_linear_solution(prob, g, t, quad_n=100)
+            general_linear_solution(coef, 0.7, 1.0, g, t, quad_n=100)
 
     def test_domain_ends_accepted(self):
         g = make_test_derivator(2)
-        prob = LinearProblem(damping=0.5, forcing=0.7, x0=1.0)
         assert hat_exponential(0.5, g, 0.0) == 1.0
         assert math.isfinite(hat_exponential(0.5, g, 10.0))
-        assert math.isfinite(general_linear_solution(prob, g, 10.0,
+        assert math.isfinite(general_linear_solution(0.5, 0.7, 1.0, g, 10.0,
                                                      quad_n=100))

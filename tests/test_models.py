@@ -175,6 +175,23 @@ class TestExactSolution:
         # continuous point
         assert exact(1.0, from_right=True) == pytest.approx(exact(1.0))
 
+    @pytest.mark.parametrize("from_right", [False, True])
+    @pytest.mark.parametrize("t", [-1.0, 11.0, math.nan, [2.0, 11.0, 3.0]],
+                             ids=["before", "after", "nan", "array"])
+    def test_time_outside_the_domain_rejected(self, t, from_right):
+        # unchecked, t = -1 would read generation -1: the last amplitude
+        exact = SilkwormSolution(PARAMS)
+        with pytest.raises(ValueError,
+                           match=r"outside the domain \[0, 10.0\]"):
+            exact(t, from_right=from_right)
+
+    @pytest.mark.parametrize("from_right", [False, True])
+    def test_closed_domain_and_empty_arrays_accepted(self, from_right):
+        exact = SilkwormSolution(PARAMS)
+        values = exact(np.array([0.0, 10.0]), from_right=from_right)
+        assert np.all(np.isfinite(values)) and values[0] == 8.0
+        assert exact(np.array([]), from_right=from_right).shape == (0,)
+
     def test_right_limits_bitwise_on_a_grid(self):
         # hex values of the right limits as the separate right-limit method
         # computed them, on a grid with moth-death (4, 9, 14), hatch (5, 10,

@@ -69,6 +69,12 @@ class TestOnePointRule:
         with pytest.raises(ValueError):
             plain_onepoint(lambda t: t, g, 0.5, 0.5)
 
+    @pytest.mark.parametrize("a, b", [(-0.5, 0.5), (0.5, 1.5)])
+    def test_rejects_interval_outside_the_domain(self, a, b):
+        g = identity_derivator(1.0)
+        with pytest.raises(ValueError, match=r"not inside \[0, 1.0\]"):
+            plain_onepoint(lambda t: t, g, a, b)
+
 
 class TestTrapezoidRule:
     def test_linear_integrand_exact(self):

@@ -11,8 +11,7 @@ from stieltjes_ode.derivator import (MAX_GRID_STEPS, Derivator,
                                      identity_derivator,
                                      make_silkworm_derivator,
                                      make_test_derivator)
-from stieltjes_ode.linear import (LinearProblem, general_linear_solution,
-                                  homogeneous_solution)
+from stieltjes_ode.linear import general_linear_solution, homogeneous_solution
 from stieltjes_ode.models import (SilkwormParams, make_linear_spec,
                                   make_silkworm_spec)
 from stieltjes_ode.solver import (GridMismatchError, IvpSpec, Partition,
@@ -403,8 +402,7 @@ class TestDifferential:
     def test_second_order_against_closed_form(self, problem):
         g, d, x0 = problem
         if d > 1.0:
-            exact = general_linear_solution(LinearProblem(d, 0.0, x0), g,
-                                            T_END)
+            exact = general_linear_solution(d, 0.0, x0, g, T_END)
         else:
             exact = homogeneous_solution(d, x0, g, T_END)
         errs = [abs(solve(make_linear_spec(d, x0),
@@ -433,6 +431,9 @@ class TestTrajectoryHistory:
         assert hist.integral(-3.0, 1.0) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             hist.integral(0.0, 1.5)
+        # an empty or reversed window, also one that clamps to empty
+        for lo, hi in ((0.5, 0.5), (0.7, 0.3), (-3.0, -1.0)):
+            assert hist.integral(lo, hi) == 0.0
 
     def test_both_ends_in_one_cell(self):
         nodes = np.array([0.0, 1.0, 2.0])
