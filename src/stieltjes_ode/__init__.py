@@ -26,7 +26,6 @@ from .models import (SilkwormParams, SilkwormSolution, make_linear_spec,
 from .analysis import (BoundConstants, ConvergenceCell, ErrorReport,
                        convergence_table, error_report, estimate_order,
                        format_convergence_csv, measure_constants,
-                       predictor_bound, right_limit_bound, theoretical_bounds,
-                       truncation_errors)
+                       theoretical_bounds, truncation_errors)
 
 __version__ = "0.1.0"

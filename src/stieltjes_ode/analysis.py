@@ -27,8 +27,6 @@ __all__ = [
     "truncation_errors",
     "measure_constants",
     "theoretical_bounds",
-    "predictor_bound",
-    "right_limit_bound",
     "estimate_order",
     "ConvergenceCell",
     "convergence_table",
@@ -101,7 +99,7 @@ def error_report(traj: Trajectory, exact: Callable) -> ErrorReport:
                        max_e_plus=max_e_plus)
 
 
-def truncation_errors(exact: Callable, spec: IvpSpec, part: Partition):
+def truncation_errors(spec: IvpSpec, part: Partition, exact: Callable):
     """Local truncation residuals of the exact solution in the scheme.
 
     Returns three arrays indexed by step (entry ``k`` belongs to node
@@ -209,32 +207,31 @@ def measure_constants(spec: IvpSpec, part: Partition,
 
 
 def theoretical_bounds(consts: BoundConstants, t: float, e0: float,
-                       truncation_max: float) -> float:
-    """A-priori corrector error bound at time ``t``.
+                       truncation_max: float) -> tuple[float, float, float]:
+    """A-priori bounds at time ``t`` on the corrector, predictor and
+    right-limit errors, at every node.
 
-    ``(1 + G2)^jumps * (|e0| + truncation_max / G1) * exp(G1 * t / h)``: the jump
-    factor amplifies once per discontinuity, the exponential propagates the
-    per-step growth over ``t/h`` steps.
+    The corrector bound is ``(1 + G2)^jumps * (|e0| + truncation_max / G1)
+    * exp(G1 * t / h)``: the jump factor amplifies once per discontinuity,
+    the exponential propagates the per-step growth over ``t/h`` steps.  The
+    predictor bound is that times ``exp(G4) * (1 + G5)``, the right-limit
+    bound that times ``1 + G3``.  An entry past the float range is ``inf``.
     """
     g1 = consts.g1
     if g1 == 0.0:
         raise ValueError(f"bound undefined: G1 = 0 (K2={consts.k2:.4g}, "
                          f"K3={consts.k3:.4g}, H={consts.lip:.4g})")
-    amplify = (1.0 + consts.g2) ** consts.num_jumps
-    return amplify * (abs(e0) + truncation_max / g1) * math.exp(g1 * t / consts.h)
-
-
-def predictor_bound(consts: BoundConstants, t: float, e0: float,
-                    truncation_max: float) -> float:
-    """Predictor companion of :func:`theoretical_bounds`, at every node."""
-    return (theoretical_bounds(consts, t, e0, truncation_max)
-            * math.exp(consts.g4) * (1.0 + consts.g5))
-
-
-def right_limit_bound(consts: BoundConstants, t: float, e0: float,
-                      truncation_max: float) -> float:
-    """Right-limit companion of :func:`theoretical_bounds`, at every node."""
-    return theoretical_bounds(consts, t, e0, truncation_max) * (1.0 + consts.g3)
+    try:
+        corrector = ((1.0 + consts.g2) ** consts.num_jumps
+                     * (abs(e0) + truncation_max / g1)
+                     * math.exp(g1 * t / consts.h))
+    except OverflowError:
+        corrector = math.inf
+    try:
+        predictor = corrector * math.exp(consts.g4) * (1.0 + consts.g5)
+    except OverflowError:
+        predictor = math.inf
+    return corrector, predictor, corrector * (1.0 + consts.g3)
 
 
 def estimate_order(h_values: Sequence[float], errors: Sequence[float]) -> float:
@@ -243,6 +240,8 @@ def estimate_order(h_values: Sequence[float], errors: Sequence[float]) -> float:
     e_arr = np.asarray(errors, dtype=float)
     if h_arr.size != e_arr.size or h_arr.size < 2:
         raise ValueError("need at least two (step, error) pairs")
+    if not (np.all(np.isfinite(h_arr)) and np.all(np.isfinite(e_arr))):
+        raise ValueError("steps and errors must be finite for a log-log fit")
     if np.any(h_arr <= 0.0) or np.any(e_arr <= 0.0):
         raise ValueError("steps and errors must be positive for a log-log fit")
     slope, _ = np.polyfit(np.log10(h_arr), np.log10(e_arr), 1)

@@ -189,7 +189,7 @@ def run_bounds(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         traj = solver.solve(spec, part)
         report = analysis.error_report(traj, exact)
-        _, _, resid_comb = analysis.truncation_errors(exact, spec, part)
+        _, _, resid_comb = analysis.truncation_errors(spec, part, exact)
         resid_max = float(np.max(np.abs(resid_comb)))
     measured = {"corrector error": report.max_e,
                 "predictor error": report.max_e_star,
@@ -200,12 +200,7 @@ def run_bounds(args) -> int:
         raise ValueError(f"non-finite maximum of the {', '.join(bad)} (the "
                          f"solution overflows the float range)")
     consts = analysis.measure_constants(spec, part, exact)
-    try:
-        bounds = (analysis.theoretical_bounds(consts, args.T, 0.0, resid_max),
-                  analysis.predictor_bound(consts, args.T, 0.0, resid_max),
-                  analysis.right_limit_bound(consts, args.T, 0.0, resid_max))
-    except OverflowError:
-        bounds = (math.inf,)
+    bounds = analysis.theoretical_bounds(consts, args.T, 0.0, resid_max)
     if not all(map(math.isfinite, bounds)):
         raise ValueError("the a-priori bound exceeds the float range "
                          f"(G1*T/h = {consts.g1 * args.T / args.h:.4g})")

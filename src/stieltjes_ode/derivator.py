@@ -102,6 +102,15 @@ def _check_domain_end(T):
         raise ValueError(f"domain end T must be positive and finite, got {T}")
 
 
+def _check_times(arr, T, closed_right=True):
+    """Reject a time outside ``[0, T]`` (``[0, T)`` unless ``closed_right``)."""
+    # ``min``/``max`` propagate NaN, which then fails both comparisons
+    if arr.size and not (arr.min() >= 0.0 and (
+            arr.max() <= T if closed_right else arr.max() < T)):
+        raise ValueError(f"time outside the domain [0, {T}"
+                         f"{']' if closed_right else ')'}")
+
+
 class Derivator:
     """Increasing left-continuous ``g`` on ``[0, T]`` with finite jumps.
 
@@ -185,15 +194,6 @@ class Derivator:
     def max_gap(self) -> float:
         return float(self.jump_gaps.max()) if self.jump_gaps.size else 0.0
 
-    def _check_domain(self, arr, closed_right=True):
-        # ``min``/``max`` propagate NaN, which then fails both comparisons
-        if arr.size and not (arr.min() >= 0.0 and (
-                arr.max() <= self.domain_end if closed_right
-                else arr.max() < self.domain_end)):
-            bracket = "]" if closed_right else ")"
-            raise ValueError(
-                f"time outside the domain [0, {self.domain_end}{bracket}")
-
     def _raw_continuous(self, arr):
         """``continuous_part(arr)`` as floats, through the one-entry memo.
 
@@ -237,7 +237,7 @@ class Derivator:
     def value(self, t):
         """``g(t)``: continuous part plus all gaps strictly before ``t``."""
         arr, scalar = _as_float_array(t)
-        self._check_domain(arr)
+        _check_times(arr, self.domain_end)
         out = (self._raw_continuous(arr) - self._c0
                + self._prefix_at(self._prefix, arr, "left"))
         return float(out) if scalar else out
@@ -247,7 +247,7 @@ class Derivator:
     def right_value(self, t):
         """Right limit ``g(t+)``; includes the gap at ``t`` itself."""
         arr, scalar = _as_float_array(t)
-        self._check_domain(arr, closed_right=False)
+        _check_times(arr, self.domain_end, closed_right=False)
         out = (self._raw_continuous(arr) - self._c0
                + self._prefix_at(self._prefix, arr, "right"))
         return float(out) if scalar else out
@@ -255,11 +255,13 @@ class Derivator:
     def jump_gap(self, t):
         """Gap ``g(t+) - g(t)``; zero when ``t`` is not a stored jump time.
 
-        Membership uses exact float equality against the constructor-provided
-        jump times, which are canonical and never recomputed.
+        Takes every ``t`` in the closed ``[0, T]``: no jump sits at ``T``,
+        so the gap there is zero.  Membership uses exact float equality
+        against the constructor-provided jump times, which are canonical and
+        never recomputed.
         """
         arr, scalar = _as_float_array(t)
-        self._check_domain(arr, closed_right=False)
+        _check_times(arr, self.domain_end)
         if self.jump_times.size == 0:
             out = np.zeros_like(arr)
             return float(out) if scalar else out

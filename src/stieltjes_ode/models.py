@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivator import _check_domain_end, _silkworm_base
+from .derivator import _check_domain_end, _check_times, _silkworm_base
 from .solver import IvpSpec, TrajectoryHistory
 
 __all__ = [
@@ -32,7 +32,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SilkwormParams:
-    """Decay rate ``c``, fecundity ``lam``, initial population and horizon.
+    """Decay rate ``c``, fecundity ``lam``, initial population and horizon,
+    all finite.
 
     ``lam = 0`` is allowed as the degenerate no-reproduction case (the
     population dies out after the first cycle); negative rates are not.
@@ -51,6 +52,8 @@ class SilkwormParams:
             raise ValueError(
                 f"fecundity lam must be nonnegative and finite, got {self.lam}")
         _check_domain_end(self.T)
+        if not math.isfinite(self.x0):
+            raise ValueError(f"initial value must be finite, got {self.x0}")
 
 
 def silkworm_rhs(t: float, x: float, history: TrajectoryHistory,
@@ -144,9 +147,7 @@ class SilkwormSolution:
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        # ``min``/``max`` propagate NaN, which then fails both comparisons
-        if arr.size and not (arr.min() >= 0.0 and arr.max() <= self.params.T):
-            raise ValueError(f"time outside the domain [0, {self.params.T}]")
+        _check_times(arr, self.params.T)
         k = np.floor(arr / 5.0).astype(int)
         offset = arr - 5.0 * k
         out = np.zeros_like(arr)
@@ -155,11 +156,10 @@ class SilkwormSolution:
             amps = self._amps[k[alive]]
             out[alive] = amps * np.exp(-self.params.c * _silkworm_base(offset[alive]))
         if from_right:
-            died = arr == 5.0 * k + 4.0
-            j = np.round(arr / 5.0).astype(int)
-            hatch = (arr == 5.0 * j) & (j >= 1)
-            out[hatch] = self._amps[j[hatch]]
-            out[died] = 0.0
+            # ``5.0 * k`` is exact and so is ``arr - 5.0 * k`` (Sterbenz)
+            hatch = (offset == 0.0) & (k >= 1)
+            out[hatch] = self._amps[k[hatch]]
+            out[offset == 4.0] = 0.0
         return float(out[0]) if scalar else out
 
 

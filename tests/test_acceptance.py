@@ -123,7 +123,7 @@ def test_criterion_4_truncation_bounds(linear_benchmark_grid):
     cells, _ = linear_benchmark_grid
     cell = cells[(2, 1e-2)]
     g, spec, part = cell["g"], cell["spec"], cell["part"]
-    pred, corr, comb = truncation_errors(cell["exact"], spec, part)
+    pred, corr, comb = truncation_errors(spec, part, cell["exact"])
     consts = measure_constants(spec, part, cell["exact"])
     H, K2, h = consts.lip, consts.k2, part.h
     ok_star = np.all(np.abs(pred) <= H * H * h * h)
@@ -190,10 +190,10 @@ def test_criterion_7_global_error_bound(linear_benchmark_grid):
     worst_margin = math.inf
     for (nj, h), cell in cells.items():
         g, spec, part = cell["g"], cell["spec"], cell["part"]
-        _, _, comb = truncation_errors(cell["exact"], spec, part)
+        _, _, comb = truncation_errors(spec, part, cell["exact"])
         consts = measure_constants(spec, part, cell["exact"])
-        bound = theoretical_bounds(consts, g.domain_end, 0.0,
-                                   float(np.max(np.abs(comb))))
+        bound, _, _ = theoretical_bounds(consts, g.domain_end, 0.0,
+                                         float(np.max(np.abs(comb))))
         holds = cell["report"].max_e <= bound
         ok &= holds
         worst_margin = min(worst_margin, bound / cell["report"].max_e)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from stieltjes_ode.analysis import (BoundConstants, convergence_table,
                                     error_report, estimate_order,
                                     format_convergence_csv, measure_constants,
-                                    predictor_bound, right_limit_bound,
                                     theoretical_bounds, truncation_errors)
 from stieltjes_ode.derivator import (identity_derivator,
                                      make_silkworm_derivator,
@@ -79,7 +78,7 @@ class TestTruncationErrors:
         g = make_test_derivator(2, snap=0.1)
         spec = IvpSpec(rhs=lambda t, x, hist: 0.0, x0=1.5)
         part = build_partition(g, 0.1)
-        pred, corr, comb = truncation_errors(constant(1.5), spec, part)
+        pred, corr, comb = truncation_errors(spec, part, constant(1.5))
         assert np.max(np.abs(pred)) == 0.0
         assert np.max(np.abs(corr)) == 0.0
         assert np.max(np.abs(comb)) == 0.0
@@ -89,7 +88,7 @@ class TestTruncationErrors:
         spec = IvpSpec(rhs=lambda t, x, hist: -x, x0=1.0)
         part = build_partition(g, 1e-2)
         exact = lambda t, from_right=False: np.exp(-np.asarray(t, dtype=float))
-        pred, corr, _ = truncation_errors(exact, spec, part)
+        pred, corr, _ = truncation_errors(spec, part, exact)
         consts = measure_constants(spec, part, exact)
         H, h = consts.lip, part.h
         assert np.max(np.abs(pred)) <= H * H * h * h
@@ -98,7 +97,7 @@ class TestTruncationErrors:
     def test_benchmark_bounds_pointwise(self):
         g, spec, exact = benchmark_setup()
         part = build_partition(g, 1e-2)
-        pred, corr, comb = truncation_errors(exact, spec, part)
+        pred, corr, comb = truncation_errors(spec, part, exact)
         consts = measure_constants(spec, part, exact)
         H, K2, h = consts.lip, consts.k2, part.h
         assert np.max(np.abs(pred)) <= H * H * h * h
@@ -112,7 +111,7 @@ class TestTruncationErrors:
         ratios = []
         for h in (1e-1, 1e-2, 1e-3):
             part = build_partition(g, h)
-            _, _, comb = truncation_errors(exact, spec, part)
+            _, _, comb = truncation_errors(spec, part, exact)
             ratios.append(np.max(np.abs(comb)) / h)
         assert ratios[2] < ratios[1] < ratios[0]
 
@@ -140,7 +139,7 @@ class TestExactProtocol:
         part = build_partition(g, 1e-2)
         traj = solve(spec, part)
         for run in (lambda exact: error_report(traj, exact),
-                    lambda exact: truncation_errors(exact, spec, part)):
+                    lambda exact: truncation_errors(spec, part, exact)):
             calls = []
             run(self.counting(g, calls))
             assert len(calls) == 2
@@ -172,7 +171,7 @@ class TestArrayProtocol:
 
     def analyse(self, g, spec, exact, h):
         part = build_partition(g, h)
-        resid = truncation_errors(exact, spec, part)
+        resid = truncation_errors(spec, part, exact)
         consts = measure_constants(spec, part, exact)
         return part, resid, consts
 
@@ -284,7 +283,8 @@ class TestBoundConstants:
         resid_max = 1e-4
         expected = (1 + c.g2) ** 2 * (resid_max / c.g1) * math.exp(
             c.g1 * 1.0 / 0.1)
-        assert theoretical_bounds(c, 1.0, 0.0, resid_max) == pytest.approx(expected)
+        bound, _, _ = theoretical_bounds(c, 1.0, 0.0, resid_max)
+        assert bound == pytest.approx(expected)
 
     def test_zero_constants_rejected(self):
         c = BoundConstants(k1=0.0, k2=0.0, k3=0.0, lip=0.0, h=0.1, num_jumps=0)
@@ -293,11 +293,15 @@ class TestBoundConstants:
 
     def test_companion_bounds_scale_the_corrector_bound(self):
         c = BoundConstants(k1=1.0, k2=1.0, k3=1.0, lip=1.0, h=0.1, num_jumps=2)
-        base = theoretical_bounds(c, 1.0, 0.0, 1e-4)
-        assert predictor_bound(c, 1.0, 0.0, 1e-4) == \
-            pytest.approx(base * math.exp(c.g4) * (1 + c.g5))
-        assert right_limit_bound(c, 1.0, 0.0, 1e-4) == \
-            pytest.approx(base * (1 + c.g3))
+        base, predictor, right_limit = theoretical_bounds(c, 1.0, 0.0, 1e-4)
+        assert predictor == pytest.approx(base * math.exp(c.g4) * (1 + c.g5))
+        assert right_limit == pytest.approx(base * (1 + c.g3))
+
+    def test_bounds_past_the_float_range_are_inf(self):
+        c = BoundConstants(k1=1.0, k2=10.0, k3=10.0, lip=10.0, h=0.1,
+                           num_jumps=2)
+        assert theoretical_bounds(c, 10.0, 0.0, 1e-4) == \
+            (math.inf, math.inf, math.inf)
 
 
 class TestEstimateOrder:
@@ -321,6 +325,15 @@ class TestEstimateOrder:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             estimate_order([1e-1, 1e-2], [1e-2, 0.0])
+
+    @pytest.mark.parametrize("steps, errors", [
+        ([1e-1, 1e-2], [math.nan, 1e-3]),
+        ([1e-1, 1e-2], [math.inf, 1e-3]),
+        ([math.inf, 1e-2], [1e-2, 1e-3]),
+    ])
+    def test_non_finite_rejected(self, steps, errors):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_order(steps, errors)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(1e-6, 1e6))

@@ -39,7 +39,9 @@ class TestSilkwormDriver:
     def test_right_value(self, silkworm, t, expected):
         assert silkworm.right_value(t) == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("t, expected", [(4.0, 1.0), (1.0, 0.0), (9.0, 1.0)])
+    # no jump sits at the domain end T = 10, so the gap there is zero
+    @pytest.mark.parametrize("t, expected", [(4.0, 1.0), (1.0, 0.0), (9.0, 1.0),
+                                             (10.0, 0.0)])
     def test_jump_gap(self, silkworm, t, expected):
         assert silkworm.jump_gap(t) == expected
 

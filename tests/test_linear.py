@@ -113,6 +113,19 @@ class TestTildeCoefficients:
             tilde_coefficients(1.0, 0.0, self.g, 1.0)
 
 
+class TestDomainEnd:
+    """No jump sits at the domain end, so the jump-adapted coefficients
+    there are the plain ones."""
+
+    def test_tilde_coefficients_at_domain_end(self):
+        g = make_test_derivator(2)
+        assert tilde_coefficients(0.5, 0.7, g, 10.0) == (0.5, 0.7)
+
+    def test_hat_transform_at_domain_end(self):
+        g = make_test_derivator(2)
+        assert hat_transform(0.5, g)(10.0) == 0.5
+
+
 class TestHomogeneousSolution:
     def test_classical_exponential_decay(self):
         g = identity_derivator(3.0)

@@ -77,6 +77,11 @@ class TestParams:
         with pytest.raises(ValueError):
             SilkwormParams(c=c, lam=lam, x0=1.0)
 
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_initial_population(self, x0):
+        with pytest.raises(ValueError, match="initial value must be finite"):
+            SilkwormParams(c=1.2, lam=1.1, x0=x0)
+
     def test_zero_fecundity_allowed(self):
         p = SilkwormParams(c=1.0, lam=0.0, x0=1.0)
         assert SilkwormSolution(p)(7.0) == 0.0
