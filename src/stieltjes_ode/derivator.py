@@ -37,9 +37,9 @@ MAX_GRID_STEPS = 10 ** 7
 # the continuous part is checked for monotonicity on this many uniform samples
 _MONOTONE_SAMPLES = 1025
 
-# grid points per block of the refinement oracle: about 256 kB per array.
-# One oracle block (``_ORACLE_BLOCK + 1`` points) is also the largest
-# argument ``Derivator`` keeps in its continuous-part memo.
+# grid points per block of the refinement oracle (``quadrature``): about
+# 256 kB per array.  One oracle block (``_ORACLE_BLOCK + 1`` points) is the
+# largest argument ``Derivator`` keeps in its continuous-part memo.
 _ORACLE_BLOCK = 2 ** 15
 
 
@@ -69,32 +69,6 @@ def _f_on_arrays(f, *arrays):
 def _is_sorted(arr):
     """1-d, two or more points, ``arr[1:] >= arr[:-1]`` (so no NaN)."""
     return arr.ndim == 1 and arr.size > 1 and (arr[1:] >= arr[:-1]).all()
-
-
-def _segment_grids(g, a, b, n):
-    """The pieces ``(lo, hi, m)`` of ``[a, b]`` cut at the jumps of ``g``
-    inside ``(a, b)``, with ``n`` subintervals shared out by length."""
-    interior, _ = g.jumps_in(np.nextafter(a, b), b)
-    cuts = np.concatenate(([a], interior, [b]))
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi > lo:
-            yield lo, hi, max(1, int(round(n * (hi - lo) / (b - a))))
-
-
-def _grid_block(lo, hi, m, start, stop):
-    """``np.linspace(lo, hi, m + 1)[start:stop + 1]``, bit for bit, without
-    building the rest of the grid."""
-    xs = np.arange(start, stop + 1, dtype=float)
-    width = hi - lo
-    if width / m == 0:  # numpy's order when a subnormal width underflows
-        xs /= m
-        xs *= width
-    else:
-        xs *= width / m
-    xs += lo
-    if stop == m:
-        xs[-1] = hi
-    return xs
 
 
 def _check_domain_end(T):
@@ -262,13 +236,10 @@ class Derivator:
         """
         arr, scalar = _as_float_array(t)
         _check_times(arr, self.domain_end)
-        if self.jump_times.size == 0:
-            out = np.zeros_like(arr)
-            return float(out) if scalar else out
+        # a sentinel past the last jump: NaN equals no time, its gap is 0
         idx = np.searchsorted(self.jump_times, arr, side="left")
-        idx_c = np.minimum(idx, self.jump_times.size - 1)
-        hit = (idx < self.jump_times.size) & (self.jump_times[idx_c] == arr)
-        out = np.where(hit, self.jump_gaps[idx_c], 0.0)
+        hit = np.append(self.jump_times, np.nan)[idx] == arr
+        out = np.where(hit, np.append(self.jump_gaps, 0.0)[idx], 0.0)
         return float(out) if scalar else out
 
     def measure(self, a, b):
@@ -294,14 +265,16 @@ class Derivator:
 
         Maximum of consecutive difference quotients on a uniform grid of
         4001 points, floored by the mean slope so it can never undershoot
-        the average.
+        the average.  Requires ``a < b``.
         """
         a, b = float(a), float(b)
+        if not a < b:
+            raise ValueError(f"need a < b for the interval [{a}, {b}]")
         ts = np.linspace(a, b, 4001)
         vals = self.continuous_value(ts)
         quots = np.abs(np.diff(vals)) / np.diff(ts)
-        mean_slope = abs(vals[-1] - vals[0]) / (b - a) if b > a else 0.0
-        return float(max(quots.max() if quots.size else 0.0, mean_slope))
+        mean_slope = abs(vals[-1] - vals[0]) / (b - a)
+        return float(max(quots.max(), mean_slope))
 
     def __repr__(self):
         return (f"Derivator(T={self.domain_end}, jumps={self.n_jumps}, "

@@ -20,7 +20,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .derivator import Derivator, _f_on_arrays, _segment_grids
+from .derivator import Derivator, _f_on_arrays
+from .quadrature import _grid_block, _piece_terms
 
 __all__ = [
     "check_admissibility",
@@ -126,11 +127,8 @@ def hat_exponential(c: Coefficient, g: Derivator, t: float,
     if not callable(c):
         log_mag += float(c) * g.continuous_value(t)
     else:
-        for lo, hi, m in _segment_grids(g, 0.0, t, quad_n):
-            xs = np.linspace(lo, hi, m + 1)
-            cv = g.continuous_value(xs)
-            fv = _f_on_arrays(c, xs)
-            log_mag += float(np.sum(0.5 * (fv[1:] + fv[:-1]) * np.diff(cv)))
+        for _, _, terms in _piece_terms(c, g, 0.0, t, quad_n):
+            log_mag += float(np.sum(terms))
     return (-1.0) ** flips * math.exp(log_mag)
 
 
@@ -203,19 +201,15 @@ def general_linear_solution(d: Coefficient, forcing: Coefficient, x0: float,
     log_mag = 0.0
     sign = 1.0
     forced = 0.0
-    # segment i ends at jump i, the last segment at t
-    for i, (lo, hi, m) in enumerate(_segment_grids(g, 0.0, t, quad_n)):
-        xs = np.linspace(lo, hi, m + 1)
-        cv = g.continuous_value(xs)
-        dv = _f_on_arrays(d_fun, xs)
-        hv = _f_on_arrays(h_fun, xs)
-        dc = np.diff(cv)
-        # cumulative integral of the hatted coefficient along the segment
-        phi = log_mag + np.concatenate(
-            ([0.0], np.cumsum(0.5 * (dv[1:] + dv[:-1]) * dc)))
-        e_hat = sign * np.exp(phi)
-        integrand = e_hat * hv
-        forced += float(np.sum(0.5 * (integrand[1:] + integrand[:-1]) * dc))
+    # piece i ends at jump i, the last piece at t
+    for i, (lo, hi, terms) in enumerate(_piece_terms(d_fun, g, 0.0, t,
+                                                     quad_n)):
+        # cumulative integral of the hatted coefficient along the piece
+        phi = log_mag + np.concatenate(([0.0], np.cumsum(terms)))
+        xs = _grid_block(lo, hi, terms.size, 0, terms.size)
+        integrand = sign * np.exp(phi) * _f_on_arrays(h_fun, xs)
+        forced += float(np.sum(0.5 * (integrand[1:] + integrand[:-1])
+                               * np.diff(g.continuous_value(xs))))
         log_mag = float(phi[-1])
         if i < len(times):
             s, gap = float(times[i]), float(gaps[i])

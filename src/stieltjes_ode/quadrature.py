@@ -17,7 +17,9 @@ for ``g``-Lipschitz integrands.  The plain rules read ``f`` in place of
 
 ``oracle_integral`` is an independent reference (jump sums plus a composite
 trapezoid refinement of the continuous part) used by the property suite, and
-``error_bound`` evaluates the worst-case bound attached to each rule.
+``error_bound`` evaluates the worst-case bound attached to each rule.  The
+oracle's blocked trapezoid, ``_piece_terms``, also serves the callable
+coefficients of ``linear.hat_exponential`` and ``general_linear_solution``.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .derivator import (_ORACLE_BLOCK, MAX_GRID_STEPS, Derivator,
-                        _f_on_arrays, _grid_block, _segment_grids,
-                        make_test_derivator)
+                        _f_on_arrays, make_test_derivator)
 
 __all__ = [
     "RuleKind",
@@ -102,34 +103,41 @@ def evaluate_rule(kind: RuleKind, f, f_right, g: Derivator, a: float,
     return total
 
 
-def oracle_integral(f, g: Derivator, a: float, b: float, n: int,
-                    f_right: Callable | None = None) -> float:
-    """Reference value of the measure integral of ``f`` over ``[a, b)``.
+def _grid_block(lo, hi, m, start, stop):
+    """``np.linspace(lo, hi, m + 1)[start:stop + 1]``, bit for bit, without
+    building the rest of the grid."""
+    xs = np.arange(start, stop + 1, dtype=float)
+    width = hi - lo
+    if width / m == 0:  # numpy's order when a subnormal width underflows
+        xs /= m
+        xs *= width
+    else:
+        xs *= width / m
+    xs += lo
+    if stop == m:
+        xs[-1] = hi
+    return xs
 
-    Exact jump sums plus a composite trapezoid of ``f`` against the
-    continuous part, with the ``n`` subintervals distributed over the
-    segments between interior jumps so the integrand is continuous inside
-    each segment.  A segment that starts at a jump time ``d`` of ``g`` (an
-    interior jump, or ``a`` itself) takes ``f_right(d) = f(d+)`` at its left
-    end; ``f_right`` defaults to ``f``, which is right when ``f`` is
-    right-continuous there.  The trapezoid is then second order in ``1/n``
-    on every segment.  It shares no code with the single-interval rules
-    above.
 
-    ``f`` and the continuous part are evaluated on blocks of
-    ``_ORACLE_BLOCK`` grid points, each built on its own (``np.linspace``'s
-    points), so the temporaries stay cache-sized and no whole grid is held;
-    each segment's trapezoid terms are summed once, in grid order.  When
-    ``f`` evaluates ``g`` on the block, ``continuous_value(block)`` is served
-    from the driver's memo, so the continuous part runs once per point.
+def _piece_terms(f, g: Derivator, a: float, b: float, n: int,
+                 f_right: Callable | None = None):
+    """Trapezoid terms of ``f`` against the continuous part, piece by piece.
+
+    ``[a, b]`` is cut at the jumps of ``g`` inside ``(a, b)``, and the ``n``
+    subintervals are shared out by length.  For each piece this yields
+    ``(lo, hi, terms)``, ``terms[i] = (f(x_i) + f(x_i+1))/2 * (gC(x_i+1) -
+    gC(x_i))`` on ``x = _grid_block(lo, hi, m, 0, m)`` (``np.linspace``'s
+    points); ``f_right(lo)``, when given, replaces ``f(lo)`` at a jump.
+    The grid is built and evaluated in blocks of ``_ORACLE_BLOCK`` points,
+    so no whole grid is held, and a ``continuous_value(block)`` after an
+    ``f`` that evaluates ``g`` is served from the driver's memo.
     """
-    _check_interval(g, a, b)
-    if not 1 <= n <= MAX_GRID_STEPS:
-        raise ValueError(f"need 1 <= n <= {MAX_GRID_STEPS} refinement "
-                         f"subintervals, got {n}")
-    times, gaps = g.jumps_in(a, b)
-    total = sum(_eval(f, d) * gap for d, gap in zip(times, gaps))
-    for lo, hi, m in _segment_grids(g, a, b, n):
+    interior, _ = g.jumps_in(np.nextafter(a, b), b)
+    cuts = np.concatenate(([a], interior, [b]))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if not hi > lo:
+            continue
+        m = max(1, int(round(n * (hi - lo) / (b - a))))
         right_start = f_right is not None and lo in g.jump_times
         terms = np.empty(m)
         for start in range(0, m, _ORACLE_BLOCK):
@@ -139,12 +147,33 @@ def oracle_integral(f, g: Derivator, a: float, b: float, n: int,
             if start == 0 and right_start:
                 # a copy: ``f`` may hand back its argument, the block
                 fv = np.concatenate(([_eval(f_right, lo)], fv[1:]))
-            cv = g.continuous_value(block)
-            # 0.5 * (fv[1:] + fv[:-1]) * diff(cv), written in place
+            # 0.5 * (fv[1:] + fv[:-1]) * diff(gC(block)), written in place
             out = terms[start:stop]
             np.add(fv[1:], fv[:-1], out=out)
             out *= 0.5
-            out *= np.diff(cv)
+            out *= np.diff(g.continuous_value(block))
+        yield lo, hi, terms
+
+
+def oracle_integral(f, g: Derivator, a: float, b: float, n: int,
+                    f_right: Callable | None = None) -> float:
+    """Reference value of the measure integral of ``f`` over ``[a, b)``.
+
+    Exact jump sums plus the composite trapezoid of ``_piece_terms`` on
+    ``n`` subintervals, each piece's terms summed once in grid order.  A
+    piece that starts at a jump time ``d`` (an interior jump, or ``a``
+    itself) takes ``f_right(d) = f(d+)`` at its left end; ``f_right``
+    defaults to ``f``, right when ``f`` is right-continuous there.  The
+    trapezoid is then second order in ``1/n`` on every piece.  It shares no
+    code with the single-interval rules above.
+    """
+    _check_interval(g, a, b)
+    if not 1 <= n <= MAX_GRID_STEPS:
+        raise ValueError(f"need 1 <= n <= {MAX_GRID_STEPS} refinement "
+                         f"subintervals, got {n}")
+    times, gaps = g.jumps_in(a, b)
+    total = sum(_eval(f, d) * gap for d, gap in zip(times, gaps))
+    for _, _, terms in _piece_terms(f, g, a, b, n, f_right):
         total += float(np.sum(terms))
     return total
 

@@ -4,10 +4,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stieltjes_ode import derivator
+from stieltjes_ode import derivator, quadrature
 from stieltjes_ode.derivator import (Derivator, from_descriptor,
                                      identity_derivator, make_phi,
                                      make_silkworm_derivator,
@@ -70,6 +70,24 @@ def test_identity_value():
     assert g.jump_gap(0.3) == 0.0 and isinstance(g.jump_gap(0.3), float)
     gaps = g.jump_gap(np.array([0.0, 0.5, 0.75]))
     assert gaps.shape == (3,) and not gaps.any()
+
+
+def test_jump_gap_on_an_array_past_the_last_jump():
+    g = make_test_derivator(3, snap=0.5)
+    ts = np.concatenate((g.jump_times, np.nextafter(g.jump_times, 0.0),
+                         np.nextafter(g.jump_times, 10.0), [0.0, 9.9, 10.0]))
+    expected = np.where(np.isin(ts, g.jump_times), 1.0, 0.0)
+    assert np.array_equal(g.jump_gap(ts), expected)
+    with pytest.raises(ValueError, match="outside the domain"):
+        g.jump_gap(10.5)
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 2.0), (3.0, 1.0), (math.nan, 1.0)])
+def test_lipschitz_estimate_rejects_an_empty_interval(a, b):
+    g = make_test_derivator(2)
+    with pytest.raises(ValueError, match=r"need a < b for the interval "
+                                         rf"\[{a}, {b}\]"):
+        g.estimate_continuous_lipschitz(a, b)
 
 
 def test_normalization_subtracts_continuous_offset():
@@ -246,10 +264,12 @@ def test_sorted_points_get_the_values_of_shuffled_ones(g):
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(0.0, 1.0))
+# a + 1.0 * (b - a) rounds one ulp above b here
+@example(1.587960687018485, 6.461490573246038, 1.0)
 def test_measure_additivity(a, b, frac):
     g = make_silkworm_derivator(10.0)
     a, b = min(a, b), max(a, b)
-    m = a + frac * (b - a)
+    m = min(a + frac * (b - a), b)
     total = g.measure(a, b)
     assert total == pytest.approx(g.measure(a, m) + g.measure(m, b), abs=1e-9)
     _, gaps = g.jumps_in(a, b)
@@ -439,17 +459,17 @@ class TestGridBlock:
 
     @staticmethod
     def check(lo, hi, m, start, stop):
-        block = derivator._grid_block(lo, hi, m, start, stop)
+        block = quadrature._grid_block(lo, hi, m, start, stop)
         expected = np.linspace(lo, hi, m + 1)[start:stop + 1]
         assert np.array_equal(bits(block), bits(expected))
 
     def test_every_block_of_a_long_grid(self):
         lo, hi, m = 0.0, 10.0, 10 ** 6
         full = np.linspace(lo, hi, m + 1)
-        size = derivator._ORACLE_BLOCK
+        size = quadrature._ORACLE_BLOCK
         for start in range(0, m, size):
             stop = min(start + size, m)
-            block = derivator._grid_block(lo, hi, m, start, stop)
+            block = quadrature._grid_block(lo, hi, m, start, stop)
             assert np.array_equal(bits(block), bits(full[start:stop + 1]))
 
     def test_random_pieces(self):

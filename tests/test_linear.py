@@ -325,6 +325,16 @@ class TestClosedFormBits:
             make_test_derivator(5, snap=0.1), 6.5, quad_n=1000)
         assert value == float.fromhex("0x1.8c3e01fa753e9p+2")
 
+    def test_multi_block_pieces(self):
+        # at the default quad_n each piece spans several blocks, so a change
+        # at a block boundary shows here
+        g = make_test_derivator(4, snap=0.1)
+        d = lambda t: 0.3 * np.sin(t)
+        value = general_linear_solution(d, np.cos, 1.25, g, 9.3)
+        assert value == float.fromhex("-0x1.e1008c2d2456dp-5")
+        assert hat_exponential(d, g, 9.3) == float.fromhex(
+            "0x1.4682e16a992ecp+0")
+
 
 class TestClosedFormDomain:
     """Both closed forms read their jumps through ``jumps_in``, which takes

@@ -6,8 +6,7 @@ import pytest
 
 from stieltjes_ode import quadrature
 from stieltjes_ode.derivator import (_ORACLE_BLOCK, MAX_GRID_STEPS, Derivator,
-                                     _f_on_arrays, _segment_grids,
-                                     identity_derivator,
+                                     _f_on_arrays, identity_derivator,
                                      make_silkworm_derivator,
                                      make_test_derivator)
 from stieltjes_ode.quadrature import (RuleKind, error_bound, evaluate_rule,
@@ -308,12 +307,14 @@ class TestOracleDriverEvaluations:
         f, f_right, _ = make_lipschitz_integrand(g, 0.7, -1.3)
         points[0] = 0
         oracle_integral(f, g, 0.5, 2.5, n, f_right)
+        count = points[0]
         # consecutive blocks of a segment share their end point
+        sizes = [terms.size for _, _, terms
+                 in quadrature._piece_terms(f, g, 0.5, 2.5, n)]
         grid = sum(min(start + _ORACLE_BLOCK, m) - start + 1
-                   for _, _, m in _segment_grids(g, 0.5, 2.5, n)
-                   for start in range(0, m, _ORACLE_BLOCK))
+                   for m in sizes for start in range(0, m, _ORACLE_BLOCK))
         # plus f(d) at both jumps and f_right(d) where their segments start
-        assert points[0] == grid + 4
+        assert count == grid + 4
 
 
 class TestErrorBound:
