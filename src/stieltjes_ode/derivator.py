@@ -106,11 +106,13 @@ class Derivator:
     -----
     ``value``, ``right_value`` and ``continuous_value`` remember the last
     array they passed to the continuous part, with its raw values, so the
-    refinement oracle's ``f(block)`` and ``continuous_value(block)``
-    evaluate the part once per point.  A remembered value is served only for
-    an argument of the same shape and the same bits (``-0.0`` and ``0.0``
-    differ, and so do NaN payloads), so an argument changed in place between
-    two calls gets fresh values.  Scalars, arrays of more than
+    refinement oracle's ``continuous_value(block)`` and, on a block without
+    flat steps, its ``f(block)`` evaluate the part once per point (on a
+    block with flat steps ``f`` reads only the ends of the live steps, a
+    smaller array that is evaluated afresh).  A remembered value is served
+    only for an argument of the same shape and the same bits (``-0.0`` and
+    ``0.0`` differ, and so do NaN payloads), so an argument changed in place
+    between two calls gets fresh values.  Scalars, arrays of more than
     ``_ORACLE_BLOCK + 1`` points and parts that return a view of their
     argument are never remembered.  The memo is one tuple of a private copy
     of the argument and the raw values, replaced whole and never handed
@@ -265,12 +267,14 @@ class Derivator:
 
         Maximum of consecutive difference quotients on a uniform grid of
         4001 points, floored by the mean slope so it can never undershoot
-        the average.  Requires ``a < b``.
+        the average.  Requires ``a < b``; on an interval too narrow for 4001
+        distinct floats the repeated points are dropped.
         """
         a, b = float(a), float(b)
         if not a < b:
             raise ValueError(f"need a < b for the interval [{a}, {b}]")
-        ts = np.linspace(a, b, 4001)
+        # ``unique`` leaves a strictly increasing grid as it is
+        ts = np.unique(np.linspace(a, b, 4001))
         vals = self.continuous_value(ts)
         quots = np.abs(np.diff(vals)) / np.diff(ts)
         mean_slope = abs(vals[-1] - vals[0]) / (b - a)

@@ -21,7 +21,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .derivator import Derivator, _f_on_arrays
-from .quadrature import _grid_block, _piece_terms
+from .quadrature import _check_refinement, _grid_block, _piece_terms
 
 __all__ = [
     "check_admissibility",
@@ -109,8 +109,11 @@ def hat_exponential(c: Coefficient, g: Derivator, t: float,
     over ``[0, t)`` (constant ``c`` evaluates in closed form, otherwise the
     continuous part is refined on ``quad_n`` subintervals); the sign flips
     once for every jump before ``t`` with ``1 + c*gap < 0``.  A ``t``
-    outside ``[0, T]`` raises ``ValueError``.
+    outside ``[0, T]``, or a ``quad_n`` that is not an integer in ``[1,
+    MAX_GRID_STEPS]`` (checked for a constant ``c`` too), raises
+    ``ValueError``.
     """
+    _check_refinement(quad_n, "quad_n")
     t = float(t)
     times, gaps = g.jumps_in(0.0, t)
     c_fun = _as_time_function(c)
@@ -191,8 +194,10 @@ def general_linear_solution(d: Coefficient, forcing: Coefficient, x0: float,
     ``d`` and ``forcing`` may be constants or callables of time.
     Evaluates the adapted-exponential representation with the continuous
     parts refined on ``quad_n`` subintervals (jump contributions are exact).
-    Requires ``d(t) * gap != 1`` at every jump and ``t`` in ``[0, T]``.
+    Requires ``d(t) * gap != 1`` at every jump, ``t`` in ``[0, T]`` and an
+    integer ``quad_n`` in ``[1, MAX_GRID_STEPS]``.
     """
+    _check_refinement(quad_n, "quad_n")
     _require_admissible(d, g, strict=False)
     t = float(t)
     d_fun = _as_time_function(d)

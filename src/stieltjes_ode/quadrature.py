@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -68,6 +69,15 @@ def _check_interval(g: Derivator, a: float, b: float):
         raise ValueError(f"need a < b, got a={a}, b={b}")
     if a < 0.0 or b > g.domain_end:
         raise ValueError(f"[{a}, {b}) not inside [0, {g.domain_end}]")
+
+
+def _check_refinement(n, name: str = "n"):
+    """Reject ``n`` unless it is an integer (not a bool) in ``[1,
+    MAX_GRID_STEPS]``; called before anything is allocated."""
+    if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+            or not 1 <= n <= MAX_GRID_STEPS):
+        raise ValueError(f"need an integer 1 <= {name} <= {MAX_GRID_STEPS} "
+                         f"refinement subintervals, got {n!r}")
 
 
 def _eval(f: Callable, x):
@@ -128,9 +138,13 @@ def _piece_terms(f, g: Derivator, a: float, b: float, n: int,
     ``(lo, hi, terms)``, ``terms[i] = (f(x_i) + f(x_i+1))/2 * (gC(x_i+1) -
     gC(x_i))`` on ``x = _grid_block(lo, hi, m, 0, m)`` (``np.linspace``'s
     points); ``f_right(lo)``, when given, replaces ``f(lo)`` at a jump.
-    The grid is built and evaluated in blocks of ``_ORACLE_BLOCK`` points,
-    so no whole grid is held, and a ``continuous_value(block)`` after an
-    ``f`` that evaluates ``g`` is served from the driver's memo.
+    A flat step (``gC(x_i+1) == gC(x_i)``) carries no measure: its term is
+    ``0.0`` and ``f`` is read only at the ends of the other steps, so it is
+    never called on a block that is flat throughout.  The grid is built and
+    evaluated in blocks of ``_ORACLE_BLOCK`` points, so no whole grid is
+    held, and the ``f(block)`` of a block without flat steps is served from
+    the driver's memo of ``continuous_value(block)`` when ``f`` evaluates
+    ``g``.
     """
     interior, _ = g.jumps_in(np.nextafter(a, b), b)
     cuts = np.concatenate(([a], interior, [b]))
@@ -139,19 +153,31 @@ def _piece_terms(f, g: Derivator, a: float, b: float, n: int,
             continue
         m = max(1, int(round(n * (hi - lo) / (b - a))))
         right_start = f_right is not None and lo in g.jump_times
-        terms = np.empty(m)
+        terms = np.zeros(m)
         for start in range(0, m, _ORACLE_BLOCK):
             stop = min(start + _ORACLE_BLOCK, m)
             block = _grid_block(lo, hi, m, start, stop)
-            fv = _f_on_arrays(f, block)
-            if start == 0 and right_start:
+            dgc = np.diff(g.continuous_value(block))
+            live = dgc != 0
+            if live.all():
+                fv = _f_on_arrays(f, block)
+                live = True  # a plain add below
+            elif live.any():
+                # ``f`` at the ends of the live steps only, 0 elsewhere
+                ends = np.append(live, False)
+                ends[1:] |= live
+                fv = np.zeros_like(block)
+                fv[ends] = _f_on_arrays(f, block[ends])
+            else:
+                continue
+            if start == 0 and right_start and dgc[0] != 0:
                 # a copy: ``f`` may hand back its argument, the block
                 fv = np.concatenate(([_eval(f_right, lo)], fv[1:]))
-            # 0.5 * (fv[1:] + fv[:-1]) * diff(gC(block)), written in place
+            # 0.5 * (fv[1:] + fv[:-1]) * dgc on the live steps, in place
             out = terms[start:stop]
-            np.add(fv[1:], fv[:-1], out=out)
+            np.add(fv[1:], fv[:-1], out=out, where=live)
             out *= 0.5
-            out *= np.diff(g.continuous_value(block))
+            out *= dgc
         yield lo, hi, terms
 
 
@@ -164,13 +190,15 @@ def oracle_integral(f, g: Derivator, a: float, b: float, n: int,
     piece that starts at a jump time ``d`` (an interior jump, or ``a``
     itself) takes ``f_right(d) = f(d+)`` at its left end; ``f_right``
     defaults to ``f``, right when ``f`` is right-continuous there.  The
-    trapezoid is then second order in ``1/n`` on every piece.  It shares no
-    code with the single-interval rules above.
+    trapezoid is then second order in ``1/n`` on every piece.  ``f`` is
+    ignored on a null set of ``dg^C``: it is read at the jump atoms and at
+    the ends of grid steps where ``g^C`` rises, never inside a flat stretch,
+    where it may even be NaN.  ``n`` must be an integer in ``[1,
+    MAX_GRID_STEPS]``.  The oracle shares no code with the single-interval
+    rules above.
     """
     _check_interval(g, a, b)
-    if not 1 <= n <= MAX_GRID_STEPS:
-        raise ValueError(f"need 1 <= n <= {MAX_GRID_STEPS} refinement "
-                         f"subintervals, got {n}")
+    _check_refinement(n)
     times, gaps = g.jumps_in(a, b)
     total = sum(_eval(f, d) * gap for d, gap in zip(times, gaps))
     for _, _, terms in _piece_terms(f, g, a, b, n, f_right):

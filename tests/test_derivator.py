@@ -90,6 +90,14 @@ def test_lipschitz_estimate_rejects_an_empty_interval(a, b):
         g.estimate_continuous_lipschitz(a, b)
 
 
+def test_lipschitz_estimate_on_a_sub_resolution_interval():
+    # one ulp wide: the 4001-point grid repeats its points, whose zero-width
+    # steps once gave 0/0 (a RuntimeWarning, an error under this suite)
+    g = make_test_derivator(4, snap=0.1)
+    assert math.isfinite(g.estimate_continuous_lipschitz(
+        1.0, np.nextafter(1.0, 2.0)))
+
+
 def test_normalization_subtracts_continuous_offset():
     g = Derivator(1.0, lambda t: np.asarray(t, dtype=float) + 5.0)
     assert g.value(0.0) == 0.0

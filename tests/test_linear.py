@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stieltjes_ode.derivator import (Derivator, identity_derivator,
-                                     make_test_derivator)
+from stieltjes_ode.derivator import (MAX_GRID_STEPS, Derivator,
+                                     identity_derivator, make_test_derivator)
 from stieltjes_ode.linear import (check_admissibility,
                                   constant_linear_solution,
                                   general_linear_solution, hat_exponential,
@@ -349,6 +349,16 @@ class TestClosedFormDomain:
             hat_exponential(coef, g, t, quad_n=100)
         with pytest.raises(ValueError, match="<= 10.0"):
             general_linear_solution(coef, 0.7, 1.0, g, t, quad_n=100)
+
+    @pytest.mark.parametrize("quad_n", [0, -5, 1.5, MAX_GRID_STEPS + 1])
+    @pytest.mark.parametrize("coef", [0.5, np.cos], ids=["constant", "callable"])
+    def test_bad_refinement_rejected(self, quad_n, coef):
+        # each of these used to run silently with one subinterval per piece
+        g = make_test_derivator(4, snap=0.1)
+        with pytest.raises(ValueError, match="quad_n"):
+            hat_exponential(coef, g, 9.3, quad_n=quad_n)
+        with pytest.raises(ValueError, match="quad_n"):
+            general_linear_solution(coef, 0.7, 1.0, g, 9.3, quad_n=quad_n)
 
     def test_domain_ends_accepted(self):
         g = make_test_derivator(2)

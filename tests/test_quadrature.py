@@ -289,32 +289,101 @@ class TestOracle:
             ratios = [x / y for x, y in zip(devs[:-1], devs[1:])]
             assert all(lo <= r <= hi for r in ratios), (fr, ratios)
 
+    def test_integrand_is_not_read_inside_flat_stretches(self):
+        # plateaus [2, 4] and [6, 8], each widened by the ramp's saturated end
+        g = make_test_derivator(2)
+        seen = []
+
+        def f(t):
+            arr = np.asarray(t, dtype=float)
+            if arr.ndim:  # the jump atoms are read one scalar at a time
+                seen.append(arr.copy())
+            return np.cos(arr)
+
+        a, b, n = 1.0, 9.0, 4000
+        oracle_integral(f, g, a, b, n)
+        read = np.concatenate(seen)
+        # the grid of each piece, as np.linspace builds it
+        idle, live_ends = [], []
+        for lo, hi, terms in quadrature._piece_terms(np.cos, g, a, b, n):
+            xs = np.linspace(lo, hi, terms.size + 1)
+            live = np.diff(g.continuous_value(xs)) != 0
+            ends = np.append(live, False) | np.append(False, live)
+            idle.append(xs[~ends])
+            live_ends.append(xs[ends])
+        idle = np.concatenate(idle)
+        assert idle.size > n // 2
+        assert not np.isin(read, idle).any()
+        assert np.isin(np.concatenate(live_ends), read).all()
+
+    def test_integrand_is_ignored_on_a_null_set_of_the_measure(self):
+        # NaN strictly inside the plateaus [2, 4] and [6, 8]; the one jump,
+        # at t = 5, sits on a ramp, so no atom reads the NaN either
+        g = make_test_derivator(1)
+        f, f_right, _ = make_lipschitz_integrand(g, 0.7, -1.3)
+
+        def f_nan(t):
+            arr = np.asarray(t, dtype=float)
+            plateau = ((arr > 2.0) & (arr < 4.0)) | ((arr > 6.0) & (arr < 8.0))
+            return np.where(plateau, np.nan, f(arr))
+
+        value = oracle_integral(f, g, 0.5, 9.5, 10 ** 4, f_right)
+        assert math.isfinite(value)
+        assert oracle_integral(f_nan, g, 0.5, 9.5, 10 ** 4, f_right) == value
+
 
 class TestOracleDriverEvaluations:
-    """The oracle's ``f(block)`` and ``continuous_value(block)`` share one
-    evaluation of the continuous part, through the driver's memo."""
+    """The oracle reads ``continuous_value(block)`` once per grid point.  On
+    a block without flat steps its ``f(block)`` shares that evaluation of
+    the continuous part, through the driver's memo; on a block with flat
+    steps ``f`` evaluates ``g`` afresh, but only at the ends of the steps
+    that carry measure."""
 
-    @pytest.mark.parametrize("n", [3000, 3 * _ORACLE_BLOCK])
-    def test_continuous_part_runs_once_per_block_point(self, n):
+    @staticmethod
+    def count_points(shape, n):
+        """Points the continuous part ``shape`` runs on in one oracle call,
+        the oracle's grid points, and the ends of live steps on blocks with
+        a flat step."""
         points = [0]
 
         def part(t):
             arr = np.asarray(t, dtype=float)
             points[0] += arr.size
-            return arr + 0.25 * np.sin(arr)
+            return shape(arr)
 
         g = Derivator(3.0, part, [1.0, 2.0], [0.5, 0.5])
         f, f_right, _ = make_lipschitz_integrand(g, 0.7, -1.3)
+        grid = ends = 0
+        for lo, hi, terms in quadrature._piece_terms(f, g, 0.5, 2.5, n):
+            m = terms.size
+            # consecutive blocks of a segment share their end point
+            for start in range(0, m, _ORACLE_BLOCK):
+                block = quadrature._grid_block(
+                    lo, hi, m, start, min(start + _ORACLE_BLOCK, m))
+                live = np.diff(g.continuous_value(block)) != 0
+                grid += block.size
+                if not live.all():
+                    ends += (np.append(live, False)
+                             | np.append(False, live)).sum()
         points[0] = 0
         oracle_integral(f, g, 0.5, 2.5, n, f_right)
-        count = points[0]
-        # consecutive blocks of a segment share their end point
-        sizes = [terms.size for _, _, terms
-                 in quadrature._piece_terms(f, g, 0.5, 2.5, n)]
-        grid = sum(min(start + _ORACLE_BLOCK, m) - start + 1
-                   for m in sizes for start in range(0, m, _ORACLE_BLOCK))
-        # plus f(d) at both jumps and f_right(d) where their segments start
-        assert count == grid + 4
+        # less f(d) at both jumps and f_right(d) where their segments start
+        return points[0] - 4, grid, ends
+
+    @pytest.mark.parametrize("n", [3000, 3 * _ORACLE_BLOCK])
+    def test_continuous_part_runs_once_per_block_point(self, n):
+        count, grid, ends = self.count_points(
+            lambda t: t + 0.25 * np.sin(t), n)
+        assert (count, ends) == (grid, 0)
+
+    @pytest.mark.parametrize("n", [3000, 6 * _ORACLE_BLOCK])
+    def test_flat_steps_add_only_the_ends_of_live_steps(self, n):
+        # slope 1 except on [1.1, 1.9]; at the larger n the middle segment
+        # has a block that is flat throughout and two with flat steps
+        count, grid, ends = self.count_points(
+            lambda t: np.minimum(t, 1.1) + np.maximum(t - 1.9, 0.0), n)
+        assert 0 < ends < grid / 2
+        assert count == grid + ends
 
 
 class TestErrorBound:
@@ -451,9 +520,24 @@ def exact_lipschitz_integral(g, c1, c2, a, b):
     return total
 
 
+# oracle values of the first 20 default bound-suite cases, captured before the
+# oracle stopped reading the integrand on flat steps of the driver
+BOUND_SUITE_ORACLE_BITS = [
+    "-0x1.71cfb2f186a1cp+0", "0x0.0p+0", "-0x1.59d1297c630f6p+0",
+    "-0x1.1d19c64deac79p-48", "0x0.0p+0", "0x0.0p+0",
+    "-0x1.0b4185ac60e5fp-7", "-0x1.59da4fab7f2d6p-43", "0x0.0p+0",
+    "-0x1.247f37524d3f8p-13", "0x1.386bcb78b0dafp-16",
+    "-0x1.30b9d06ac8146p-5", "0x0.0p+0", "0x1.185da70310b67p-30",
+    "-0x1.56685bd3c852ep+1", "0x1.826a9300c2b3cp+0", "0x1.bacb971729032p+2",
+    "-0x1.27ca5792956b1p-1", "0x0.0p+0", "-0x1.2ca7f9aa980aap+2",
+]
+
+
 def test_oracle_matches_the_closed_form_on_the_bound_suite():
     # replay the draws of the first 20 default cases, kind draw included
     rows = run_bound_suite(num_cases=20, n_oracle=10 ** 6, seed=20240)
+    # .hex() also tells 0.0 from -0.0
+    assert [row["oracle"].hex() for row in rows] == BOUND_SUITE_ORACLE_BITS
     rng = np.random.default_rng(20240)
     kinds = list(RuleKind)
     for row in rows:
