@@ -244,6 +244,8 @@ def estimate_order(h_values: Sequence[float], errors: Sequence[float]) -> float:
         raise ValueError("steps and errors must be finite for a log-log fit")
     if np.any(h_arr <= 0.0) or np.any(e_arr <= 0.0):
         raise ValueError("steps and errors must be positive for a log-log fit")
+    if h_arr.min() == h_arr.max():
+        raise ValueError("need at least two distinct steps for a log-log fit")
     slope, _ = np.polyfit(np.log10(h_arr), np.log10(e_arr), 1)
     return float(slope)
 
@@ -277,19 +279,16 @@ def convergence_table(spec: IvpSpec, drivers: Sequence[Derivator],
     for g in drivers:
         exact = exact_factory(g)
         for h in h_values:
-            cell = ConvergenceCell(num_jumps=g.n_jumps, h=h)
             try:
                 part = build_partition(g, h)
                 traj = solve(spec, part)
                 report = error_report(traj, exact)
             except GridMismatchError as exc:
-                cell.failed = True
-                cell.reason = str(exc)
+                cells.append(ConvergenceCell(g.n_jumps, h, failed=True,
+                                             reason=str(exc)))
             else:
-                cell.max_e_star = report.max_e_star
-                cell.max_e = report.max_e
-                cell.max_e_plus = report.max_e_plus
-            cells.append(cell)
+                cells.append(ConvergenceCell(g.n_jumps, h, report.max_e_star,
+                                             report.max_e, report.max_e_plus))
     return cells
 
 

@@ -106,11 +106,7 @@ def run_linear_convergence(args) -> int:
             raise ValueError(f"the error maximum of the cell jumps={c.num_jumps}, "
                              f"h={c.h:g} is not finite (the solution "
                              f"overflows the float range)")
-    if args.format == "json":
-        payload = [vars(c) for c in cells]
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
-    else:
-        _write_text(args.out, analysis.format_convergence_csv(cells))
+    # a table whose orders cannot be fitted exits 2 before its file is written
     for nj in (g.n_jumps for g in drivers):
         rows = [c for c in cells if c.num_jumps == nj and not c.failed]
         if len(rows) >= 2:
@@ -120,6 +116,11 @@ def run_linear_convergence(args) -> int:
                                                  [c.max_e_star for c in rows])
             print(f"jumps={nj}: measured corrector order {order_e:.3f}, "
                   f"predictor order {order_star:.3f}")
+    if args.format == "json":
+        payload = [vars(c) for c in cells]
+        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+    else:
+        _write_text(args.out, analysis.format_convergence_csv(cells))
     print(f"wrote {args.out}")
     return 0
 
@@ -237,18 +238,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Experiment runner for the jump-driven ODE scheme")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("linear-convergence",
+    benchmark = argparse.ArgumentParser(add_help=False)
+    benchmark.add_argument("--d", type=float, default=-0.5)
+    benchmark.add_argument("--x0", type=float, default=1.0)
+    benchmark.add_argument("--alpha", type=float, default=4.0)
+    benchmark.add_argument("--T", type=float, default=10.0)
+    benchmark.add_argument("--snap", type=float, default=0.1,
+                           help="grid the jump times are rounded to")
+
+    p = sub.add_parser("linear-convergence", parents=[benchmark],
                        help="error table for the linear benchmark")
     p.add_argument("--jumps", default="2,4,6,8,10",
                    help="comma-separated jump counts")
     p.add_argument("--h", default="1e-1,1e-2,1e-3,1e-4,1e-5",
                    help="comma-separated steps")
-    p.add_argument("--d", type=float, default=-0.5)
-    p.add_argument("--x0", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=4.0)
-    p.add_argument("--T", type=float, default=10.0)
-    p.add_argument("--snap", type=float, default=0.1,
-                   help="grid the jump times are rounded to")
     p.add_argument("--derivator", default=None,
                    help="JSON descriptor (inline or path) overriding the default driver")
     p.add_argument("--out", default="linear_convergence.csv")
@@ -272,15 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="quadrature_check.csv")
     p.set_defaults(func=run_quadrature_check)
 
-    p = sub.add_parser("bounds",
+    p = sub.add_parser("bounds", parents=[benchmark],
                        help="measured constants vs the a-priori error bounds")
     p.add_argument("--jumps", type=int, default=2)
     p.add_argument("--h", type=float, default=1e-2)
-    p.add_argument("--d", type=float, default=-0.5)
-    p.add_argument("--x0", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=4.0)
-    p.add_argument("--T", type=float, default=10.0)
-    p.add_argument("--snap", type=float, default=0.1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=run_bounds)
 

@@ -218,8 +218,6 @@ class Derivator:
                + self._prefix_at(self._prefix, arr, "left"))
         return float(out) if scalar else out
 
-    __call__ = value
-
     def right_value(self, t):
         """Right limit ``g(t+)``; includes the gap at ``t`` itself."""
         arr, scalar = _as_float_array(t)
@@ -290,7 +288,7 @@ class Derivator:
 
 def identity_derivator(T: float) -> Derivator:
     """Classical time: ``g(t) = t`` with no jumps."""
-    return Derivator(T, lambda t: np.asarray(t, dtype=float))
+    return Derivator(T, _BUILTIN_CONTINUOUS["identity"])
 
 
 def make_phi(alpha: float) -> Callable:

@@ -326,6 +326,17 @@ class TestEstimateOrder:
         with pytest.raises(ValueError):
             estimate_order([1e-1, 1e-2], [1e-2, 0.0])
 
+    @pytest.mark.parametrize("steps", [[0.1, 0.1], [1e-2, 1e-2, 1e-2]])
+    def test_repeated_steps_rejected(self, steps):
+        # one distinct step fixes no slope: numpy's fit would warn and
+        # return a number anyway
+        with pytest.raises(ValueError, match="two distinct steps"):
+            estimate_order(steps, [1e-2 * (k + 1) for k in range(len(steps))])
+
+    def test_one_repeated_step_among_others_fits(self):
+        assert estimate_order([1e-1, 1e-1, 1e-2], [1e-2, 1e-2, 1e-4]
+                              ) == pytest.approx(2.0)
+
     @pytest.mark.parametrize("steps, errors", [
         ([1e-1, 1e-2], [math.nan, 1e-3]),
         ([1e-1, 1e-2], [math.inf, 1e-3]),
