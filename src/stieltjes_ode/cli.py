@@ -79,6 +79,10 @@ def run_linear_convergence(args) -> int:
     jump_counts = _parse_list(args.jumps, "jump-count", int)
 
     if args.derivator is not None:
+        if args.driver_flags:
+            flags = ", ".join(dict.fromkeys(args.driver_flags))
+            raise ValueError(f"--derivator replaces the test driver, so "
+                             f"{flags} would be ignored; drop them")
         built = [_load_derivator(args.derivator)]
     else:
         built = (derivator.make_test_derivator(nj, alpha=args.alpha, T=args.T,
@@ -232,6 +236,14 @@ def run_bounds(args) -> int:
 # -- wiring ------------------------------------------------------------------
 
 
+class _DriverFlag(argparse.Action):
+    """Store a flag of the test driver and note it in ``driver_flags``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.driver_flags += (self.option_strings[0],)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stieltjes-ode",
@@ -241,14 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
     benchmark = argparse.ArgumentParser(add_help=False)
     benchmark.add_argument("--d", type=float, default=-0.5)
     benchmark.add_argument("--x0", type=float, default=1.0)
-    benchmark.add_argument("--alpha", type=float, default=4.0)
-    benchmark.add_argument("--T", type=float, default=10.0)
+    benchmark.add_argument("--alpha", type=float, default=4.0,
+                           action=_DriverFlag)
+    benchmark.add_argument("--T", type=float, default=10.0,
+                           action=_DriverFlag)
     benchmark.add_argument("--snap", type=float, default=0.1,
+                           action=_DriverFlag,
                            help="grid the jump times are rounded to")
+    benchmark.set_defaults(driver_flags=())
 
     p = sub.add_parser("linear-convergence", parents=[benchmark],
                        help="error table for the linear benchmark")
-    p.add_argument("--jumps", default="2,4,6,8,10",
+    p.add_argument("--jumps", default="2,4,6,8,10", action=_DriverFlag,
                    help="comma-separated jump counts")
     p.add_argument("--h", default="1e-1,1e-2,1e-3,1e-4,1e-5",
                    help="comma-separated steps")

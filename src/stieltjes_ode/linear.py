@@ -194,6 +194,8 @@ def general_linear_solution(d: Coefficient, forcing: Coefficient, x0: float,
     ``d`` and ``forcing`` may be constants or callables of time.
     Evaluates the adapted-exponential representation with the continuous
     parts refined on ``quad_n`` subintervals (jump contributions are exact).
+    ``forcing`` is read at the jumps and at the ends of grid steps where
+    ``g^C`` rises, never inside a flat stretch, where it may even be NaN.
     Requires ``d(t) * gap != 1`` at every jump, ``t`` in ``[0, T]`` and an
     integer ``quad_n`` in ``[1, MAX_GRID_STEPS]``.
     """
@@ -212,9 +214,15 @@ def general_linear_solution(d: Coefficient, forcing: Coefficient, x0: float,
         # cumulative integral of the hatted coefficient along the piece
         phi = log_mag + np.concatenate(([0.0], np.cumsum(terms)))
         xs = _grid_block(lo, hi, terms.size, 0, terms.size)
-        integrand = sign * np.exp(phi) * _f_on_arrays(h_fun, xs)
-        forced += float(np.sum(0.5 * (integrand[1:] + integrand[:-1])
-                               * np.diff(g.continuous_value(xs))))
+        dgc = np.diff(g.continuous_value(xs))
+        # the integrand at the ends of the steps where g^C rises, 0 elsewhere
+        live = dgc != 0
+        ends = np.append(live, False)
+        ends[1:] |= live
+        integrand = np.zeros_like(xs)
+        integrand[ends] = (sign * np.exp(phi[ends])
+                           * _f_on_arrays(h_fun, xs[ends]))
+        forced += float(np.sum(0.5 * (integrand[1:] + integrand[:-1]) * dgc))
         log_mag = float(phi[-1])
         if i < len(times):
             s, gap = float(times[i]), float(gaps[i])

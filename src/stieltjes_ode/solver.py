@@ -140,7 +140,10 @@ class IvpSpec:
     ``x``; ``history`` is the trajectory computed so far (ignore it for
     plain ``f(t, x)`` problems).  ``rhs_right`` evaluates the right limit
     ``f(t+, x)`` and defaults to ``rhs``, which is valid whenever
-    ``f(., x)`` is right-continuous at the jump times.
+    ``f(., x)`` is right-continuous at the jump times.  Inside a long run
+    of flat steps (no jump, no continuous measure) neither is called while
+    the state is nonzero, so they may be NaN, infinite or raising there;
+    see :func:`solve`.
     """
 
     rhs: Callable
@@ -205,8 +208,25 @@ class Trajectory:
     predictor_values: np.ndarray
 
 
-def _run_scheme(spec: IvpSpec, part: Partition, rho_plus, rho_star,
-                rho) -> Trajectory:
+# a carried run costs ~2 us, a step ~0.8 us: carrying every flat run made
+# alternating flat and live steps 2.8x slower (1e5 steps, 0.26 s vs 0.09 s)
+_MIN_CARRIED_RUN = 16
+
+
+def _carried_runs(part: Partition, rhos) -> list[tuple[int, int]]:
+    """``(a, b)`` of each maximal run of at least ``_MIN_CARRIED_RUN`` flat
+    steps ``a .. b-1``: no jump, no continuous measure and no perturbation,
+    so every weight of the scheme is zero on them."""
+    flat = (part.gaps[:-1] == 0.0) & (part.dg == 0.0)
+    for r in rhos:
+        flat &= r == 0.0
+    edges = np.flatnonzero(np.diff(flat, prepend=False, append=False))
+    starts, stops = edges[::2], edges[1::2]
+    long = stops - starts >= _MIN_CARRIED_RUN
+    return list(zip(starts[long].tolist(), stops[long].tolist()))
+
+
+def _run_scheme(spec: IvpSpec, part: Partition, rhos=()) -> Trajectory:
     n_steps = part.n_steps
     values = np.empty(n_steps + 1)
     right_values = np.empty(n_steps)
@@ -217,38 +237,65 @@ def _run_scheme(spec: IvpSpec, part: Partition, rho_plus, rho_star,
     history = TrajectoryHistory(part.nodes, values, part.h, 1)
     # memoryviews hand out and take Python floats: the same IEEE arithmetic
     # as numpy scalars, at a fraction of the cost per element
-    nodes = memoryview(part.nodes)
+    nodes, gaps, dgs = map(memoryview, (part.nodes, part.gaps, part.dg))
+    views = [memoryview(r) for r in rhos]
+    # -0.0 is the additive identity of IEEE floats, signed zeros included
+    unperturbed = [repeat(-0.0)] * 3
     out_u, out_plus, out_star = map(memoryview, (values, right_values,
                                                  predictor_values))
     u_k = out_u[0]
-    for k, (t_k, t_next, gap, dg, r_plus, r_star, r) in enumerate(zip(
-            nodes, nodes[1:], memoryview(part.gaps), memoryview(part.dg),
-            rho_plus, rho_star, rho)):
-        try:
-            u_plus = u_k + rhs(t_k, u_k, history) * gap + r_plus
-            f_plus = rhs_right(t_k, u_plus, history)
-            u_star = u_plus + f_plus * dg + r_star
-            f_star = rhs(t_next, u_star, history)
-        except Exception as exc:
-            raise RuntimeError(
-                f"right-hand side evaluation failed at node {k} "
-                f"(step to t={t_next}): {exc}") from exc
-        u_k = u_plus + 0.5 * (f_plus + f_star) * dg + r
-        if not math.isfinite(u_k):
-            raise FloatingPointError(
-                f"state became non-finite stepping to node {k + 1} "
-                f"(t={t_next}); aborting")
-        out_plus[k] = u_plus
-        out_star[k] = u_star
-        out_u[k + 1] = u_k
-        history.filled = k + 2
+    lo = 0
+    # the steps up to each carried run, then those after the last one
+    for a, b in [*_carried_runs(part, rhos), (n_steps, n_steps)]:
+        perturbations = [v[lo:a] for v in views] or unperturbed
+        for k, (t_k, t_next, gap, dg, r_plus, r_star, r) in enumerate(zip(
+                nodes[lo:a], nodes[lo + 1:a + 1], gaps[lo:a], dgs[lo:a],
+                *perturbations), lo):
+            try:
+                u_plus = u_k + rhs(t_k, u_k, history) * gap + r_plus
+                f_plus = rhs_right(t_k, u_plus, history)
+                u_star = u_plus + f_plus * dg + r_star
+                f_star = rhs(t_next, u_star, history)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"right-hand side evaluation failed at node {k} "
+                    f"(step to t={t_next}): {exc}") from exc
+            u_k = u_plus + 0.5 * (f_plus + f_star) * dg + r
+            if not math.isfinite(u_k):
+                raise FloatingPointError(
+                    f"state became non-finite stepping to node {k + 1} "
+                    f"(t={t_next}); aborting")
+            out_plus[k] = u_plus
+            out_star[k] = u_star
+            out_u[k + 1] = u_k
+            history.filled = k + 2
+        if u_k == 0.0:
+            # stepped through: a flat step turns a -0.0 state into +0.0
+            lo = a
+            continue
+        # u_k + f * 0.0 is u_k for any finite f: no right-hand side is read
+        values[a + 1:b + 1] = u_k
+        right_values[a:b] = u_k
+        predictor_values[a:b] = u_k
+        history.filled = b + 1
+        lo = b
     return Trajectory(part, values, right_values, predictor_values)
 
 
 def solve(spec: IvpSpec, part: Partition) -> Trajectory:
-    """Run the scheme over the whole partition; deterministic."""
-    # -0.0 is the additive identity of IEEE floats, signed zeros included
-    return _run_scheme(spec, part, repeat(-0.0), repeat(-0.0), repeat(-0.0))
+    """Run the scheme over the whole partition; deterministic.
+
+    A step with ``gap(t_k) = 0`` and ``dg_k = 0`` is flat: every weight of
+    the scheme is zero on it, so a nonzero state carries over unchanged.
+    On a run of at least ``_MIN_CARRIED_RUN`` (16) flat steps that starts
+    from a nonzero state, the state is carried across without evaluating
+    the right-hand side: the steps next to the run read it at the run's two
+    end nodes only, and inside the run it may be NaN, infinite or raising
+    without aborting the solve.  Every finite right-hand side gives the
+    bits of the step-by-step scheme, and a zero state (either sign) is
+    stepped through as usual.
+    """
+    return _run_scheme(spec, part)
 
 
 def solve_perturbed(spec: IvpSpec, part: Partition, rho_plus, rho_star,
@@ -258,11 +305,11 @@ def solve_perturbed(spec: IvpSpec, part: Partition, rho_plus, rho_star,
     ``rho_plus[k]`` lands on ``u_k+`` (k = 0..N), ``rho_star[k]`` on
     ``u*_{k+1}`` and ``rho[k]`` on ``u_{k+1}``; all three sequences must
     have length ``N + 1``.  Zero perturbations reproduce :func:`solve`
-    exactly.
+    exactly; a step with a nonzero perturbation is never carried.
     """
     n = part.n_steps
     rhos = [np.asarray(r, dtype=float) for r in (rho_plus, rho_star, rho)]
     for name, arr in zip(("rho_plus", "rho_star", "rho"), rhos):
         if arr.shape != (n,):
             raise ValueError(f"{name} must have length {n}, got {arr.shape}")
-    return _run_scheme(spec, part, *map(memoryview, rhos))
+    return _run_scheme(spec, part, rhos)

@@ -329,6 +329,12 @@ MALFORMED = [
      "--out", "missing/x.csv"],
     ["bounds", "--out", "missing/x.csv"],
     ["linear-convergence", "--derivator", "."],
+    # the flags of the test driver would be ignored next to --derivator,
+    # even at their default values
+    ["linear-convergence", "--derivator", '{"kind": "test", "num_jumps": 1}',
+     "--T", "7", "--snap", "0.3", "--alpha", "9", "--jumps", "5"],
+    ["linear-convergence", "--derivator", '{"kind": "test", "num_jumps": 1}',
+     "--T", "10"],
     ["linear-convergence", "--derivator", "bad.json"],
     # rejected by name before any jump time is allocated
     ["bounds", "--jumps", "1000000000"],
@@ -361,6 +367,9 @@ def test_malformed_input_exits_with_one_line(args, tmp_path):
         assert done.stdout == ""
     if "bad.json" in args:
         assert "file 'bad.json'" in done.stderr
+    if "--derivator" in args:
+        given = [a for a in ("--T", "--snap", "--alpha", "--jumps") if a in args]
+        assert all(a in done.stderr for a in given)
     if "1000000000" in args:
         assert done.returncode == 2
         assert "num_jumps=1000000000" in done.stderr

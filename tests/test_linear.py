@@ -10,7 +10,7 @@ from stieltjes_ode.linear import (check_admissibility,
                                   general_linear_solution, hat_exponential,
                                   hat_transform, homogeneous_solution,
                                   tilde_coefficients)
-from stieltjes_ode.quadrature import oracle_integral
+from stieltjes_ode.quadrature import _piece_terms, oracle_integral
 from stieltjes_ode.solver import IvpSpec, build_partition, solve
 
 
@@ -334,6 +334,31 @@ class TestClosedFormBits:
         assert value == float.fromhex("-0x1.e1008c2d2456dp-5")
         assert hat_exponential(d, g, 9.3) == float.fromhex(
             "0x1.4682e16a992ecp+0")
+
+    def test_forcing_is_read_only_where_the_driver_rises(self):
+        # the case above, with a forcing that is NaN strictly inside the
+        # plateaus [2, 4] and [6, 8] and counts the points it is read at
+        g = make_test_derivator(4, snap=0.1)
+        d = lambda t: 0.3 * np.sin(t)
+        seen = []
+
+        def forcing(t):
+            arr = np.asarray(t, dtype=float)
+            seen.append(arr.ravel().copy())
+            plateau = ((arr > 2.0) & (arr < 4.0)) | ((arr > 6.0) & (arr < 8.0))
+            return np.where(plateau, np.nan, np.cos(arr))
+
+        value = general_linear_solution(d, forcing, 1.25, g, 9.3)
+        assert value == float.fromhex("-0x1.e1008c2d2456dp-5")
+        # the ends of the grid steps where g^C rises, plus the four jumps
+        want = g.n_jumps
+        for lo, hi, terms in _piece_terms(d, g, 0.0, 9.3, 10 ** 6):
+            xs = np.linspace(lo, hi, terms.size + 1)
+            live = np.diff(g.continuous_value(xs)) != 0
+            want += int(np.count_nonzero(np.append(live, False)
+                                         | np.append(False, live)))
+        assert sum(map(len, seen)) == want
+        assert want < 600_000  # of 1_000_006 grid points and 4 jumps
 
 
 class TestClosedFormDomain:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -334,9 +335,9 @@ def silkworm_case():
     return spec, build_partition(make_silkworm_derivator(10.0), 1e-2)
 
 
-def linear_case(d, h=1e-3):
+def linear_case(d, h=1e-3, x0=1.0):
     part = build_partition(make_test_derivator(4, snap=0.1), h)
-    return make_linear_spec(d, 1.0), part
+    return make_linear_spec(d, x0), part
 
 
 def signed_zero_case():
@@ -345,10 +346,21 @@ def signed_zero_case():
     return spec, build_partition(make_test_derivator(4, snap=0.1), 0.1)
 
 
+def damping_turns_sign_case():
+    # (3 - t) * -0.0 is -0.0 up to t = 3 and +0.0 after it, so the state
+    # turns +0.0 on a flat step inside the plateau [2, 4] of the driver
+    spec = IvpSpec(rhs=lambda t, x, hist: (3.0 - t) * x, x0=-0.0)
+    return spec, build_partition(make_test_derivator(4, snap=0.1), 1e-2)
+
+
 BIT_CASES = {"linear d=0.9": lambda: linear_case(0.9),
              "linear d=-0.9": lambda: linear_case(-0.9),
              "silkworm": silkworm_case,
-             "signed zero": signed_zero_case}
+             "signed zero": signed_zero_case,
+             # -d * -0.0 is +0.0: the first step turns the state +0.0, and
+             # at this step the first 71 steps are flat
+             "linear x0=-0.0": lambda: linear_case(0.5, h=1e-4, x0=-0.0),
+             "damping turns sign": damping_turns_sign_case}
 
 
 def assert_bit_identical(traj, reference):
@@ -374,6 +386,76 @@ class TestBitIdentity:
         rhos = [rng.uniform(-1e-3, 1e-3, part.n_steps) for _ in range(3)]
         assert_bit_identical(solve_perturbed(spec, part, *rhos),
                              reference_scheme(spec, part, *rhos))
+
+
+def flat_steps(part):
+    """Steps whose every weight is zero: no jump, no continuous measure."""
+    return (part.gaps[:-1] == 0.0) & (part.dg == 0.0)
+
+
+class TestFlatRuns:
+    """Runs of flat steps carry the state over without reading the
+    right-hand side; every other step goes through the scheme."""
+
+    def test_rhs_calls_only_outside_carried_runs(self):
+        spec, part = linear_case(-0.5, h=1e-2)
+        runs = [len(list(steps)) for flat, steps
+                in itertools.groupby(flat_steps(part)) if flat]
+        carried = sum(n for n in runs if n >= solver._MIN_CARRIED_RUN)
+        assert carried > part.n_steps // 3
+        calls = []
+
+        def rhs(t, x, hist):
+            calls.append(t)
+            return spec.rhs(t, x, hist)
+
+        assert_bit_identical(solve(IvpSpec(rhs=rhs, x0=spec.x0), part),
+                             reference_scheme(spec, part))
+        assert len(calls) == 3 * (part.n_steps - carried)
+
+    def test_rhs_may_be_nan_inside_a_long_plateau(self):
+        # NaN at every node strictly inside the plateaus [2, 4] and [6, 8]
+        # of the driver: both neighbouring steps of such a node are flat
+        spec, part = linear_case(-0.5, h=1e-2)
+        flat = flat_steps(part)
+        t = part.nodes
+        inside = np.zeros(t.size, dtype=bool)
+        inside[1:-1] = flat[:-1] & flat[1:]
+        inside &= ((2.0 < t) & (t < 4.0)) | ((6.0 < t) & (t < 8.0))
+        nan_at = set(t[inside].tolist())
+        assert len(nan_at) > 300
+
+        def rhs(t, x, hist):
+            return math.nan if t in nan_at else spec.rhs(t, x, hist)
+
+        assert_bit_identical(solve(IvpSpec(rhs=rhs, x0=spec.x0), part),
+                             reference_scheme(spec, part))
+
+    @pytest.mark.parametrize("stage", range(3))
+    def test_perturbation_inside_a_flat_run(self, stage):
+        spec, part = linear_case(0.5, h=1e-2)
+        k = int(np.searchsorted(part.nodes, 3.0))
+        assert flat_steps(part)[k - 20:k + 20].all()
+        rhos = [np.zeros(part.n_steps) for _ in range(3)]
+        rhos[stage][k] = 1e-3
+        assert_bit_identical(solve_perturbed(spec, part, *rhos),
+                             reference_scheme(spec, part, *rhos))
+
+    @pytest.mark.parametrize("pattern", ["alternating", "growing runs"])
+    def test_fragmented_flat_steps(self, pattern):
+        base = build_partition(identity_derivator(1.0), 1e-3)
+        dg = base.dg.copy()
+        if pattern == "alternating":
+            dg[::2] = 0.0
+        else:
+            # flat runs of 1, 2, .., 40 steps, each after one live step,
+            # so runs just shorter and just longer than the minimum occur
+            stops = np.cumsum(np.arange(1, 41)) + np.arange(40)
+            for n, b in enumerate(stops, start=1):
+                dg[b - n:b] = 0.0
+        part = Partition(base.g, base.h, base.nodes, base.gaps, dg)
+        spec = IvpSpec(rhs=lambda t, x, hist: math.sin(3.0 * t) - x, x0=0.5)
+        assert_bit_identical(solve(spec, part), reference_scheme(spec, part))
 
 
 T_END = 10.0
