@@ -16,8 +16,7 @@ from .derivator import (Derivator, from_descriptor, identity_derivator,
 from .quadrature import (RuleKind, error_bound, evaluate_rule,
                          oracle_integral, run_bound_suite)
 from .solver import (IvpSpec, GridMismatchError, Partition, Trajectory,
-                     TrajectoryHistory, build_partition, solve,
-                     solve_perturbed)
+                     build_partition, solve, solve_perturbed)
 from .linear import (check_admissibility, constant_linear_solution,
                      general_linear_solution, hat_exponential, hat_transform,
                      homogeneous_solution, tilde_coefficients)

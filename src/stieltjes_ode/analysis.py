@@ -18,7 +18,7 @@ import numpy as np
 
 from .derivator import Derivator, _f_on_arrays
 from .solver import (IvpSpec, GridMismatchError, Partition, Trajectory,
-                     TrajectoryHistory, build_partition, solve)
+                     build_partition, solve)
 
 __all__ = [
     "ErrorReport",
@@ -58,12 +58,12 @@ class ErrorReport:
 _BLOCK_STEPS = 2048
 
 
-def _on_arrays(rhs: Callable, hist: TrajectoryHistory, t, x) -> np.ndarray:
+def _on_arrays(rhs: Callable, hist: Trajectory, t, x) -> np.ndarray:
     """``rhs(t, x, hist)`` elementwise over the arrays ``t`` and ``x``."""
     return _f_on_arrays(lambda t, x: rhs(t, x, hist), t, x)
 
 
-def _state_slope(rhs: Callable, hist: TrajectoryHistory, t, x,
+def _state_slope(rhs: Callable, hist: Trajectory, t, x,
                  delta: float) -> float:
     """Largest central difference quotient of ``rhs`` in the state."""
     return float(np.max(np.abs(_on_arrays(rhs, hist, t, x + delta)
@@ -71,13 +71,13 @@ def _state_slope(rhs: Callable, hist: TrajectoryHistory, t, x,
                         / (2 * delta)))
 
 
-def _sample_exact(exact: Callable, part: Partition):
-    """``exact`` on the nodes, its right limits on ``nodes[:-1]`` and the
-    history the right-hand side reads, built from the nodal values."""
+def _sample_exact(exact: Callable, part: Partition) -> Trajectory:
+    """The exact solution as a trajectory, the history its right-hand side
+    reads: ``exact`` on the nodes and its right limits on ``nodes[:-1]``."""
     nodes = part.nodes
     x = np.asarray(exact(nodes), dtype=float)
     x_right = np.asarray(exact(nodes[:-1], from_right=True), dtype=float)
-    return x, x_right, TrajectoryHistory(nodes, x, part.h, len(nodes))
+    return Trajectory(part, x, x_right, x[1:])
 
 
 def error_report(traj: Trajectory, exact: Callable) -> ErrorReport:
@@ -87,10 +87,10 @@ def error_report(traj: Trajectory, exact: Callable) -> ErrorReport:
     ``from_right=True`` it returns the right limits ``x(t+)``.
     """
     part = traj.partition
-    x, x_right, _ = _sample_exact(exact, part)
-    e = traj.values - x
-    e_star = traj.predictor_values - x[1:]
-    e_plus = traj.right_values - x_right
+    ref = _sample_exact(exact, part)
+    e = traj.values - ref.values
+    e_star = traj.predictor_values - ref.predictor_values
+    e_plus = traj.right_values - ref.right_values
     at_jump = part.gaps[:-1] > 0.0
     max_e_plus = float(np.max(np.abs(e_plus[at_jump]))) if np.any(at_jump) \
         else float(np.max(np.abs(e_plus)))
@@ -107,8 +107,8 @@ def truncation_errors(spec: IvpSpec, part: Partition, exact: Callable):
     endpoint value, and the combined residual with the predicted endpoint.
     """
     nodes = part.nodes
-    x, x_right, hist = _sample_exact(exact, part)
-    x_end = x[1:]
+    hist = _sample_exact(exact, part)
+    x_right, x_end = hist.right_values, hist.predictor_values
     f_plus = _on_arrays(spec.rhs_right, hist, nodes[:-1], x_right)
     resid_pred = x_end - x_right - f_plus * part.dg
     f_end = _on_arrays(spec.rhs, hist, nodes[1:], x_end)
@@ -179,7 +179,8 @@ def measure_constants(spec: IvpSpec, part: Partition,
     """
     g = part.g
     nodes = part.nodes
-    x, x_right, hist = _sample_exact(exact, part)
+    hist = _sample_exact(exact, part)
+    x, x_right = hist.values, hist.right_values
     scale = max(1.0, float(np.max(np.abs(x))))
     delta = 1e-6 * scale
     starts = nodes[:-1]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivator import _check_domain_end, _check_times, _silkworm_base
-from .solver import IvpSpec, TrajectoryHistory
+from .solver import IvpSpec, Trajectory
 
 __all__ = [
     "SilkwormParams",
@@ -56,7 +56,7 @@ class SilkwormParams:
             raise ValueError(f"initial value must be finite, got {self.x0}")
 
 
-def silkworm_rhs(t: float, x: float, history: TrajectoryHistory,
+def silkworm_rhs(t: float, x: float, history: Trajectory,
                  params: SilkwormParams) -> float:
     """Staged right-hand side: decay, moth death, or hatch integral.
 
@@ -73,7 +73,7 @@ def silkworm_rhs(t: float, x: float, history: TrajectoryHistory,
     return -params.c * x
 
 
-def silkworm_rhs_right(t: float, x: float, history: TrajectoryHistory,
+def silkworm_rhs_right(t: float, x: float, history: Trajectory,
                        params: SilkwormParams) -> float:
     """Right limit of the right-hand side.
 

@@ -16,7 +16,7 @@ delay or integral terms can be evaluated from history.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Optional
 
@@ -28,7 +28,6 @@ __all__ = [
     "GridMismatchError",
     "Partition",
     "IvpSpec",
-    "TrajectoryHistory",
     "Trajectory",
     "build_partition",
     "solve",
@@ -137,8 +136,8 @@ class IvpSpec:
     """Initial value problem data for the stepping scheme.
 
     ``rhs(t, x, history)`` is the right-hand side at time ``t`` and state
-    ``x``; ``history`` is the trajectory computed so far (ignore it for
-    plain ``f(t, x)`` problems).  ``rhs_right`` evaluates the right limit
+    ``x``; ``history`` is the :class:`Trajectory` being filled (ignore it
+    for plain ``f(t, x)`` problems).  ``rhs_right`` evaluates the right limit
     ``f(t+, x)`` and defaults to ``rhs``, which is valid whenever
     ``f(., x)`` is right-continuous at the jump times.  Inside a long run
     of flat steps (no jump, no continuous measure) neither is called while
@@ -157,55 +156,61 @@ class IvpSpec:
             raise ValueError(f"initial value must be finite, got {self.x0}")
 
 
-class TrajectoryHistory:
-    """Read view of the first ``filled`` trajectory values during a solve."""
-
-    def __init__(self, nodes: np.ndarray, values: np.ndarray, step: float,
-                 filled: int):
-        self.nodes = nodes
-        self.values = values
-        self.step = step
-        self.filled = filled
-
-    def integral(self, lo: float, hi: float) -> float:
-        """Trapezoid integral of the stored values over ``[lo, hi]`` (in dt).
-
-        One trapezoid over ``lo``, the nodes strictly inside ``(lo, hi)`` and
-        ``hi``, with the end values interpolated linearly between nodes (so
-        both ends may lie in one cell).  ``lo`` is clamped to the start of
-        the grid.
-        """
-        lo = max(lo, self.nodes[0])
-        if hi <= lo:
-            return 0.0
-        last = self.filled - 1
-        if hi > self.nodes[last] + 1e-9 * self.step:
-            raise ValueError(
-                f"history covers [{self.nodes[0]}, {self.nodes[last]}], "
-                f"cannot integrate up to {hi}")
-        nodes = self.nodes[:self.filled]
-        values = self.values[:self.filled]
-        inner = slice(np.searchsorted(nodes, lo, side="right"),
-                      np.searchsorted(nodes, hi, side="left"))
-        xs = np.concatenate(([lo], nodes[inner], [hi]))
-        ys = np.concatenate(([np.interp(lo, nodes, values)], values[inner],
-                             [np.interp(hi, nodes, values)]))
-        return float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)))
-
-
 @dataclass
 class Trajectory:
-    """Scheme output on the full grid.
+    """Scheme output on the full grid, and the history a right-hand side reads.
 
     ``values[k]`` is ``u_k`` for ``k = 0 .. N+1``; ``right_values[k]`` is
     ``u_k+`` for ``k = 0 .. N``; ``predictor_values[k-1]`` is ``u*_k`` for
-    ``k = 1 .. N+1``.  Immutable once returned by :func:`solve`.
+    ``k = 1 .. N+1``.  ``filled`` counts the ``u_k`` set so far: all once
+    built, ``k + 1`` while :func:`solve` steps from ``t_k`` and passes the
+    trajectory to the right-hand side as ``history``.  Immutable once
+    returned by :func:`solve`.
     """
 
     partition: Partition
     values: np.ndarray
     right_values: np.ndarray
     predictor_values: np.ndarray
+    filled: int = field(init=False)
+
+    def __post_init__(self):
+        self.filled = self.values.size
+
+    def integral(self, lo: float, hi: float) -> float:
+        """Trapezoid integral of the ``filled`` values over ``[lo, hi]`` (in dt).
+
+        One trapezoid over ``lo``, the nodes strictly inside ``(lo, hi)`` and
+        ``hi``, with the end values interpolated linearly in their cells (so
+        both ends may lie in one cell).  A cell that starts at a jump node
+        ``t_k`` runs from the right limit ``u_k+`` to ``u_{k+1}``; the last
+        filled node's ``u_k+`` is not read, as a solve has not written it
+        yet.  ``lo`` is clamped to the start of the grid.
+        """
+        part = self.partition
+        lo = max(lo, part.nodes[0])
+        if hi <= lo:
+            return 0.0
+        last = self.filled - 1
+        if hi > part.nodes[last] + 1e-9 * part.h:
+            raise ValueError(
+                f"history covers [{part.nodes[0]}, {part.nodes[last]}], "
+                f"cannot integrate up to {hi}")
+        nodes = part.nodes[:self.filled]
+        values = self.values[:self.filled]
+        i = np.searchsorted(nodes, lo, side="right")
+        j = np.searchsorted(nodes, hi, side="left")
+        xs = np.concatenate(([lo], nodes[i:j], [hi]))
+        ys = np.concatenate(([np.interp(lo, nodes, values)], values[i:j],
+                             [np.interp(hi, nodes, values)]))
+        starts = ys[:-1].copy()  # piece p lies in cell i - 1 + p
+        for p in np.flatnonzero(part.gaps[i - 1:min(j, last)] > 0.0):
+            k = i - 1 + p
+            cell = nodes[k:k + 2], (self.right_values[k], values[k + 1])
+            starts[p] = np.interp(xs[p], *cell)
+            if k == j - 1:
+                ys[-1] = np.interp(hi, *cell)
+        return float(np.sum(0.5 * (ys[1:] + starts) * np.diff(xs)))
 
 
 # a carried run costs ~2 us, a step ~0.8 us: carrying every flat run made
@@ -231,10 +236,11 @@ def _run_scheme(spec: IvpSpec, part: Partition, rhos=()) -> Trajectory:
     values = np.empty(n_steps + 1)
     right_values = np.empty(n_steps)
     predictor_values = np.empty(n_steps)
+    history = Trajectory(part, values, right_values, predictor_values)
+    history.filled = 1
     values[0] = spec.x0
     rhs = spec.rhs
     rhs_right = spec.rhs_right
-    history = TrajectoryHistory(part.nodes, values, part.h, 1)
     # memoryviews hand out and take Python floats: the same IEEE arithmetic
     # as numpy scalars, at a fraction of the cost per element
     nodes, gaps, dgs = map(memoryview, (part.nodes, part.gaps, part.dg))
@@ -279,7 +285,7 @@ def _run_scheme(spec: IvpSpec, part: Partition, rhos=()) -> Trajectory:
         predictor_values[a:b] = u_k
         history.filled = b + 1
         lo = b
-    return Trajectory(part, values, right_values, predictor_values)
+    return history
 
 
 def solve(spec: IvpSpec, part: Partition) -> Trajectory:

@@ -16,8 +16,8 @@ from stieltjes_ode.derivator import (identity_derivator,
 from stieltjes_ode.linear import homogeneous_solution
 from stieltjes_ode.models import (SilkwormParams, SilkwormSolution,
                                   make_linear_spec, make_silkworm_spec)
-from stieltjes_ode.solver import (IvpSpec, TrajectoryHistory,
-                                  build_partition, solve)
+from stieltjes_ode.solver import (IvpSpec, Trajectory, build_partition,
+                                  solve)
 
 # reference benchmark maxima for 2 unit jumps, d = -0.5, x0 = 1, h = 1e-1
 REF_H1 = {"e_star": 1.1704e-01, "e": 3.1399e-02, "e_plus": 1.2573e-02}
@@ -245,7 +245,7 @@ class TestArrayProtocol:
         nodes = part.nodes
         x = exact(nodes)
         x_right = exact(nodes[:-1], from_right=True)
-        hist = TrajectoryHistory(nodes, x, part.h, len(nodes))
+        hist = Trajectory(part, x, x_right, x[1:])
         dg = part.dg
         for k in range(part.n_steps):
             f_plus = base.rhs_right(nodes[k], x_right[k], hist)

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from stieltjes_ode.analysis import error_report
-from stieltjes_ode.derivator import make_silkworm_derivator
+from stieltjes_ode.analysis import error_report, estimate_order
+from stieltjes_ode.derivator import identity_derivator, make_silkworm_derivator
 from stieltjes_ode.models import (SilkwormParams, SilkwormSolution,
                                   make_silkworm_spec, silkworm_rhs,
                                   silkworm_rhs_right)
-from stieltjes_ode.solver import TrajectoryHistory, build_partition, solve
+from stieltjes_ode.solver import Partition, Trajectory, build_partition, solve
 
 PARAMS = SilkwormParams(c=1.2, lam=1.1, x0=8.0, T=10.0)
 
@@ -32,8 +32,9 @@ RIGHT_LIMITS_T15 = {
 
 def history_on_grid(values, h):
     nodes = np.arange(len(values)) * h
-    return TrajectoryHistory(nodes, np.asarray(values, dtype=float), h,
-                             len(values))
+    values = np.asarray(values, dtype=float)
+    part = Partition.from_nodes(identity_derivator(nodes[-1]), nodes)
+    return Trajectory(part, values, values[:-1], values[1:])
 
 
 def simpson(fn, lo, hi, n=2000):
@@ -221,3 +222,21 @@ def test_scheme_tracks_exact_solution():
     exact = SilkwormSolution(PARAMS)
     report = error_report(traj, exact)
     assert report.max_e <= 5e-2
+
+
+def test_every_hatch_amplitude_converges_at_the_same_order():
+    # the hatch rate integrates the last life span from its right limit
+    # u(5k+), not from the zero left value u(5k): reading the left value
+    # errs O(h) in every hatch after the first (orders 0.93 and 0.95)
+    params = SilkwormParams(c=1.2, lam=1.1, x0=8.0, T=20.0)
+    exact = SilkwormSolution(params)
+    g = make_silkworm_derivator(params.T)
+    steps = (1e-2, 1e-3, 1e-4)
+    errors = {5: [], 10: [], 15: []}
+    for h in steps:
+        traj = solve(make_silkworm_spec(params), build_partition(g, h))
+        for t, errs in errors.items():
+            amp = exact(float(t), from_right=True)
+            errs.append(abs(traj.right_values[round(t / h)] - amp) / amp)
+    for t, errs in errors.items():
+        assert estimate_order(steps, errs) >= 1.4, (t, errs)

@@ -16,7 +16,7 @@ from stieltjes_ode.linear import general_linear_solution, homogeneous_solution
 from stieltjes_ode.models import (SilkwormParams, make_linear_spec,
                                   make_silkworm_spec)
 from stieltjes_ode.solver import (GridMismatchError, IvpSpec, Partition,
-                                  TrajectoryHistory, build_partition, solve,
+                                  Trajectory, build_partition, solve,
                                   solve_perturbed)
 
 
@@ -311,7 +311,8 @@ def reference_scheme(spec, part, rho_plus=None, rho_star=None, rho=None):
     n = part.n_steps
     values, right, pred = np.empty(n + 1), np.empty(n), np.empty(n)
     values[0] = spec.x0
-    hist = TrajectoryHistory(part.nodes, values, part.h, 1)
+    hist = Trajectory(part, values, right, pred)
+    hist.filled = 1
     for k in range(n):
         u_k, t_k, t_next = values[k], part.nodes[k], part.nodes[k + 1]
         u_plus = u_k + spec.rhs(t_k, u_k, hist) * part.gaps[k]
@@ -493,23 +494,50 @@ class TestDifferential:
         assert math.log10(errs[0] / errs[1]) >= 1.9
 
 
+def history_on(nodes, values, right_values=None, g=None):
+    """A complete trajectory of ``values`` on ``nodes`` under ``g`` (classical
+    time by default), with the nodal values as the right limits unless
+    ``right_values`` is given and as the predictor values."""
+    nodes = np.asarray(nodes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    part = Partition.from_nodes(g or identity_derivator(nodes[-1]), nodes)
+    right = values[:-1] if right_values is None else right_values
+    return Trajectory(part, values, np.asarray(right, dtype=float), values[1:])
+
+
+def jump_path():
+    """Classical time on ``[0, 3]`` with unit jumps at 1 and 2, on a grid of
+    step 0.25, and a path that is linear between them: ``2t`` on ``[0, 1]``,
+    ``6 - t`` on ``(1, 2]`` and ``3t - 10`` on ``(2, 3]``, so ``x(1+) = 5``
+    and ``x(2+) = -4``."""
+    g = Derivator(3.0, lambda t: np.asarray(t, dtype=float),
+                  jump_times=[1.0, 2.0], jump_gaps=[1.0, 1.0])
+    nodes = np.linspace(0.0, 3.0, 13)
+    values = np.where(nodes <= 1.0, 2.0 * nodes,
+                      np.where(nodes <= 2.0, 6.0 - nodes, 3.0 * nodes - 10.0))
+    right = values[:-1].copy()
+    right[[4, 8]] = 5.0, -4.0
+    return g, nodes, values, right
+
+
 class TestTrajectoryHistory:
     def test_trapezoid_matches_numpy(self):
         nodes = np.linspace(0.0, 5.0, 51)
         values = np.sin(nodes)
-        hist = TrajectoryHistory(nodes, values, 0.1, 51)
+        hist = history_on(nodes, values)
+        assert hist.filled == values.size  # built by hand: complete
         assert hist.integral(0.0, 5.0) == pytest.approx(
             float(np.trapezoid(values, nodes)))
 
     def test_partial_cells_interpolate(self):
         nodes = np.linspace(0.0, 1.0, 11)
         values = 2.0 * nodes  # exact for trapezoid pieces
-        hist = TrajectoryHistory(nodes, values, 0.1, 11)
+        hist = history_on(nodes, values)
         assert hist.integral(0.05, 0.95) == pytest.approx(0.95 ** 2 - 0.05 ** 2)
 
     def test_clamps_below_and_rejects_beyond(self):
         nodes = np.linspace(0.0, 1.0, 11)
-        hist = TrajectoryHistory(nodes, np.ones(11), 0.1, 11)
+        hist = history_on(nodes, np.ones(11))
         assert hist.integral(-3.0, 1.0) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             hist.integral(0.0, 1.5)
@@ -519,30 +547,66 @@ class TestTrajectoryHistory:
 
     def test_both_ends_in_one_cell(self):
         nodes = np.array([0.0, 1.0, 2.0])
-        hist = TrajectoryHistory(nodes, nodes.copy(), 1.0, 3)
+        hist = history_on(nodes, nodes.copy())
         assert hist.integral(0.2, 0.4) == pytest.approx(0.06, rel=1e-12)
         assert hist.integral(1.25, 1.75) == pytest.approx(0.75, rel=1e-12)
 
     def test_ends_in_neighbouring_cells(self):
         nodes = np.array([0.0, 1.0, 2.0])
-        hist = TrajectoryHistory(nodes, nodes.copy(), 1.0, 3)
+        hist = history_on(nodes, nodes.copy())
         # (1.5**2 - 0.5**2) / 2, pieces [0.5, 1] and [1, 1.5]
         assert hist.integral(0.5, 1.5) == pytest.approx(1.0, rel=1e-12)
         values = np.array([0.0, 1.0, 0.0])  # a hat: linear on each cell
-        hist = TrajectoryHistory(nodes, values, 1.0, 3)
+        hist = history_on(nodes, values)
         assert hist.integral(0.5, 1.5) == pytest.approx(0.75, rel=1e-12)
 
     def test_node_ends_sum_the_node_trapezoids(self):
         nodes = np.linspace(0.0, 5.0, 51)
         values = np.sin(nodes)
-        hist = TrajectoryHistory(nodes, values, 0.1, 51)
+        hist = history_on(nodes, values)
         xs, ys = nodes[7:33], values[7:33]
         assert hist.integral(nodes[7], nodes[32]) == float(
             np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)))
 
     def test_respects_filled_prefix(self):
         nodes = np.linspace(0.0, 1.0, 11)
-        hist = TrajectoryHistory(nodes, np.ones(11), 0.1, 6)
+        hist = history_on(nodes, np.ones(11))
+        hist.filled = 6
         assert hist.integral(0.0, 0.5) == pytest.approx(0.5)
         with pytest.raises(ValueError):
             hist.integral(0.0, 0.8)
+
+    @pytest.mark.parametrize("lo, hi, exact", [
+        (1.0, 2.5, 2.875),   # starts on a jump node, another inside
+        (1.1, 2.1, 3.62),    # both ends inside cells that start at a jump
+        (1.1, 1.2, 0.485),   # both ends in one such cell
+        (0.5, 3.0, 2.75),
+    ])
+    def test_reads_right_limits_at_jump_nodes(self, lo, hi, exact):
+        g, nodes, values, right = jump_path()
+        hist = history_on(nodes, values, right, g)
+        assert hist.integral(lo, hi) == pytest.approx(exact, rel=1e-12)
+
+    def test_unwritten_right_limit_at_the_last_filled_node_is_not_read(self):
+        # while stepping from t_8 = 2 the scheme has not yet written u_8+
+        g, nodes, values, right = jump_path()
+        values[9:], right[8:] = math.nan, math.nan
+        hist = history_on(nodes, values, right, g)
+        hist.filled = 9
+        for hi in (2.0, 2.0 + 1e-10):  # within the 1e-9 * h tolerance
+            assert hist.integral(1.0, hi) == pytest.approx(4.5, rel=1e-9)
+
+    def test_solve_passes_the_trajectory_it_returns(self):
+        seen = []
+
+        def rhs(t, x, history):
+            seen.append((t, history, history.filled))
+            return -x
+
+        part = build_partition(make_test_derivator(2, snap=0.1), 0.1)
+        traj = solve(IvpSpec(rhs=rhs, x0=1.0), part)
+        assert seen and all(history is traj for _, history, _ in seen)
+        assert traj.filled == traj.values.size
+        # each call sees u_0 .. u_k set while stepping from t_k to t_{k+1}
+        for t, _, filled in seen:
+            assert part.nodes[filled - 1] <= t <= part.nodes[filled]
