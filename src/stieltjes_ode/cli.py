@@ -90,11 +90,11 @@ def run_linear_convergence(args) -> int:
                  for nj in jump_counts)
 
     # fail fast on any jump/grid mismatch before burning time on the grid;
-    # each driver is checked as soon as it is built
+    # each driver is checked as soon as it is built, on its nodes alone
     drivers = []
     for g in built:
         for h in h_values:
-            solver.build_partition(g, h)
+            solver._uniform_nodes(g, h)
         drivers.append(g)
 
     d = args.d

@@ -34,6 +34,11 @@ __all__ = [
     "solve_perturbed",
 ]
 
+# how far below zero rounding may take a step's dg, in ulps of the largest
+# |g(t_k)| of the grid
+_DG_ULPS = 8
+
+
 class GridMismatchError(ValueError):
     """The partition cannot host the driver: the domain is not an integer
     number of steps, or some jump time is not a node."""
@@ -70,7 +75,9 @@ class Partition:
         ``nodes`` must be a 1-d array of at most ``MAX_GRID_STEPS`` steps,
         finite and strictly increasing from ``0`` to ``T``, otherwise
         ``ValueError``; a jump time that is not a node raises
-        :class:`GridMismatchError`.  The array is used as given, not copied.
+        :class:`GridMismatchError`.  A step whose continuous measure ``dg``
+        is NaN or negative beyond rounding raises ``ValueError`` naming the
+        first such step.  The array is used as given, not copied.
         """
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or not 2 <= nodes.size <= MAX_GRID_STEPS + 1:
@@ -92,19 +99,22 @@ class Partition:
         gaps[at] = g.jump_gaps
         g_left = g.value(nodes)
         dg = g_left[1:] - (g_left[:-1] + gaps[:-1])
+        # g(t_k) + gap(t_k) is rounded, so a flat step of a nondecreasing
+        # driver may come out an ulp or two of its values below zero
+        tol = _DG_ULPS * np.finfo(float).eps * np.max(
+            np.abs(g_left), initial=0.0, where=np.isfinite(g_left))
+        bad = ~(dg >= -tol)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"the driver decreases or is NaN on step {k} "
+                             f"[{nodes[k]}, {nodes[k + 1]}]: its measure "
+                             f"is {dg[k]}")
         return cls(g, float(steps.max()), nodes, gaps, dg)
 
 
-def build_partition(g: Derivator, h: float) -> Partition:
-    """Uniform grid of step ``h`` on ``[0, T]`` containing every jump of ``g``.
-
-    ``T/h`` must be an integer (to float accuracy) and every jump time must
-    sit within ``h * 1e-9`` of a grid node, otherwise a
-    :class:`GridMismatchError` names the first offending jump.  Matched
-    nodes are snapped to the exact jump times.  A grid of more than
-    ``MAX_GRID_STEPS`` steps raises ``ValueError`` before anything is
-    allocated.
-    """
+def _uniform_nodes(g: Derivator, h: float) -> np.ndarray:
+    """Nodes of :func:`build_partition`, checked and snapped to the jumps the
+    same way, without evaluating the driver."""
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step must be positive and finite, got {h}")
     T = g.domain_end
@@ -128,7 +138,20 @@ def build_partition(g: Derivator, h: float) -> Partition:
             f"jump at t={times[np.argmax(off)]} is not a node of the step-{h} "
             f"grid; the scheme requires every jump on the grid")
     nodes[idx] = times
-    return Partition.from_nodes(g, nodes)
+    return nodes
+
+
+def build_partition(g: Derivator, h: float) -> Partition:
+    """Uniform grid of step ``h`` on ``[0, T]`` containing every jump of ``g``.
+
+    ``T/h`` must be an integer (to float accuracy) and every jump time must
+    sit within ``h * 1e-9`` of a grid node, otherwise a
+    :class:`GridMismatchError` names the first offending jump.  Matched
+    nodes are snapped to the exact jump times.  A grid of more than
+    ``MAX_GRID_STEPS`` steps raises ``ValueError`` before anything is
+    allocated.
+    """
+    return Partition.from_nodes(g, _uniform_nodes(g, h))
 
 
 @dataclass
@@ -139,9 +162,10 @@ class IvpSpec:
     ``x``; ``history`` is the :class:`Trajectory` being filled (ignore it
     for plain ``f(t, x)`` problems).  ``rhs_right`` evaluates the right limit
     ``f(t+, x)`` and defaults to ``rhs``, which is valid whenever
-    ``f(., x)`` is right-continuous at the jump times.  Inside a long run
-    of flat steps (no jump, no continuous measure) neither is called while
-    the state is nonzero, so they may be NaN, infinite or raising there;
+    ``f(., x)`` is right-continuous at the jump times.  ``rhs`` is read
+    at ``(t_k, u_k)`` only at a jump or a zero state, and inside a long run
+    of flat steps (no jump, no continuous measure) neither is called unless
+    the state is ``-0.0``, so they may be NaN, infinite or raising there;
     see :func:`solve`.
     """
 
@@ -213,8 +237,8 @@ class Trajectory:
         return float(np.sum(0.5 * (ys[1:] + starts) * np.diff(xs)))
 
 
-# a carried run costs ~2 us, a step ~0.8 us: carrying every flat run made
-# alternating flat and live steps 2.8x slower (1e5 steps, 0.26 s vs 0.09 s)
+# a carried run costs ~2.4 us, a step ~0.6 us: carrying every flat run made
+# alternating flat and live steps 2.5x slower (1e5 steps, 0.148 s vs 0.059 s)
 _MIN_CARRIED_RUN = 16
 
 
@@ -246,19 +270,24 @@ def _run_scheme(spec: IvpSpec, part: Partition, rhos=()) -> Trajectory:
     nodes, gaps, dgs = map(memoryview, (part.nodes, part.gaps, part.dg))
     views = [memoryview(r) for r in rhos]
     # -0.0 is the additive identity of IEEE floats, signed zeros included
-    unperturbed = [repeat(-0.0)] * 3
+    unperturbed = repeat((-0.0, -0.0, -0.0))
     out_u, out_plus, out_star = map(memoryview, (values, right_values,
                                                  predictor_values))
     u_k = out_u[0]
     lo = 0
     # the steps up to each carried run, then those after the last one
     for a, b in [*_carried_runs(part, rhos), (n_steps, n_steps)]:
-        perturbations = [v[lo:a] for v in views] or unperturbed
-        for k, (t_k, t_next, gap, dg, r_plus, r_star, r) in enumerate(zip(
+        perturbations = (zip(*[v[lo:a] for v in views]) if views
+                         else unperturbed)
+        for k, (t_k, t_next, gap, dg, (r_plus, r_star, r)) in enumerate(zip(
                 nodes[lo:a], nodes[lo + 1:a + 1], gaps[lo:a], dgs[lo:a],
-                *perturbations), lo):
+                perturbations), lo):
             try:
-                u_plus = u_k + rhs(t_k, u_k, history) * gap + r_plus
+                # u_k + f * 0.0 is u_k for a finite f and a nonzero u_k
+                if gap or not u_k:
+                    u_plus = u_k + rhs(t_k, u_k, history) * gap + r_plus
+                else:
+                    u_plus = u_k + r_plus
                 f_plus = rhs_right(t_k, u_plus, history)
                 u_star = u_plus + f_plus * dg + r_star
                 f_star = rhs(t_next, u_star, history)
@@ -275,11 +304,11 @@ def _run_scheme(spec: IvpSpec, part: Partition, rhos=()) -> Trajectory:
             out_star[k] = u_star
             out_u[k + 1] = u_k
             history.filled = k + 2
-        if u_k == 0.0:
+        if u_k == 0.0 and math.copysign(1.0, u_k) < 0.0:
             # stepped through: a flat step turns a -0.0 state into +0.0
             lo = a
             continue
-        # u_k + f * 0.0 is u_k for any finite f: no right-hand side is read
+        # every weight is zero on the run: no right-hand side is read
         values[a + 1:b + 1] = u_k
         right_values[a:b] = u_k
         predictor_values[a:b] = u_k
@@ -291,15 +320,20 @@ def _run_scheme(spec: IvpSpec, part: Partition, rhos=()) -> Trajectory:
 def solve(spec: IvpSpec, part: Partition) -> Trajectory:
     """Run the scheme over the whole partition; deterministic.
 
+    Off the jumps the jump update adds ``f(t_k, u_k) * 0.0``, which leaves
+    a nonzero ``u_k`` as it is, so such a step calls ``rhs_right`` at
+    ``(t_k, u_k)`` and ``rhs`` at the predictor only, as Heun's method
+    does; a jump step or a zero state also reads ``rhs(t_k, u_k)``.
     A step with ``gap(t_k) = 0`` and ``dg_k = 0`` is flat: every weight of
-    the scheme is zero on it, so a nonzero state carries over unchanged.
-    On a run of at least ``_MIN_CARRIED_RUN`` (16) flat steps that starts
-    from a nonzero state, the state is carried across without evaluating
-    the right-hand side: the steps next to the run read it at the run's two
-    end nodes only, and inside the run it may be NaN, infinite or raising
-    without aborting the solve.  Every finite right-hand side gives the
-    bits of the step-by-step scheme, and a zero state (either sign) is
-    stepped through as usual.
+    the scheme is zero on it.  On a run of at least ``_MIN_CARRIED_RUN``
+    (16) flat steps that starts from any state but ``-0.0``, the state is
+    carried across without evaluating the right-hand side: the steps next
+    to the run read it at the run's two end nodes only, and inside the run
+    it may be NaN, infinite or raising without aborting the solve.  A
+    ``-0.0`` state is stepped through, as a flat step may turn it ``+0.0``.
+    Every finite right-hand side gives the bits of the step-by-step scheme;
+    with the default ``rhs_right``, a non-finite or raising one aborts at
+    the same node with the same message.
     """
     return _run_scheme(spec, part)
 

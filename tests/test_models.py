@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cpu_target import per_target
 from stieltjes_ode.analysis import error_report, estimate_order
 from stieltjes_ode.derivator import identity_derivator, make_silkworm_derivator
 from stieltjes_ode.models import (SilkwormParams, SilkwormSolution,
@@ -28,6 +29,12 @@ RIGHT_LIMITS_T15 = {
     1399: '0x1.e70e8a7bab555p+0', 1400: '0x0.0p+0', 1401: '0x0.0p+0',
     1500: '0x1.a578a67b023cdp+4',
 }
+# on numpy's AVX2 loops six of them come out an ulp or two higher
+# (cpu_target.py)
+RIGHT_LIMITS_T15.update(per_target({}, {
+    200: '0x1.346c4167a12dfp+1', 300: '0x1.346c4167a12dfp+1',
+    700: '0x1.cad84c2ec1ee1p+1', 800: '0x1.cad84c2ec1ee1p+1',
+    1200: '0x1.55509e4dc2d58p+2', 1300: '0x1.55509e4dc2d58p+2'}))
 
 
 def history_on_grid(values, h):

@@ -152,6 +152,33 @@ class TestPartitionFromNodes:
         assert np.array_equal(part.dg, want)
         assert part.h == np.max(np.diff(nodes))
 
+    def test_decreasing_driver_rejected(self):
+        # the wave vanishes at the 1025 samples the driver is checked on,
+        # so it is built; its slope falls to 1 - 6.43
+        g = Derivator(10.0, lambda t: t + 0.02 * np.sin(102.4 * np.pi * t))
+        with pytest.raises(ValueError,
+                           match=r"decreases .* on step 5 ") as info:
+            build_partition(g, 1e-3)
+        assert not isinstance(info.value, GridMismatchError)
+        with pytest.raises(ValueError, match="on step 5 "):
+            Partition.from_nodes(g, np.linspace(0.0, 10.0, 10001))
+
+    def test_nan_driver_rejected(self):
+        # NaN strictly between two of the driver's samples
+        g = Derivator(1.0, lambda t: np.where((t > 0.5001) & (t < 0.5009),
+                                              np.nan, t))
+        with pytest.raises(ValueError, match=r"NaN on step 2500 .* nan"):
+            build_partition(g, 2e-4)
+
+    def test_rounding_below_zero_accepted(self):
+        # g is nondecreasing, but at the second jump g(t_k) + gap(t_k) is
+        # (0.1 + 0.2) + 0.3, an ulp above the 0.1 + (0.2 + 0.3) after it
+        g = Derivator(1.0, lambda t: np.minimum(t, 0.1), [0.25, 0.5],
+                      [0.2, 0.3])
+        part = build_partition(g, 0.05)
+        assert np.flatnonzero(part.dg < 0.0).tolist() == [10]
+        assert part.dg[10] == -2.0 ** -53
+
     def test_second_order_on_non_uniform_nodes(self):
         spec = make_linear_spec(-0.5, 1.0)
         errs = []
@@ -394,36 +421,78 @@ def flat_steps(part):
     return (part.gaps[:-1] == 0.0) & (part.dg == 0.0)
 
 
+def long_flat_runs(part):
+    """Mask of the steps in runs of at least ``_MIN_CARRIED_RUN`` flat
+    steps, the runs a nonzero state is carried across."""
+    mask = np.zeros(part.n_steps, dtype=bool)
+    k = 0
+    for flat, steps in itertools.groupby(flat_steps(part)):
+        n = len(list(steps))
+        mask[k:k + n] = flat and n >= solver._MIN_CARRIED_RUN
+        k += n
+    return mask
+
+
+def plateau_nodes(part):
+    """Nodes strictly inside the plateaus [2, 4] and [6, 8] of the test
+    driver whose both neighbouring steps are flat."""
+    flat = flat_steps(part)
+    t = part.nodes
+    inside = np.zeros(t.size, dtype=bool)
+    inside[1:-1] = flat[:-1] & flat[1:]
+    inside &= ((2.0 < t) & (t < 4.0)) | ((6.0 < t) & (t < 8.0))
+    return set(t[inside].tolist())
+
+
+def calls_per_step(spec, part):
+    """Solve, counting the right-hand side calls of each step ``k``: both
+    callables of a step read a history filled up to ``u_k``."""
+    calls = np.zeros(part.n_steps, dtype=int)
+
+    def counted(rhs):
+        def rhs_counted(t, x, hist):
+            calls[hist.filled - 1] += 1
+            return rhs(t, x, hist)
+        return rhs_counted
+
+    traj = solve(IvpSpec(rhs=counted(spec.rhs), x0=spec.x0,
+                         rhs_right=counted(spec.rhs_right)), part)
+    return traj, calls
+
+
 class TestFlatRuns:
     """Runs of flat steps carry the state over without reading the
-    right-hand side; every other step goes through the scheme."""
+    right-hand side; every other step goes through the scheme, and reads
+    ``f(t_k, u_k)`` for the jump update only at a jump or a zero state."""
 
     def test_rhs_calls_only_outside_carried_runs(self):
         spec, part = linear_case(-0.5, h=1e-2)
-        runs = [len(list(steps)) for flat, steps
-                in itertools.groupby(flat_steps(part)) if flat]
-        carried = sum(n for n in runs if n >= solver._MIN_CARRIED_RUN)
-        assert carried > part.n_steps // 3
-        calls = []
+        carried = long_flat_runs(part)
+        assert carried.sum() > part.n_steps // 3
+        traj, calls = calls_per_step(spec, part)
+        assert_bit_identical(traj, reference_scheme(spec, part))
+        # the state never vanishes: 3 calls at a jump, 2 on any other
+        # stepped step, none inside a carried run
+        at_jump = part.gaps[:-1] > 0.0
+        assert at_jump.sum() == 4 and not (at_jump & carried).any()
+        want = np.where(carried, 0, np.where(at_jump, 3, 2))
+        assert np.array_equal(calls, want)
+        assert calls.sum() == 1208
 
-        def rhs(t, x, hist):
-            calls.append(t)
-            return spec.rhs(t, x, hist)
-
-        assert_bit_identical(solve(IvpSpec(rhs=rhs, x0=spec.x0), part),
-                             reference_scheme(spec, part))
-        assert len(calls) == 3 * (part.n_steps - carried)
+    def test_zero_state_steps_read_the_jump_update(self):
+        # -0.0 is never carried, and a zero state of either sign takes
+        # the full jump update: 3 calls on every step
+        spec, part = signed_zero_case()
+        assert long_flat_runs(part).any()
+        traj, calls = calls_per_step(spec, part)
+        assert_bit_identical(traj, reference_scheme(spec, part))
+        assert np.all(calls == 3)
 
     def test_rhs_may_be_nan_inside_a_long_plateau(self):
         # NaN at every node strictly inside the plateaus [2, 4] and [6, 8]
         # of the driver: both neighbouring steps of such a node are flat
         spec, part = linear_case(-0.5, h=1e-2)
-        flat = flat_steps(part)
-        t = part.nodes
-        inside = np.zeros(t.size, dtype=bool)
-        inside[1:-1] = flat[:-1] & flat[1:]
-        inside &= ((2.0 < t) & (t < 4.0)) | ((6.0 < t) & (t < 8.0))
-        nan_at = set(t[inside].tolist())
+        nan_at = plateau_nodes(part)
         assert len(nan_at) > 300
 
         def rhs(t, x, hist):
@@ -431,6 +500,19 @@ class TestFlatRuns:
 
         assert_bit_identical(solve(IvpSpec(rhs=rhs, x0=spec.x0), part),
                              reference_scheme(spec, part))
+
+    def test_positive_zero_crosses_a_nan_plateau(self):
+        # -0.5 * +0.0 is -0.0, and +0.0 + -0.0 is +0.0: the state stays
+        # +0.0, so the plateaus are carried and their NaN never read
+        spec, part = linear_case(-0.5, h=1e-2, x0=0.0)
+        nan_at = plateau_nodes(part)
+
+        def rhs(t, x, hist):
+            return math.nan if t in nan_at else spec.rhs(t, x, hist)
+
+        traj = solve(IvpSpec(rhs=rhs, x0=0.0), part)
+        for out in (traj.values, traj.right_values, traj.predictor_values):
+            assert np.all(out == 0.0) and not np.signbit(out).any()
 
     @pytest.mark.parametrize("stage", range(3))
     def test_perturbation_inside_a_flat_run(self, stage):
