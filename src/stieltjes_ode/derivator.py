@@ -37,6 +37,11 @@ MAX_GRID_STEPS = 10 ** 7
 # the continuous part is checked for monotonicity on this many uniform samples
 _MONOTONE_SAMPLES = 1025
 
+# how far below zero rounding may take a step's measure, in ulps of the
+# largest |g| on a partition (``solver.Partition.from_nodes``) or of the
+# largest |g^C| on the block ends of an oracle piece (``quadrature``)
+_DG_ULPS = 8
+
 # grid points per block of the refinement oracle (``quadrature``): about
 # 256 kB per array.  One oracle block (``_ORACLE_BLOCK + 1`` points) is the
 # largest argument ``Derivator`` keeps in its continuous-part memo.
@@ -105,11 +110,13 @@ class Derivator:
     Notes
     -----
     ``value``, ``right_value`` and ``continuous_value`` remember the last
-    array they passed to the continuous part, with its raw values, so the
-    refinement oracle's ``continuous_value(block)`` and, on a block without
-    flat steps, its ``f(block)`` evaluate the part once per point (on a
-    block with flat steps ``f`` reads only the ends of the live steps, a
-    smaller array that is evaluated afresh).  A remembered value is served
+    array they passed to the continuous part, with its raw values.  The
+    refinement oracle reads the part on each piece's block ends, skips the
+    blocks whose two end values agree, and on every other block its
+    ``continuous_value(block)`` and, on a block without flat steps, its
+    ``f(block)`` evaluate the part once per point (on a block with flat
+    steps ``f`` reads only the ends of the live steps, a smaller array that
+    is evaluated afresh).  A remembered value is served
     only for an argument of the same shape and the same bits (``-0.0`` and
     ``0.0`` differ, and so do NaN payloads), so an argument changed in place
     between two calls gets fresh values.  Scalars, arrays of more than

@@ -21,7 +21,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .derivator import Derivator, _f_on_arrays
-from .quadrature import _check_refinement, _grid_block, _piece_terms
+from .quadrature import _check_refinement, _grid_points, _piece_terms
 
 __all__ = [
     "check_admissibility",
@@ -213,7 +213,8 @@ def general_linear_solution(d: Coefficient, forcing: Coefficient, x0: float,
                                                      quad_n)):
         # cumulative integral of the hatted coefficient along the piece
         phi = log_mag + np.concatenate(([0.0], np.cumsum(terms)))
-        xs = _grid_block(lo, hi, terms.size, 0, terms.size)
+        xs = _grid_points(lo, hi, terms.size,
+                          np.arange(terms.size + 1, dtype=float))
         dgc = np.diff(g.continuous_value(xs))
         # the integrand at the ends of the steps where g^C rises, 0 elsewhere
         live = dgc != 0

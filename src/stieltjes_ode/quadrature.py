@@ -31,8 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .derivator import (_ORACLE_BLOCK, MAX_GRID_STEPS, Derivator,
-                        _f_on_arrays, make_test_derivator)
+from .derivator import (_DG_ULPS, _ORACLE_BLOCK, MAX_GRID_STEPS,
+                        Derivator, _f_on_arrays, make_test_derivator)
 
 __all__ = [
     "RuleKind",
@@ -113,20 +113,31 @@ def evaluate_rule(kind: RuleKind, f, f_right, g: Derivator, a: float,
     return total
 
 
-def _grid_block(lo, hi, m, start, stop):
-    """``np.linspace(lo, hi, m + 1)[start:stop + 1]``, bit for bit, without
-    building the rest of the grid."""
-    xs = np.arange(start, stop + 1, dtype=float)
+def _grid_points(lo, hi, m, idx):
+    """``np.linspace(lo, hi, m + 1)[idx]``, bit for bit, for an array
+    ``idx`` of increasing grid indices, without building the rest of the
+    grid."""
     width = hi - lo
     if width / m == 0:  # numpy's order when a subnormal width underflows
-        xs /= m
+        xs = idx / m
         xs *= width
     else:
-        xs *= width / m
+        xs = idx * (width / m)
     xs += lo
-    if stop == m:
+    if idx[-1] == m:
         xs[-1] = hi
     return xs
+
+
+def _check_rises(dgc, tol, xs):
+    """Raise ``ValueError`` naming the first step ``[xs[k], xs[k + 1]]``
+    whose ``g^C`` measure ``dgc[k]`` is NaN or below ``-tol``."""
+    bad = ~(dgc >= -tol)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"the driver's continuous part decreases or is NaN "
+                         f"on the oracle grid between {xs[k]} and "
+                         f"{xs[k + 1]}: its measure there is {dgc[k]}")
 
 
 def _piece_terms(f, g: Derivator, a: float, b: float, n: int,
@@ -136,15 +147,24 @@ def _piece_terms(f, g: Derivator, a: float, b: float, n: int,
     ``[a, b]`` is cut at the jumps of ``g`` inside ``(a, b)``, and the ``n``
     subintervals are shared out by length.  For each piece this yields
     ``(lo, hi, terms)``, ``terms[i] = (f(x_i) + f(x_i+1))/2 * (gC(x_i+1) -
-    gC(x_i))`` on ``x = _grid_block(lo, hi, m, 0, m)`` (``np.linspace``'s
-    points); ``f_right(lo)``, when given, replaces ``f(lo)`` at a jump.
-    A flat step (``gC(x_i+1) == gC(x_i)``) carries no measure: its term is
-    ``0.0`` and ``f`` is read only at the ends of the other steps, so it is
-    never called on a block that is flat throughout.  The grid is built and
-    evaluated in blocks of ``_ORACLE_BLOCK`` points, so no whole grid is
-    held, and the ``f(block)`` of a block without flat steps is served from
-    the driver's memo of ``continuous_value(block)`` when ``f`` evaluates
-    ``g``.
+    gC(x_i))`` on ``x = np.linspace(lo, hi, m + 1)``; ``f_right(lo)``, when
+    given, replaces ``f(lo)`` at a jump.  The grid is built and evaluated in
+    blocks of ``_ORACLE_BLOCK`` steps, so no whole grid is held.
+
+    Each piece first reads ``gC`` once on its block ends (indices ``0, B,
+    2B, .., m``).  ``gC`` is nondecreasing, so a block whose two end values
+    are equal is flat throughout: its terms stay ``0.0`` and neither ``gC``
+    nor ``f`` is read inside it.  Every other block reads ``gC`` on all its
+    points.  A flat step (``gC(x_i+1) == gC(x_i)``) carries no measure: its
+    term is ``0.0`` and ``f`` is read only at the ends of the other steps.
+    The ``f(block)`` of a block without flat steps is served from the
+    driver's memo of ``continuous_value(block)`` when ``f`` evaluates ``g``.
+
+    A step of an evaluated block, or a pair of consecutive block ends,
+    whose ``gC`` difference is NaN or below ``-_DG_ULPS`` ulps of the
+    piece's largest ``|gC|`` on its block ends raises ``ValueError`` naming
+    the first such step.  A NaN or a decrease strictly inside a block whose
+    end values agree goes unseen.
     """
     interior, _ = g.jumps_in(np.nextafter(a, b), b)
     cuts = np.concatenate(([a], interior, [b]))
@@ -154,22 +174,30 @@ def _piece_terms(f, g: Derivator, a: float, b: float, n: int,
         m = max(1, int(round(n * (hi - lo) / (b - a))))
         right_start = f_right is not None and lo in g.jump_times
         terms = np.zeros(m)
-        for start in range(0, m, _ORACLE_BLOCK):
+        starts = range(0, m, _ORACLE_BLOCK)
+        edges = _grid_points(lo, hi, m, np.array([*starts, m], dtype=float))
+        ce = g.continuous_value(edges)
+        tol = _DG_ULPS * np.finfo(float).eps * np.max(
+            np.abs(ce), initial=0.0, where=np.isfinite(ce))
+        for j, start in enumerate(starts):
+            if ce[j] == ce[j + 1]:
+                continue  # flat throughout
             stop = min(start + _ORACLE_BLOCK, m)
-            block = _grid_block(lo, hi, m, start, stop)
+            block = _grid_points(lo, hi, m,
+                                 np.arange(start, stop + 1, dtype=float))
             dgc = np.diff(g.continuous_value(block))
+            _check_rises(dgc, tol, block)
+            _check_rises(ce[j + 1:j + 2] - ce[j], tol, edges[j:j + 2])
             live = dgc != 0
             if live.all():
                 fv = _f_on_arrays(f, block)
                 live = True  # a plain add below
-            elif live.any():
+            else:
                 # ``f`` at the ends of the live steps only, 0 elsewhere
                 ends = np.append(live, False)
                 ends[1:] |= live
                 fv = np.zeros_like(block)
                 fv[ends] = _f_on_arrays(f, block[ends])
-            else:
-                continue
             if start == 0 and right_start and dgc[0] != 0:
                 # a copy: ``f`` may hand back its argument, the block
                 fv = np.concatenate(([_eval(f_right, lo)], fv[1:]))
@@ -193,9 +221,12 @@ def oracle_integral(f, g: Derivator, a: float, b: float, n: int,
     trapezoid is then second order in ``1/n`` on every piece.  ``f`` is
     ignored on a null set of ``dg^C``: it is read at the jump atoms and at
     the ends of grid steps where ``g^C`` rises, never inside a flat stretch,
-    where it may even be NaN.  ``n`` must be an integer in ``[1,
-    MAX_GRID_STEPS]``.  The oracle shares no code with the single-interval
-    rules above.
+    where it may even be NaN.  ``g^C`` is read on the block ends of each
+    piece and inside the blocks whose end values differ, not inside a block
+    that is flat throughout.  Where it is NaN or falls by more than
+    rounding, the call raises ``ValueError`` (see ``_piece_terms``).  ``n``
+    must be an integer in ``[1, MAX_GRID_STEPS]``.  The oracle shares no
+    code with the single-interval rules above.
     """
     _check_interval(g, a, b)
     _check_refinement(n)

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .derivator import MAX_GRID_STEPS, Derivator
+from .derivator import _DG_ULPS, MAX_GRID_STEPS, Derivator
 
 __all__ = [
     "GridMismatchError",
@@ -33,11 +33,6 @@ __all__ = [
     "solve",
     "solve_perturbed",
 ]
-
-# how far below zero rounding may take a step's dg, in ulps of the largest
-# |g(t_k)| of the grid
-_DG_ULPS = 8
-
 
 class GridMismatchError(ValueError):
     """The partition cannot host the driver: the domain is not an integer

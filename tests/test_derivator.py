@@ -462,12 +462,18 @@ class TestSortedRuns:
             assert bits(phi(t / 10)) == bits(masked_phi(4.0, np.array(t / 10)))
 
 
+def grid_block(lo, hi, m, start, stop):
+    """Points ``start`` to ``stop`` of the ``m``-step grid on ``[lo, hi]``."""
+    return quadrature._grid_points(lo, hi, m,
+                                   np.arange(start, stop + 1, dtype=float))
+
+
 class TestGridBlock:
-    """``_grid_block`` builds ``linspace`` points without the whole grid."""
+    """``_grid_points`` builds ``linspace`` points without the whole grid."""
 
     @staticmethod
     def check(lo, hi, m, start, stop):
-        block = quadrature._grid_block(lo, hi, m, start, stop)
+        block = grid_block(lo, hi, m, start, stop)
         expected = np.linspace(lo, hi, m + 1)[start:stop + 1]
         assert np.array_equal(bits(block), bits(expected))
 
@@ -477,8 +483,25 @@ class TestGridBlock:
         size = quadrature._ORACLE_BLOCK
         for start in range(0, m, size):
             stop = min(start + size, m)
-            block = quadrature._grid_block(lo, hi, m, start, stop)
+            block = grid_block(lo, hi, m, start, stop)
             assert np.array_equal(bits(block), bits(full[start:stop + 1]))
+
+    def test_block_ends_are_the_blocks_first_and_last_points(self):
+        # the oracle reads g^C on these indices before it builds a block
+        size = quadrature._ORACLE_BLOCK
+        for lo, hi, m in ((0.0, 10.0, 10 ** 6), (0.3, 9.7, 3 * size),
+                          (1e-310, 1e-310 + 3e-323, 16), (2.5, 7.25, 1)):
+            starts = list(range(0, m, size))
+            for idx in (np.array(starts + [m], dtype=float),
+                        np.array(starts + [m])):
+                ends = quadrature._grid_points(lo, hi, m, idx)
+                expected = np.linspace(lo, hi, m + 1)[starts + [m]]
+                assert np.array_equal(bits(ends), bits(expected))
+                for j, start in enumerate(starts):
+                    block = grid_block(lo, hi, m, start,
+                                       min(start + size, m))
+                    assert bits(block[0]) == bits(ends[j])
+                    assert bits(block[-1]) == bits(ends[j + 1])
 
     def test_random_pieces(self):
         rng = np.random.default_rng(8)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpu_target import per_target
 from stieltjes_ode import quadrature
@@ -34,6 +36,31 @@ def unblocked_oracle(f, g, a, b, n, f_right=None):
             fv[0] = float(f_right(lo))
         cv = g.continuous_value(xs)
         total += float(np.sum(0.5 * (fv[1:] + fv[:-1]) * np.diff(cv)))
+    return total
+
+
+def unskipped_oracle(f, g, a, b, n, f_right=None):
+    """The refinement oracle before its skip of flat blocks: ``g^C`` on the
+    whole ``np.linspace`` grid of each piece, ``f`` at the ends of live
+    steps only, ``f_right`` where a piece starts at a jump, and one
+    ``np.sum`` of the terms per piece."""
+    times, gaps = g.jumps_in(a, b)
+    total = sum(float(f(float(d))) * gap for d, gap in zip(times, gaps))
+    interior, _ = g.jumps_in(np.nextafter(a, b), b)
+    cuts = np.concatenate(([a], interior, [b]))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        m = max(1, int(round(n * (hi - lo) / (b - a))))
+        xs = np.linspace(lo, hi, m + 1)
+        dgc = np.diff(g.continuous_value(xs))
+        live = dgc != 0
+        ends = np.append(live, False) | np.append(False, live)
+        fv = np.zeros_like(xs)
+        if ends.any():
+            fv[ends] = _f_on_arrays(f, xs[ends])
+        if f_right is not None and lo in g.jump_times and live[0]:
+            fv[0] = float(f_right(lo))
+        terms = np.where(live, 0.5 * (fv[1:] + fv[:-1]) * dgc, 0.0)
+        total += float(np.sum(terms))
     return total
 
 
@@ -332,59 +359,187 @@ class TestOracle:
         assert math.isfinite(value)
         assert oracle_integral(f_nan, g, 0.5, 9.5, 10 ** 4, f_right) == value
 
+    def test_rejects_a_part_that_falls_between_its_samples(self):
+        # the constructor's 1025 samples miss the fall; the first oracle
+        # step with a negative measure starts at t = 0.0053679
+        g = Derivator(10.0, lambda t: t + 0.02 * np.sin(102.4 * np.pi * t))
+        with pytest.raises(ValueError, match="decreases or is NaN on the "
+                                             "oracle grid between 0.0053679 "):
+            oracle_integral(lambda t: np.ones_like(t), g, 0.0, 0.01, 10 ** 5)
+
+    def test_rejects_a_nan_part_between_its_samples(self):
+        g = Derivator(1.0, lambda t: np.where((t > 0.5003) & (t < 0.5004),
+                                              np.nan, t))
+        with pytest.raises(ValueError, match="between 0.50029 and .*nan"):
+            oracle_integral(lambda t: np.ones_like(t), g, 0.0, 1.0, 10 ** 5)
+
+    def test_rejects_a_fall_seen_only_between_block_ends(self):
+        # each step falls by less than 8 ulps of 0.5, the third block of
+        # the grid by 1.25e-11
+        g = Derivator(1.0, lambda t: np.where(t < 0.5, t,
+                                              0.5 - 5e-11 * (t - 0.5)))
+        with pytest.raises(ValueError, match="between 0.5 and 0.75"):
+            oracle_integral(lambda t: np.ones_like(t), g, 0.0, 1.0,
+                            4 * _ORACLE_BLOCK)
+
+    def test_accepts_rounding_below_zero_on_a_flat_stretch(self):
+        # (t + 1) - t is 1 up to an ulp either way: flat on [1, 2] in exact
+        # arithmetic, with thousands of steps of -2**-52 on the grid
+        part = lambda t: np.minimum(t, 1.0) + ((t + 1.0) - t) - 1.0
+        assert (np.diff(part(np.linspace(0.0, 2.0, 10 ** 5 + 1))) < 0).any()
+        g = Derivator(2.0, part)
+        value = oracle_integral(lambda t: np.ones_like(t), g, 0.0, 2.0,
+                                10 ** 5)
+        assert value == pytest.approx(1.0, abs=1e-12)
+
+
+def float_bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+@st.composite
+def oracle_problems(draw):
+    """A driver with plateaus, an interval inside or across them, ``n`` for
+    pieces of one or several blocks, and an integrand, NaN on the plateaus
+    away from the atoms when ``nan`` is drawn."""
+    point = st.one_of(st.floats(0.0, 10.0),
+                      st.sampled_from([0.0, 1.9, 2.0, 3.0, 4.0, 4.1, 5.0,
+                                       6.0, 7.0, 8.0, 10.0]))
+    if draw(st.booleans()):
+        # the test driver: flat on [2, 4] and [6, 8], widened by the ramps'
+        # saturated ends
+        g = make_test_derivator(draw(st.integers(0, 5)),
+                                alpha=draw(st.floats(1.0, 6.0)))
+        plateaus = [(2.0, 4.0), (6.0, 8.0)]
+    else:
+        # kinks at p0 < p1: a plateau that can cover whole blocks and end
+        # inside one
+        p0 = draw(st.floats(0.5, 4.0))
+        p1 = draw(st.floats(p0 + 0.5, 9.5))
+        times = sorted(set(draw(st.lists(st.floats(0.1, 9.9), max_size=3))))
+        g = Derivator(10.0, lambda t: (np.minimum(t, p0)
+                                       + np.maximum(t - p1, 0.0)),
+                      times, [0.5] * len(times))
+        plateaus = [(p0, p1)]
+    a, b = sorted((draw(point), draw(point)))
+    if not a < b:
+        b = 10.0 if a < 10.0 else a
+        a = 0.0 if a == b else a
+    n = draw(st.integers(1, 4 * _ORACLE_BLOCK))
+    c1, c2 = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    f, f_right, _ = make_lipschitz_integrand(g, c1, c2)
+    if draw(st.booleans()):
+        plain = f
+
+        def f(t):
+            arr = np.asarray(t, dtype=float)
+            on = np.zeros(arr.shape, dtype=bool)
+            for lo, hi in plateaus:
+                on |= (arr > lo) & (arr < hi)
+            on &= ~np.isin(arr, g.jump_times)
+            return np.where(on, np.nan, plain(arr))
+    return g, a, b, n, f, draw(st.sampled_from([None, f_right]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_problems())
+def test_skipping_flat_blocks_keeps_every_bit(problem):
+    g, a, b, n, f, f_right = problem
+    value = oracle_integral(f, g, a, b, n, f_right)
+    assert float_bits(value) == float_bits(
+        unskipped_oracle(f, g, a, b, n, f_right))
+
 
 class TestOracleDriverEvaluations:
-    """The oracle reads ``continuous_value(block)`` once per grid point.  On
-    a block without flat steps its ``f(block)`` shares that evaluation of
-    the continuous part, through the driver's memo; on a block with flat
-    steps ``f`` evaluates ``g`` afresh, but only at the ends of the steps
-    that carry measure."""
+    """Each oracle piece reads ``continuous_value`` once on its block ends.
+    A block whose two end values agree is flat throughout and is read no
+    further.  Every other block reads ``continuous_value(block)`` once per
+    point; without flat steps its ``f(block)`` shares that evaluation of the
+    continuous part through the driver's memo, and with flat steps ``f``
+    evaluates ``g`` afresh, but only at the ends of the steps that carry
+    measure."""
 
-    @staticmethod
-    def count_points(shape, n):
-        """Points the continuous part ``shape`` runs on in one oracle call,
-        the oracle's grid points, and the ends of live steps on blocks with
-        a flat step."""
+    JUMPS = (1.0, 2.0)
+
+    @classmethod
+    def expected_points(cls, shape, a, b, n):
+        """Block ends, points of the blocks whose ends differ, and ends of
+        live steps on those of them with a flat step, from ``np.linspace``
+        grids of the pieces."""
+        cuts = [a] + [d for d in cls.JUMPS if a < d < b] + [b]
+        edges = evaluated = ends = 0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            m = max(1, int(round(n * (hi - lo) / (b - a))))
+            values = shape(np.linspace(lo, hi, m + 1))
+            starts = range(0, m, _ORACLE_BLOCK)
+            edges += len(starts) + 1
+            for start in starts:
+                block = values[start:min(start + _ORACLE_BLOCK, m) + 1]
+                if block[0] == block[-1]:
+                    continue
+                evaluated += block.size
+                live = np.diff(block) != 0
+                if not live.all():
+                    ends += (np.append(live, False)
+                             | np.append(False, live)).sum()
+        return edges, evaluated, ends
+
+    @classmethod
+    def count_points(cls, shape, n, a=0.5, b=2.5):
+        """Points the continuous part ``shape`` runs on in one oracle call
+        over ``[a, b)``, less the scalar reads at the jumps, and the calls
+        of ``f`` on arrays."""
         points = [0]
+        calls = [0]
 
         def part(t):
             arr = np.asarray(t, dtype=float)
             points[0] += arr.size
             return shape(arr)
 
-        g = Derivator(3.0, part, [1.0, 2.0], [0.5, 0.5])
+        g = Derivator(3.0, part, cls.JUMPS, [0.5, 0.5])
         f, f_right, _ = make_lipschitz_integrand(g, 0.7, -1.3)
-        grid = ends = 0
-        for lo, hi, terms in quadrature._piece_terms(f, g, 0.5, 2.5, n):
-            m = terms.size
-            # consecutive blocks of a segment share their end point
-            for start in range(0, m, _ORACLE_BLOCK):
-                block = quadrature._grid_block(
-                    lo, hi, m, start, min(start + _ORACLE_BLOCK, m))
-                live = np.diff(g.continuous_value(block)) != 0
-                grid += block.size
-                if not live.all():
-                    ends += (np.append(live, False)
-                             | np.append(False, live)).sum()
+
+        def f_counted(t):
+            calls[0] += np.ndim(t) > 0
+            return f(t)
+
         points[0] = 0
-        oracle_integral(f, g, 0.5, 2.5, n, f_right)
-        # less f(d) at both jumps and f_right(d) where their segments start
-        return points[0] - 4, grid, ends
+        oracle_integral(f_counted, g, a, b, n, f_right)
+        # f(d) at each jump in [a, b) and f_right(d) where a piece starts
+        atoms = sum(a <= d < b for d in cls.JUMPS)
+        atoms += sum(a < d < b for d in cls.JUMPS)
+        return points[0] - atoms, calls[0]
 
     @pytest.mark.parametrize("n", [3000, 3 * _ORACLE_BLOCK])
     def test_continuous_part_runs_once_per_block_point(self, n):
-        count, grid, ends = self.count_points(
-            lambda t: t + 0.25 * np.sin(t), n)
-        assert (count, ends) == (grid, 0)
+        shape = lambda t: t + 0.25 * np.sin(t)
+        edges, evaluated, ends = self.expected_points(shape, 0.5, 2.5, n)
+        count, _ = self.count_points(shape, n)
+        assert ends == 0
+        assert count == evaluated + edges
 
     @pytest.mark.parametrize("n", [3000, 6 * _ORACLE_BLOCK])
     def test_flat_steps_add_only_the_ends_of_live_steps(self, n):
-        # slope 1 except on [1.1, 1.9]; at the larger n the middle segment
+        # slope 1 except on [1.1, 1.9]; at the larger n the middle piece
         # has a block that is flat throughout and two with flat steps
-        count, grid, ends = self.count_points(
-            lambda t: np.minimum(t, 1.1) + np.maximum(t - 1.9, 0.0), n)
-        assert 0 < ends < grid / 2
-        assert count == grid + ends
+        shape = lambda t: np.minimum(t, 1.1) + np.maximum(t - 1.9, 0.0)
+        edges, evaluated, ends = self.expected_points(shape, 0.5, 2.5, n)
+        count, _ = self.count_points(shape, n)
+        assert 0 < ends < evaluated / 2
+        assert count == evaluated + edges + ends
+        if n > 3000:
+            # the flat block is neither evaluated nor handed to f
+            assert evaluated < 6 * _ORACLE_BLOCK
+
+    @pytest.mark.parametrize("n", [3000, 6 * _ORACLE_BLOCK])
+    def test_flat_piece_reads_only_its_block_ends(self, n):
+        # flat on the whole middle piece [1, 2]
+        shape = lambda t: np.minimum(t, 1.0) + np.maximum(t - 2.0, 0.0)
+        edges, evaluated, _ = self.expected_points(shape, 1.0, 2.0, n)
+        assert evaluated == 0
+        assert edges == -(-n // _ORACLE_BLOCK) + 1
+        assert self.count_points(shape, n, 1.0, 2.0) == (edges, 0)
 
 
 class TestErrorBound:
