@@ -160,10 +160,12 @@ def _piece_terms(f, g: Derivator, a: float, b: float, n: int,
     The ``f(block)`` of a block without flat steps is served from the
     driver's memo of ``continuous_value(block)`` when ``f`` evaluates ``g``.
 
-    A step of an evaluated block, or a pair of consecutive block ends,
-    whose ``gC`` difference is NaN or below ``-_DG_ULPS`` ulps of the
-    piece's largest ``|gC|`` on its block ends raises ``ValueError`` naming
-    the first such step.  A NaN or a decrease strictly inside a block whose
+    A ``gC`` difference that is NaN or below ``-_DG_ULPS`` ulps of the
+    piece's largest ``|gC|`` on its block ends raises ``ValueError``.  The
+    steps of each evaluated block are checked as the block is read, in grid
+    order, and then the differences between consecutive block ends (a
+    skipped block's is 0); the error names the first bad step of the first
+    check that fails.  A NaN or a decrease strictly inside a block whose
     end values agree goes unseen.
     """
     interior, _ = g.jumps_in(np.nextafter(a, b), b)
@@ -187,7 +189,6 @@ def _piece_terms(f, g: Derivator, a: float, b: float, n: int,
                                  np.arange(start, stop + 1, dtype=float))
             dgc = np.diff(g.continuous_value(block))
             _check_rises(dgc, tol, block)
-            _check_rises(ce[j + 1:j + 2] - ce[j], tol, edges[j:j + 2])
             live = dgc != 0
             if live.all():
                 fv = _f_on_arrays(f, block)
@@ -206,6 +207,7 @@ def _piece_terms(f, g: Derivator, a: float, b: float, n: int,
             np.add(fv[1:], fv[:-1], out=out, where=live)
             out *= 0.5
             out *= dgc
+        _check_rises(np.diff(ce), tol, edges)
         yield lo, hi, terms
 
 

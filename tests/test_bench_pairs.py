@@ -90,3 +90,15 @@ def test_summary_flags_other_bytes_and_failed_runs():
 def test_seeds_end_with_the_held_out_ones():
     assert bench_pairs._seeds(5, 2, 301) == [301, 302, 303, 1001, 1002]
     assert bench_pairs._seeds(2, 0, 7) == [7, 8]
+
+
+def test_checkouts_differ_by_their_sources_not_their_line_counts(tmp_path):
+    sides = []
+    for body in ("x = 1\n", "x = 2\n"):
+        src = tmp_path / body[4] / "src" / "pkg"
+        src.mkdir(parents=True)
+        (src / "mod.py").write_text(body)
+        (src / "notes.txt").write_text("not a source\n")
+        sides.append(bench_pairs.describe_checkout(str(tmp_path / body[4])))
+    assert [s["src_lines"] for s in sides] == [1, 1]
+    assert sides[0]["src_sha256"] != sides[1]["src_sha256"]

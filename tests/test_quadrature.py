@@ -400,8 +400,8 @@ def float_bits(x):
 @st.composite
 def oracle_problems(draw):
     """A driver with plateaus, an interval inside or across them, ``n`` for
-    pieces of one or several blocks, and an integrand, NaN on the plateaus
-    away from the atoms when ``nan`` is drawn."""
+    pieces of one or several blocks, and an integrand, NaN (when drawn)
+    where both grid steps next to a point are flat, away from the atoms."""
     point = st.one_of(st.floats(0.0, 10.0),
                       st.sampled_from([0.0, 1.9, 2.0, 3.0, 4.0, 4.1, 5.0,
                                        6.0, 7.0, 8.0, 10.0]))
@@ -430,12 +430,15 @@ def oracle_problems(draw):
     f, f_right, _ = make_lipschitz_integrand(g, c1, c2)
     if draw(st.booleans()):
         plain = f
+        # a piece's grid step is at most 1.5 (b - a)/n, so a point this far
+        # inside a plateau ends two flat steps
+        margin = 2.0 * (b - a) / n
 
         def f(t):
             arr = np.asarray(t, dtype=float)
             on = np.zeros(arr.shape, dtype=bool)
             for lo, hi in plateaus:
-                on |= (arr > lo) & (arr < hi)
+                on |= (arr > lo + margin) & (arr < hi - margin)
             on &= ~np.isin(arr, g.jump_times)
             return np.where(on, np.nan, plain(arr))
     return g, a, b, n, f, draw(st.sampled_from([None, f_right]))
@@ -446,6 +449,7 @@ def oracle_problems(draw):
 def test_skipping_flat_blocks_keeps_every_bit(problem):
     g, a, b, n, f, f_right = problem
     value = oracle_integral(f, g, a, b, n, f_right)
+    assert math.isfinite(value)
     assert float_bits(value) == float_bits(
         unskipped_oracle(f, g, a, b, n, f_right))
 

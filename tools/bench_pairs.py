@@ -2,20 +2,21 @@
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N
         --seconds S --out BENCH_<n>.json [--first-seed K] [--held-out H]
-        [--trace-seed T] [--description TEXT]
+        [--description TEXT]
 
 PARENT and CHANGE are two checkouts of the repository.  For each of ``N``
 pairs it runs ``bench/run.py --workload W --seed s --seconds S --trace 0``
 once in each checkout, alternating which side runs first.  The first
 ``N - H`` pairs take the seeds ``K, K+1, ..``; the last ``H`` take the
 held-out seeds ``1001, 1002, ..`` (``bench/README.md``).  Then it runs one
-``--trace 1`` run per side at seed ``T`` for the per-layer numbers.
+``--trace 1`` run per side at seed 1 for the per-layer numbers.
 
 The record goes to ``--out``, in one schema for every workload: per-pair
 end-to-end metrics and output digests, per-side medians and quartiles, the
-number of pairs each side won, and the environment.  When ``--out`` already
-holds a record of the same two checkouts, the workload is added to it, so
-one file can hold several workloads.  Exits 1 when a run fails or the two
+number of pairs each side won, and the environment.  Each side is named by
+its git commit (when it is a work tree) and a sha256 over its ``src/``
+sources.  When ``--out`` already holds a record of the same two source
+trees, the workload is added to it, so one file can hold several workloads.  Exits 1 when a run fails or the two
 sides wrote different outputs for the same seed, 2 on bad arguments.
 """
 
@@ -23,26 +24,26 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the end-to-end metrics of bench/run.py; lower is better for each
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "max_err")
 SIDES = ("parent", "change")
 HELD_OUT_SEED = 1001
+TRACE_SEED = 1
 
-
-def quartiles(values):
-    """First quartile, median and third quartile, as ``bench/run.py``
-    reports them."""
-    if len(values) == 1:
-        return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
+# medians and quartiles as bench/run.py computes them, from its own code
+_spec = importlib.util.spec_from_file_location(
+    "bench_run", os.path.join(ROOT, "bench", "run.py"))
+_bench_run = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_bench_run)
+quartiles = _bench_run._quartiles
 
 
 def parse_run(stdout):
@@ -127,21 +128,28 @@ def _seeds(pairs, held_out, first_seed):
 
 
 def describe_checkout(checkout):
-    """Git commit of ``checkout`` (``None`` outside a git work tree) and the
-    line count of its ``src/``."""
+    """Git commit of ``checkout`` (``None`` outside a git work tree), the
+    line count of its ``src/`` and a sha256 over the paths and bytes of the
+    ``.py`` files there, in sorted order."""
     try:
         proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
                               capture_output=True, text=True, timeout=30)
         commit = proc.stdout.strip() if proc.returncode == 0 else None
     except OSError:
         commit = None
+    src = os.path.join(checkout, "src")
+    paths = sorted(os.path.relpath(os.path.join(dirpath, name), src)
+                   for dirpath, _, files in os.walk(src)
+                   for name in files if name.endswith(".py"))
+    digest = hashlib.sha256()
     lines = 0
-    for dirpath, _, files in os.walk(os.path.join(checkout, "src")):
-        for name in files:
-            if name.endswith(".py"):
-                with open(os.path.join(dirpath, name), "rb") as fh:
-                    lines += sum(1 for _ in fh)
-    return {"commit": commit, "src_lines": lines}
+    for path in paths:
+        with open(os.path.join(src, path), "rb") as fh:
+            data = fh.read()
+        lines += data.count(b"\n")
+        digest.update(path.encode() + b"\0" + data + b"\0")
+    return {"commit": commit, "src_lines": lines,
+            "src_sha256": digest.hexdigest()}
 
 
 def measure(args, log=print):
@@ -161,9 +169,9 @@ def measure(args, log=print):
         log(f"pair {i + 1}/{args.pairs} seed {seed}: wall_s parent "
             f"{pair['parent']['wall_s']:.4f} change "
             f"{pair['change']['wall_s']:.4f}")
-    traced = {"seed": args.trace_seed}
+    traced = {"seed": TRACE_SEED}
     for side in SIDES:
-        run, _ = run_bench(checkouts[side], args.workload, args.trace_seed,
+        run, _ = run_bench(checkouts[side], args.workload, TRACE_SEED,
                            args.seconds, 1)
         traced[side] = run
     return {
@@ -190,7 +198,6 @@ def main(argv=None):
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--held-out", type=int, default=2,
                         help="pairs on the held-out seeds 1001, 1002, ..")
-    parser.add_argument("--trace-seed", type=int, default=1)
     parser.add_argument("--description", default="")
     args = parser.parse_args(argv)
     if not 0 <= args.held_out <= args.pairs or args.pairs < 1:
@@ -206,7 +213,7 @@ def main(argv=None):
         with open(args.out, "r", encoding="utf-8") as fh:
             record = json.load(fh)
         if record.get("sides") != sides:
-            print(f"error: {args.out} holds a record of other checkouts",
+            print(f"error: {args.out} holds a record of other source trees",
                   file=sys.stderr)
             return 2
         if args.description:
