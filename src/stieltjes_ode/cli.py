@@ -32,6 +32,9 @@ def _parse_list(text, name, kind):
         raise ValueError(f"invalid {name} list: {text!r}") from exc
     if not values:
         raise ValueError(f"empty {name} list")
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ValueError(f"{name} {repeated[0]!r} is repeated in {text!r}")
     return values
 
 

@@ -37,9 +37,7 @@ MAX_GRID_STEPS = 10 ** 7
 # the continuous part is checked for monotonicity on this many uniform samples
 _MONOTONE_SAMPLES = 1025
 
-# how far below zero rounding may take a step's measure, in ulps of the
-# largest |g| on a partition (``solver.Partition.from_nodes``) or of the
-# largest |g^C| on the block ends of an oracle piece (``quadrature``)
+# ulps of the raw values a measure may round below zero; read by _rise_slack
 _DG_ULPS = 8
 
 # grid points per block of the refinement oracle (``quadrature``): about
@@ -74,6 +72,17 @@ def _f_on_arrays(f, *arrays):
 def _is_sorted(arr):
     """1-d, two or more points, ``arr[1:] >= arr[:-1]`` (so no NaN)."""
     return arr.ndim == 1 and arr.size > 1 and (arr[1:] >= arr[:-1]).all()
+
+
+def _check_rises(steps, slack, xs, grid):
+    """Raise ``ValueError`` naming the first step ``[xs[k], xs[k + 1]]`` of
+    the ``grid`` whose measure ``steps[k]`` is NaN or below ``-slack``."""
+    bad = ~(steps >= -slack)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"the driver's continuous part decreases or is NaN "
+                         f"on the {grid} grid between {xs[k]} and "
+                         f"{xs[k + 1]}: its measure there is {steps[k]}")
 
 
 def _check_domain_end(T):
@@ -195,6 +204,12 @@ class Derivator:
                 and not np.may_share_memory(raw, arr)):
             self._memo = (arr.copy(), raw)
         return raw
+
+    def _rise_slack(self, values):
+        """``_DG_ULPS`` ulps of what the part returned for driver ``values``:
+        their largest finite ``|value|`` plus the ``|g^C(0)|`` subtracted."""
+        top = np.max(np.abs(values), initial=0.0, where=np.isfinite(values))
+        return _DG_ULPS * np.finfo(float).eps * (top + abs(self._c0))
 
     def _prefix_at(self, table, arr, side):
         """``table[searchsorted(jump_times, arr, side)]`` for a table with

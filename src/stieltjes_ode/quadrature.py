@@ -31,8 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .derivator import (_DG_ULPS, _ORACLE_BLOCK, MAX_GRID_STEPS,
-                        Derivator, _f_on_arrays, make_test_derivator)
+from .derivator import (_ORACLE_BLOCK, MAX_GRID_STEPS, Derivator,
+                        _check_rises, _f_on_arrays, make_test_derivator)
 
 __all__ = [
     "RuleKind",
@@ -129,17 +129,6 @@ def _grid_points(lo, hi, m, idx):
     return xs
 
 
-def _check_rises(dgc, tol, xs):
-    """Raise ``ValueError`` naming the first step ``[xs[k], xs[k + 1]]``
-    whose ``g^C`` measure ``dgc[k]`` is NaN or below ``-tol``."""
-    bad = ~(dgc >= -tol)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"the driver's continuous part decreases or is NaN "
-                         f"on the oracle grid between {xs[k]} and "
-                         f"{xs[k + 1]}: its measure there is {dgc[k]}")
-
-
 def _piece_terms(f, g: Derivator, a: float, b: float, n: int,
                  f_right: Callable | None = None):
     """Trapezoid terms of ``f`` against the continuous part, piece by piece.
@@ -160,13 +149,13 @@ def _piece_terms(f, g: Derivator, a: float, b: float, n: int,
     The ``f(block)`` of a block without flat steps is served from the
     driver's memo of ``continuous_value(block)`` when ``f`` evaluates ``g``.
 
-    A ``gC`` difference that is NaN or below ``-_DG_ULPS`` ulps of the
-    piece's largest ``|gC|`` on its block ends raises ``ValueError``.  The
-    steps of each evaluated block are checked as the block is read, in grid
-    order, and then the differences between consecutive block ends (a
-    skipped block's is 0); the error names the first bad step of the first
-    check that fails.  A NaN or a decrease strictly inside a block whose
-    end values agree goes unseen.
+    A ``gC`` difference that is NaN or falls by more than rounding (the
+    slack of the piece's block-end values) raises ``ValueError`` through
+    ``derivator._check_rises``.  The steps of each evaluated block are
+    checked as the block is read, in grid order, and then the differences
+    between consecutive block ends (a skipped block's is 0); the error names
+    the first bad step of the first check that fails.  A NaN or a decrease
+    strictly inside a block whose end values agree goes unseen.
     """
     interior, _ = g.jumps_in(np.nextafter(a, b), b)
     cuts = np.concatenate(([a], interior, [b]))
@@ -179,8 +168,7 @@ def _piece_terms(f, g: Derivator, a: float, b: float, n: int,
         starts = range(0, m, _ORACLE_BLOCK)
         edges = _grid_points(lo, hi, m, np.array([*starts, m], dtype=float))
         ce = g.continuous_value(edges)
-        tol = _DG_ULPS * np.finfo(float).eps * np.max(
-            np.abs(ce), initial=0.0, where=np.isfinite(ce))
+        slack = g._rise_slack(ce)
         for j, start in enumerate(starts):
             if ce[j] == ce[j + 1]:
                 continue  # flat throughout
@@ -188,7 +176,7 @@ def _piece_terms(f, g: Derivator, a: float, b: float, n: int,
             block = _grid_points(lo, hi, m,
                                  np.arange(start, stop + 1, dtype=float))
             dgc = np.diff(g.continuous_value(block))
-            _check_rises(dgc, tol, block)
+            _check_rises(dgc, slack, block, "oracle")
             live = dgc != 0
             if live.all():
                 fv = _f_on_arrays(f, block)
@@ -207,7 +195,7 @@ def _piece_terms(f, g: Derivator, a: float, b: float, n: int,
             np.add(fv[1:], fv[:-1], out=out, where=live)
             out *= 0.5
             out *= dgc
-        _check_rises(np.diff(ce), tol, edges)
+        _check_rises(np.diff(ce), slack, edges, "oracle")
         yield lo, hi, terms
 
 
@@ -226,9 +214,9 @@ def oracle_integral(f, g: Derivator, a: float, b: float, n: int,
     where it may even be NaN.  ``g^C`` is read on the block ends of each
     piece and inside the blocks whose end values differ, not inside a block
     that is flat throughout.  Where it is NaN or falls by more than
-    rounding, the call raises ``ValueError`` (see ``_piece_terms``).  ``n``
-    must be an integer in ``[1, MAX_GRID_STEPS]``.  The oracle shares no
-    code with the single-interval rules above.
+    rounding, the call raises ``ValueError`` by the partition's rule (see
+    ``_piece_terms``).  ``n`` must be an integer in ``[1, MAX_GRID_STEPS]``.
+    The oracle shares no code with the single-interval rules above.
     """
     _check_interval(g, a, b)
     _check_refinement(n)

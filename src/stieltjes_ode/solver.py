@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .derivator import _DG_ULPS, MAX_GRID_STEPS, Derivator
+from .derivator import MAX_GRID_STEPS, Derivator, _check_rises
 
 __all__ = [
     "GridMismatchError",
@@ -72,7 +72,7 @@ class Partition:
         ``ValueError``; a jump time that is not a node raises
         :class:`GridMismatchError`.  A step whose continuous measure ``dg``
         is NaN or negative beyond rounding raises ``ValueError`` naming the
-        first such step.  The array is used as given, not copied.
+        first such step (``derivator._check_rises``); ``nodes`` is not copied.
         """
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or not 2 <= nodes.size <= MAX_GRID_STEPS + 1:
@@ -96,14 +96,7 @@ class Partition:
         dg = g_left[1:] - (g_left[:-1] + gaps[:-1])
         # g(t_k) + gap(t_k) is rounded, so a flat step of a nondecreasing
         # driver may come out an ulp or two of its values below zero
-        tol = _DG_ULPS * np.finfo(float).eps * np.max(
-            np.abs(g_left), initial=0.0, where=np.isfinite(g_left))
-        bad = ~(dg >= -tol)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValueError(f"the driver decreases or is NaN on step {k} "
-                             f"[{nodes[k]}, {nodes[k + 1]}]: its measure "
-                             f"is {dg[k]}")
+        _check_rises(dg, g._rise_slack(g_left), nodes, "partition")
         return cls(g, float(steps.max()), nodes, gaps, dg)
 
 

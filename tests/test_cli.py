@@ -98,6 +98,28 @@ class TestLinearConvergence:
                     "--out", str(tmp_path / "t.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--jumps", "2,2"], "jump-count 2 "),
+        (["--jumps", "2,4,02"], "jump-count 2 "),
+        (["--h", "0.1,0.1"], "step 0.1 "),
+        (["--h", "1e-1,1e-2,0.1"], "step 0.1 ")])
+    def test_repeated_list_value_exits_2_before_any_driver(
+            self, flags, named, tmp_path, monkeypatch, capsys):
+        # compared as parsed: 02 is 2 and 1e-1 is 0.1
+        def never(*args, **kwargs):
+            raise AssertionError("a driver was built")
+
+        monkeypatch.setattr(cli.derivator, "make_test_derivator", never)
+        out = tmp_path / "t.csv"
+        code = run(["linear-convergence", "--jumps", "2,4", "--h", "1e-1,1e-2",
+                    *flags, "--out", str(out)])
+        assert code == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert len(printed.err.splitlines()) == 1
+        assert printed.err.startswith(f"error: {named}is repeated")
+        assert not out.exists()
+
     def test_non_finite_derivator_exits_2(self, tmp_path, capsys):
         desc = '{"kind": "custom", "jumps": [{"t": 2.0, "gap": Infinity}]}'
         code = run(["linear-convergence", "--h", "1e-1", "--derivator", desc,

@@ -15,6 +15,7 @@ from stieltjes_ode.derivator import (_ORACLE_BLOCK, MAX_GRID_STEPS, Derivator,
 from stieltjes_ode.quadrature import (RuleKind, error_bound, evaluate_rule,
                                       make_lipschitz_integrand,
                                       oracle_integral, run_bound_suite)
+from stieltjes_ode.solver import Partition
 
 
 def pure_jump_driver(T, times, gaps):
@@ -373,6 +374,24 @@ class TestOracle:
         with pytest.raises(ValueError, match="between 0.50029 and .*nan"):
             oracle_integral(lambda t: np.ones_like(t), g, 0.0, 1.0, 10 ** 5)
 
+    @pytest.mark.parametrize("g, b", [
+        (Derivator(10.0, lambda t: t + 0.02 * np.sin(102.4 * np.pi * t)),
+         0.01),
+        (Derivator(1.0, lambda t: np.where((t > 0.5003) & (t < 0.5004),
+                                           np.nan, t)), 1.0)],
+        ids=["falling", "nan"])
+    def test_a_partition_on_the_oracle_grid_rejects_in_the_same_words(
+            self, g, b):
+        # the two drivers above, on a partition whose nodes are the oracle
+        # grid of [0, b] (and T): the same step, by the one rule
+        with pytest.raises(ValueError) as oracle:
+            oracle_integral(lambda t: np.ones_like(t), g, 0.0, b, 10 ** 5)
+        nodes = np.linspace(0.0, b, 10 ** 5 + 1)
+        with pytest.raises(ValueError) as partition:
+            Partition.from_nodes(g, np.union1d(nodes, [g.domain_end]))
+        assert str(partition.value) == str(oracle.value).replace(
+            "oracle grid", "partition grid")
+
     def test_rejects_a_fall_seen_only_between_block_ends(self):
         # each step falls by less than 8 ulps of 0.5, the third block of
         # the grid by 1.25e-11
@@ -391,6 +410,15 @@ class TestOracle:
         value = oracle_integral(lambda t: np.ones_like(t), g, 0.0, 2.0,
                                 10 ** 5)
         assert value == pytest.approx(1.0, abs=1e-12)
+
+    def test_accepts_an_offset_part_within_rounding(self):
+        # the same rounding with g^C(0) = 1 subtracted: the slack is taken
+        # on the part's raw scale, not on its normalized values near 0
+        part = lambda t: (t + 1.0) - t
+        assert (np.diff(part(np.linspace(0.0, 2.0, 10 ** 5 + 1))) < 0).any()
+        g = Derivator(2.0, part)
+        assert oracle_integral(lambda t: np.ones_like(t), g, 0.0, 2.0,
+                               10 ** 5) == 0.0
 
 
 def float_bits(x):

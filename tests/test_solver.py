@@ -15,6 +15,7 @@ from stieltjes_ode.derivator import (MAX_GRID_STEPS, Derivator,
 from stieltjes_ode.linear import general_linear_solution, homogeneous_solution
 from stieltjes_ode.models import (SilkwormParams, make_linear_spec,
                                   make_silkworm_spec)
+from stieltjes_ode.quadrature import oracle_integral
 from stieltjes_ode.solver import (GridMismatchError, IvpSpec, Partition,
                                   Trajectory, build_partition, solve,
                                   solve_perturbed)
@@ -93,6 +94,16 @@ def wavy_nodes(g, h):
     return nodes
 
 
+def read_on_grid(grid, g, h):
+    """Read ``g`` on the uniform step-``h`` grid of ``[0, T]`` through the
+    ``"partition"`` or the refinement ``"oracle"``: the same nodes, bit for
+    bit, and the one check of a falling driver."""
+    if grid == "partition":
+        return build_partition(g, h)
+    return oracle_integral(np.ones_like, g, 0.0, g.domain_end,
+                           round(g.domain_end / h))
+
+
 class TestPartitionFromNodes:
     def setup_method(self):
         self.g = make_test_derivator(4, snap=0.1)
@@ -152,23 +163,49 @@ class TestPartitionFromNodes:
         assert np.array_equal(part.dg, want)
         assert part.h == np.max(np.diff(nodes))
 
-    def test_decreasing_driver_rejected(self):
+    @pytest.mark.parametrize("grid", ["partition", "oracle"])
+    def test_decreasing_driver_rejected(self, grid):
         # the wave vanishes at the 1025 samples the driver is checked on,
         # so it is built; its slope falls to 1 - 6.43
         g = Derivator(10.0, lambda t: t + 0.02 * np.sin(102.4 * np.pi * t))
         with pytest.raises(ValueError,
-                           match=r"decreases .* on step 5 ") as info:
-            build_partition(g, 1e-3)
+                           match=rf"decreases .* on the {grid} grid between "
+                                 r"0\.005 and 0\.006: ") as info:
+            read_on_grid(grid, g, 1e-3)
         assert not isinstance(info.value, GridMismatchError)
-        with pytest.raises(ValueError, match="on step 5 "):
+        with pytest.raises(ValueError, match="between 0.005 and 0.006: "):
             Partition.from_nodes(g, np.linspace(0.0, 10.0, 10001))
 
-    def test_nan_driver_rejected(self):
+    @pytest.mark.parametrize("grid", ["partition", "oracle"])
+    def test_nan_driver_rejected(self, grid):
         # NaN strictly between two of the driver's samples
         g = Derivator(1.0, lambda t: np.where((t > 0.5001) & (t < 0.5009),
                                               np.nan, t))
-        with pytest.raises(ValueError, match=r"NaN on step 2500 .* nan"):
-            build_partition(g, 2e-4)
+        with pytest.raises(ValueError, match=rf"NaN on the {grid} grid "
+                                             r"between 0\.5 and 0\.5002: .* nan"):
+            read_on_grid(grid, g, 2e-4)
+
+    @pytest.mark.parametrize("h", [0.1, 1e-3])
+    def test_offset_part_within_rounding_accepted(self, h):
+        # (t + 1) - t is 1 up to an ulp either way: flat in exact arithmetic,
+        # with steps an ulp of 1 below zero that normalizing by g^C(0) = 1
+        # leaves as they are; the slack is taken on the part's raw scale
+        g = Derivator(2.0, lambda t: (t + 1.0) - t)
+        part = build_partition(g, h)
+        assert (part.dg < 0.0).any()
+        assert part.dg.min() >= -2.0 * np.finfo(float).eps
+
+    def test_slack_is_a_few_ulps_of_the_raw_part(self):
+        # 1 + 1e-14*sin(37t) falls by at most 2 ulps of 1.0 per step at
+        # h = 1e-3, within the slack; at h = 0.1 step 0 falls by 5.3e-15
+        # (24 ulps), beyond it
+        g = Derivator(1.0, lambda t: 1.0 + 1e-14 * np.sin(37.0 * t))
+        part = build_partition(g, 1e-3)
+        assert -2.0 * np.finfo(float).eps <= part.dg.min() < 0.0
+        with pytest.raises(ValueError, match=r"partition grid between 0\.0 "
+                                             r"and 0\.1: its measure there "
+                                             r"is -5\.3"):
+            build_partition(g, 0.1)
 
     def test_rounding_below_zero_accepted(self):
         # g is nondecreasing, but at the second jump g(t_k) + gap(t_k) is
