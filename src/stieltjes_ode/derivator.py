@@ -287,12 +287,15 @@ class Derivator:
 
         Maximum of consecutive difference quotients on a uniform grid of
         4001 points, floored by the mean slope so it can never undershoot
-        the average.  Requires ``a < b``; on an interval too narrow for 4001
-        distinct floats the repeated points are dropped.
+        the average.  Requires ``0 <= a < b <= T``; on an interval too
+        narrow for 4001 distinct floats the repeated points are dropped.
         """
         a, b = float(a), float(b)
         if not a < b:
             raise ValueError(f"need a < b for the interval [{a}, {b}]")
+        if a < 0.0 or b > self.domain_end:
+            raise ValueError(f"the interval [{a}, {b}] leaves the domain "
+                             f"[0, {self.domain_end}]")
         # ``unique`` leaves a strictly increasing grid as it is
         ts = np.unique(np.linspace(a, b, 4001))
         vals = self.continuous_value(ts)
@@ -313,45 +316,36 @@ def identity_derivator(T: float) -> Derivator:
     return Derivator(T, _BUILTIN_CONTINUOUS["identity"])
 
 
+def _ramp(z, alpha):
+    """``phi(z/2)`` of :func:`make_phi` for ``z`` in ``(0, 2)``, in place."""
+    z -= 1.0
+    z *= 0.5 * np.pi
+    np.tan(z, out=z)
+    z *= -2.0 * float(alpha)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
+
+
 def make_phi(alpha: float) -> Callable:
     """Smooth monotone ramp from 0 to 1 supported on ``[0, 1]``.
 
     ``phi(x) = [1 + exp(-2*alpha*tan(pi/2*(2x - 1)))]**-1`` for ``x`` in
     ``(0, 1)``, extended by 0 below and 1 above.  ``alpha`` controls the
     steepness; the output is exactly 0 for ``x <= 0`` and exactly 1 for
-    ``x >= 1``.  A sorted 1-d array without NaN is cut into these three
-    runs by ``searchsorted``, other input by masks, with the same bits.
+    ``x >= 1``.  Every input takes one path, by masks, so a scalar, an
+    unsorted array and NaN (which gives 0.0) are served alike.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    a = float(alpha)
-
-    def ramp(z):
-        # 1 / (1 + exp(-2a * tan(pi/2 * (2x - 1)))), in place on ``z = 2x``
-        z -= 1.0
-        z *= 0.5 * np.pi
-        np.tan(z, out=z)
-        z *= -2.0 * a
-        with np.errstate(over="ignore"):
-            np.exp(z, out=z)
-        z += 1.0
-        return np.divide(1.0, z, out=z)
 
     def phi(x):
         arr, scalar = _as_float_array(x)
-        if _is_sorted(arr):
-            # the inner points are one run: 0 before it, 1 after it
-            lo = np.searchsorted(arr, 0.0, side="right")
-            hi = np.searchsorted(arr, 1.0, side="left")
-            out = np.empty_like(arr)
-            out[:lo] = 0.0
-            out[hi:] = 1.0
-            ramp(np.multiply(arr[lo:hi], 2.0, out=out[lo:hi]))
-            return out
         out = np.zeros_like(arr)
         out[arr >= 1.0] = 1.0
         inner = (arr > 0.0) & (arr < 1.0)
-        out[inner] = ramp(arr[inner] * 2.0)
+        out[inner] = _ramp(arr[inner] * 2.0, alpha)
         return float(out) if scalar else out
 
     return phi
@@ -369,7 +363,8 @@ def make_test_derivator(num_jumps: int, alpha: float = 4.0, T: float = 10.0,
     rounded to the nearest multiple of it so that a uniform grid of step
     ``snap`` (or any decade refinement) contains every jump; solver runs
     need that.  A sorted array (every oracle block and partition) is cut
-    at 4 and 8 into one run per ramp, other input by masks: the same bits.
+    once at the ramps' starts and ends, with the ramp run in place inside
+    each; other input takes ``phi``'s masks.  Both give the same bits.
     """
     _check_domain_end(T)
     if snap is not None and not 0.0 < snap < math.inf:
@@ -389,10 +384,17 @@ def make_test_derivator(num_jumps: int, alpha: float = 4.0, T: float = 10.0,
         # scaling: the same floats as dividing by 4 and 2, and faster.
         arr = np.asarray(t, dtype=float)
         if _is_sorted(arr):
-            # k = floor(t * 0.25) is 0, 1, 2 on three runs, cut at 4 and 8
-            runs = [k + phi((run - 4.0 * k) * 0.5) for k, run in enumerate(
-                np.split(arr, np.searchsorted(arr, (4.0, 8.0)))) if run.size]
-            return runs[0] if len(runs) == 1 else np.concatenate(runs)
+            # ramp k rises on (4k, 4k + 2), where t - 4k is phi's exact 2x,
+            # then stays at k + 1; inf ends the last flat run
+            starts = np.searchsorted(arr, (0.0, 4.0, 8.0, math.inf), "right")
+            ends = np.searchsorted(arr, (2.0, 6.0, 10.0), "left")
+            out = np.empty_like(arr)
+            out[:starts[0]] = 0.0
+            for k, (lo, hi, stop) in enumerate(zip(starts, ends, starts[1:])):
+                _ramp(np.subtract(arr[lo:hi], 4.0 * k, out=out[lo:hi]), alpha)
+                out[lo:hi] += k
+                out[hi:stop] = k + 1.0
+            return out
         k = np.clip(np.floor(arr * 0.25), 0.0, 2.0)
         return k + phi((arr - 4.0 * k) * 0.5)
 

@@ -279,8 +279,10 @@ def run_bound_suite(num_cases: int = 200, n_oracle: int = 10 ** 6,
     integrand, an interval of random position and scale, and one of the
     four rules, then compares the rule against the refinement oracle.
     Returns one row per case with the rule value, the oracle value, the
-    bound, and a pass flag.
+    bound, and a pass flag.  ``num_cases`` must be at least 1.
     """
+    if num_cases < 1:
+        raise ValueError("need at least one case")
     rng = np.random.default_rng(seed)
     kinds = list(RuleKind)
     rows = []

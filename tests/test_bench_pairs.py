@@ -92,6 +92,33 @@ def test_seeds_end_with_the_held_out_ones():
     assert bench_pairs._seeds(2, 0, 7) == [7, 8]
 
 
+def test_main_prints_every_end_to_end_metric(tmp_path, monkeypatch, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text("")
+    pairs = [pair(run_lines(0.9), run_lines(0.8, rss=49.0)),
+             pair(run_lines(0.7), run_lines(0.75, setup=0.2))]
+    monkeypatch.setattr(bench_pairs, "describe_checkout",
+                        lambda checkout: {"commit": None, "src_lines": 1,
+                                          "src_sha256": "0"})
+    monkeypatch.setattr(bench_pairs, "measure", lambda args, log: {
+        "pairs": pairs, "summary": bench_pairs.summarize(pairs),
+        "environment": {}})
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path / "parent"),
+                             str(tmp_path / "change"), "--workload",
+                             "quadrature", "--pairs", "2", "--seconds", "1",
+                             "--out", str(out)]) == 0
+    last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    summary = json.loads(out.read_text())["workloads"]["quadrature"][
+        "summary"]
+    assert last["workload"] == "quadrature" and last["pairs"] == 2
+    for name in ("wall_s", "setup_s", "peak_rss_mb", "max_err"):
+        assert last[name] == summary[name]
+    assert last["peak_rss_mb"]["change_better_pairs"] == 1
+    assert last["setup_s"]["parent_better_pairs"] == 1
+
+
 def test_checkouts_differ_by_their_sources_not_their_line_counts(tmp_path):
     sides = []
     for body in ("x = 1\n", "x = 2\n"):

@@ -90,6 +90,14 @@ def test_lipschitz_estimate_rejects_an_empty_interval(a, b):
         g.estimate_continuous_lipschitz(a, b)
 
 
+@pytest.mark.parametrize("a, b", [(-5.0, 20.0), (11.0, 12.0), (-1e-300, 1.0),
+                                  (9.0, math.inf)])
+def test_lipschitz_estimate_rejects_an_interval_outside_the_domain(a, b):
+    g = make_test_derivator(2)
+    with pytest.raises(ValueError, match=r"leaves the domain \[0, 10.0\]"):
+        g.estimate_continuous_lipschitz(a, b)
+
+
 def test_lipschitz_estimate_on_a_sub_resolution_interval():
     # one ulp wide: the 4001-point grid repeats its points, whose zero-width
     # steps once gave 0/0 (a RuntimeWarning, an error under this suite)
@@ -367,8 +375,8 @@ class TestPhi:
 
 
 def masked_phi(alpha, x):
-    """The ramp written with boolean masks: the reference for both of
-    ``make_phi``'s paths."""
+    """The ramp written with boolean masks: the reference for ``make_phi``'s
+    one path and for the test ramp's sorted path."""
     out = np.zeros_like(x)
     out[x >= 1.0] = 1.0
     inner = (x > 0.0) & (x < 1.0)
@@ -389,8 +397,8 @@ def bits(x):
 
 
 class TestSortedRuns:
-    """Sorted 1-d arrays take one slice per run; the values are the bits
-    of the masked expression."""
+    """The test ramp cuts a sorted 1-d array once, at the ramps' starts and
+    ends; the values are the bits of the masked expression."""
 
     ALPHAS = [1.0, 3.3, 4.0, 6.0]
 
@@ -424,6 +432,19 @@ class TestSortedRuns:
         for lo, hi in ((0.5, 3.9), (4.0, 8.0), (8.0, 10.0), (-1.0, 4.0)):
             part = ts[(ts >= lo) & (ts <= hi)]
             assert np.array_equal(bits(cont(part)),
+                                  bits(masked_ramps(alpha, part)))
+        # runs wholly inside a flat stretch or inside one ramp, and past the
+        # last ramp on a driver that reaches beyond it
+        late = np.sort(np.concatenate((ts, rng.uniform(11.0, 13.0, 2000),
+                                       [13.0])))
+        cont13 = make_test_derivator(0, alpha=alpha, T=13.0).continuous_part
+        for lo, hi, points, part_of in ((2.5, 3.5, ts, cont),
+                                        (6.5, 7.5, ts, cont),
+                                        (4.1, 5.9, ts, cont),
+                                        (10.0, 13.0, late, cont13)):
+            part = points[(points >= lo) & (points <= hi)]
+            assert derivator._is_sorted(part)
+            assert np.array_equal(bits(part_of(part)),
                                   bits(masked_ramps(alpha, part)))
 
     def test_repeated_values(self):

@@ -640,6 +640,12 @@ def test_run_bound_suite_row_shape_and_determinism():
     assert all(r["passed"] for r in rows_a)
 
 
+@pytest.mark.parametrize("num_cases", [0, -1])
+def test_run_bound_suite_rejects_a_case_count_below_one(num_cases):
+    with pytest.raises(ValueError, match="need at least one case"):
+        run_bound_suite(num_cases=num_cases, n_oracle=10, seed=1)
+
+
 def test_subdivided_corrected_rule_additivity():
     # summing the corrected rule over subintervals that contain the interior
     # jumps stays within the summed per-interval bounds of the oracle

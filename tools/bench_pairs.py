@@ -16,8 +16,11 @@ end-to-end metrics and output digests, per-side medians and quartiles, the
 number of pairs each side won, and the environment.  Each side is named by
 its git commit (when it is a work tree) and a sha256 over its ``src/``
 sources.  When ``--out`` already holds a record of the same two source
-trees, the workload is added to it, so one file can hold several workloads.  Exits 1 when a run fails or the two
-sides wrote different outputs for the same seed, 2 on bad arguments.
+trees, the workload is added to it, so one file can hold several workloads.
+The last line of standard output is one JSON object with the pair count,
+the digest and failure checks and the summary row of every end-to-end
+metric.  Exits 1 when a run fails or the two sides wrote different outputs
+for the same seed, 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -234,8 +237,8 @@ def main(argv=None):
     summary = entry["summary"]
     print(json.dumps({"workload": args.workload, "pairs": summary["pairs"],
                       "digests_identical": summary["digests_identical"],
-                      "failed_runs": summary["failed_runs"],
-                      "wall_s": summary["wall_s"]}))
+                      "failed_runs": summary["failed_runs"]}
+                     | {name: summary[name] for name in METRICS}))
     ok = summary["digests_identical"] and not any(
         summary["failed_runs"].values())
     return 0 if ok else 1
