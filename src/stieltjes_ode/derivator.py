@@ -293,9 +293,7 @@ class Derivator:
         a, b = float(a), float(b)
         if not a < b:
             raise ValueError(f"need a < b for the interval [{a}, {b}]")
-        if a < 0.0 or b > self.domain_end:
-            raise ValueError(f"the interval [{a}, {b}] leaves the domain "
-                             f"[0, {self.domain_end}]")
+        _check_times(np.array((a, b)), self.domain_end)
         # ``unique`` leaves a strictly increasing grid as it is
         ts = np.unique(np.linspace(a, b, 4001))
         vals = self.continuous_value(ts)
@@ -333,9 +331,8 @@ def make_phi(alpha: float) -> Callable:
 
     ``phi(x) = [1 + exp(-2*alpha*tan(pi/2*(2x - 1)))]**-1`` for ``x`` in
     ``(0, 1)``, extended by 0 below and 1 above.  ``alpha`` controls the
-    steepness; the output is exactly 0 for ``x <= 0`` and exactly 1 for
-    ``x >= 1``.  Every input takes one path, by masks, so a scalar, an
-    unsorted array and NaN (which gives 0.0) are served alike.
+    steepness; the output is exactly 0 for ``x <= 0`` and for NaN, and
+    exactly 1 for ``x >= 1``.  Every input takes one path, by masks.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")

@@ -94,7 +94,7 @@ def test_lipschitz_estimate_rejects_an_empty_interval(a, b):
                                   (9.0, math.inf)])
 def test_lipschitz_estimate_rejects_an_interval_outside_the_domain(a, b):
     g = make_test_derivator(2)
-    with pytest.raises(ValueError, match=r"leaves the domain \[0, 10.0\]"):
+    with pytest.raises(ValueError, match=r"outside the domain \[0, 10.0\]"):
         g.estimate_continuous_lipschitz(a, b)
 
 

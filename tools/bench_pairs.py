@@ -17,9 +17,9 @@ number of pairs each side won, and the environment.  Each side is named by
 its git commit (when it is a work tree) and a sha256 over its ``src/``
 sources.  When ``--out`` already holds a record of the same two source
 trees, the workload is added to it, so one file can hold several workloads.
-The last line of standard output is one JSON object with the pair count,
-the digest and failure checks and the summary row of every end-to-end
-metric.  Exits 1 when a run fails or the two sides wrote different outputs
+The last line of standard output is the workload's summary as one JSON
+object: the pair count, the digest and failure checks and one row per
+end-to-end metric.  Exits 1 when a run fails or the two sides wrote different outputs
 for the same seed, 2 on bad arguments.
 """
 
@@ -235,10 +235,7 @@ def main(argv=None):
         json.dump(record, fh, indent=1)
         fh.write("\n")
     summary = entry["summary"]
-    print(json.dumps({"workload": args.workload, "pairs": summary["pairs"],
-                      "digests_identical": summary["digests_identical"],
-                      "failed_runs": summary["failed_runs"]}
-                     | {name: summary[name] for name in METRICS}))
+    print(json.dumps({"workload": args.workload} | summary))
     ok = summary["digests_identical"] and not any(
         summary["failed_runs"].values())
     return 0 if ok else 1
