@@ -15,6 +15,7 @@ share between threads; every evaluation accepts scalars or numpy arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -67,6 +68,11 @@ def _f_on_arrays(f, *arrays):
     flat = [a.ravel() for a in arrays]
     return np.array([float(f(*point)) for point in zip(*flat)]
                     ).reshape(arrays[0].shape)
+
+
+def _is_integer(n):
+    """``n`` is an integer (a Python or numpy one), not a bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 def _is_sorted(arr):
@@ -355,17 +361,19 @@ def make_test_derivator(num_jumps: int, alpha: float = 4.0, T: float = 10.0,
     The continuous part concatenates three copies of the ramp, each
     stretched over two time units (``phi(t/2) + phi((t-4)/2) +
     phi((t-8)/2)``: rises on [0,2], [4,6], [8,10], flat in between),
-    reaching 3 at ``t = 10``.  The ``num_jumps`` unit jumps sit at
-    ``T*j/(num_jumps+1)``.  When ``snap`` is given, each jump time is
-    rounded to the nearest multiple of it so that a uniform grid of step
-    ``snap`` (or any decade refinement) contains every jump; solver runs
-    need that.  A sorted array (every oracle block and partition) is cut
+    reaching 3 at ``t = 10``.  The ``num_jumps`` unit jumps (an integer, not
+    a bool) sit at ``T*j/(num_jumps+1)``.  When ``snap`` is given, each jump
+    time is rounded to the nearest multiple of it so that a uniform grid of
+    step ``snap`` (or any decade refinement) contains every jump; solver
+    runs need that.  A sorted array (every oracle block and partition) is cut
     once at the ramps' starts and ends, with the ramp run in place inside
     each; other input takes ``phi``'s masks.  Both give the same bits.
     """
     _check_domain_end(T)
     if snap is not None and not 0.0 < snap < math.inf:
         raise ValueError(f"snap must be positive and finite, got {snap}")
+    if not _is_integer(num_jumps):
+        raise ValueError(f"num_jumps must be an integer, got {num_jumps!r}")
     if num_jumps < 0:
         raise ValueError(f"num_jumps must be nonnegative, got {num_jumps}")
     if num_jumps > MAX_GRID_STEPS:

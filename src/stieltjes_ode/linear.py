@@ -21,7 +21,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .derivator import Derivator, _f_on_arrays
-from .quadrature import _check_refinement, _grid_points, _piece_terms
+from .quadrature import (_blocks, _check_refinement, _piece_terms, _pieces,
+                         _trapezoid)
 
 __all__ = [
     "check_admissibility",
@@ -66,6 +67,16 @@ def check_admissibility(d: Coefficient, g: Derivator,
         if bad:
             offending.append((float(time), prod))
     return offending
+
+
+def _check_finite(d: Coefficient, forcing: Coefficient, x0: float):
+    """Reject a non-finite ``x0`` or constant coefficient; a callable one is
+    not sampled."""
+    if not math.isfinite(x0):
+        raise ValueError(f"initial value must be finite, got {x0}")
+    for name, c in (("damping d", d), ("forcing", forcing)):
+        if not callable(c) and not math.isfinite(c):
+            raise ValueError(f"{name} must be finite, got {c}")
 
 
 def _require_admissible(d, g, strict):
@@ -157,9 +168,10 @@ def homogeneous_solution(d: float, x0: float, g: Derivator, t,
 
     ``x(t) = x0 * exp(-d g(t)) * prod (1 - d gap) exp(d gap)`` with the
     product over jumps strictly before ``t`` (or up to and including ``t``
-    for the right limit).  Requires ``d * gap < 1`` at every jump; accepts
-    scalar or array ``t``.
+    for the right limit).  Requires finite ``d`` and ``x0`` and ``d * gap <
+    1`` at every jump; accepts scalar or array ``t``.
     """
+    _check_finite(d, 0.0, x0)
     _require_admissible(d, g, strict=True)
     arr, scalar = np.asarray(t, dtype=float), np.asarray(t).ndim == 0
     g_vals = g.right_value(arr) if from_right else g.value(arr)
@@ -177,9 +189,10 @@ def constant_linear_solution(d: float, forcing: float, x0: float, g: Derivator,
     The constant ``forcing/d`` solves the equation at every time, jumps
     included, so ``x = x0 H + forcing (1 - H)/d`` with ``H`` the
     :func:`homogeneous_solution` started from 1; for ``d = 0`` it is ``x0 +
-    forcing g(t)``.  Requires ``d * gap < 1`` at every jump; accepts scalar
-    or array ``t``.
+    forcing g(t)``.  Requires finite ``d``, ``forcing`` and ``x0`` and ``d *
+    gap < 1`` at every jump; accepts scalar or array ``t``.
     """
+    _check_finite(d, forcing, x0)
     if d == 0.0:
         return x0 + forcing * (g.right_value(t) if from_right else g.value(t))
     hom = homogeneous_solution(d, 1.0, g, t, from_right)
@@ -194,12 +207,17 @@ def general_linear_solution(d: Coefficient, forcing: Coefficient, x0: float,
     ``d`` and ``forcing`` may be constants or callables of time.
     Evaluates the adapted-exponential representation with the continuous
     parts refined on ``quad_n`` subintervals (jump contributions are exact).
-    ``forcing`` is read at the jumps and at the ends of grid steps where
-    ``g^C`` rises, never inside a flat stretch, where it may even be NaN.
-    Requires ``d(t) * gap != 1`` at every jump, ``t`` in ``[0, T]`` and an
+    Each piece is walked once in ``quadrature._blocks``: per block, the
+    trapezoid of ``d``, its running integral ``phi`` (a cumsum seeded by the
+    piece's) and the trapezoid of ``sign * exp(phi) * forcing``.  ``forcing``
+    is read at the jumps and at the ends of grid steps where ``g^C`` rises,
+    never inside a flat stretch, where it may even be NaN.  Requires a
+    finite ``x0`` and finite constant coefficients (a callable is not
+    sampled), ``d(t) * gap != 1`` at every jump, ``t`` in ``[0, T]`` and an
     integer ``quad_n`` in ``[1, MAX_GRID_STEPS]``.
     """
     _check_refinement(quad_n, "quad_n")
+    _check_finite(d, forcing, x0)
     _require_admissible(d, g, strict=False)
     t = float(t)
     d_fun = _as_time_function(d)
@@ -209,22 +227,21 @@ def general_linear_solution(d: Coefficient, forcing: Coefficient, x0: float,
     sign = 1.0
     forced = 0.0
     # piece i ends at jump i, the last piece at t
-    for i, (lo, hi, terms) in enumerate(_piece_terms(d_fun, g, 0.0, t,
-                                                     quad_n)):
-        # cumulative integral of the hatted coefficient along the piece
-        phi = log_mag + np.concatenate(([0.0], np.cumsum(terms)))
-        xs = _grid_points(lo, hi, terms.size,
-                          np.arange(terms.size + 1, dtype=float))
-        dgc = np.diff(g.continuous_value(xs))
-        # the integrand at the ends of the steps where g^C rises, 0 elsewhere
-        live = dgc != 0
-        ends = np.append(live, False)
-        ends[1:] |= live
-        integrand = np.zeros_like(xs)
-        integrand[ends] = (sign * np.exp(phi[ends])
-                           * _f_on_arrays(h_fun, xs[ends]))
-        forced += float(np.sum(0.5 * (integrand[1:] + integrand[:-1]) * dgc))
-        log_mag = float(phi[-1])
+    for i, (lo, hi, m) in enumerate(_pieces(g, 0.0, t, quad_n)):
+        terms = np.zeros(m)  # the forcing's trapezoid terms
+        run = 0.0  # the d-integral along the piece up to the block
+        for start, block, dgc in _blocks(g, lo, hi, m):
+            # the d-integral at the block's points: a cumsum seeded by the
+            # piece's running integral gives the whole piece's, bit for bit
+            phi = np.append(run, np.zeros(dgc.size))
+            _trapezoid(d_fun, block, dgc, phi[1:])
+            np.cumsum(phi, out=phi)
+            run = phi[-1]
+            weight = sign * np.exp(phi + log_mag)
+            _trapezoid(h_fun, block, dgc, terms[start:start + dgc.size],
+                       weight)
+        forced += float(np.sum(terms))
+        log_mag = float(log_mag + run)
         if i < len(times):
             s, gap = float(times[i]), float(gaps[i])
             d_s = float(d_fun(s))

@@ -18,21 +18,21 @@ for ``g``-Lipschitz integrands.  The plain rules read ``f`` in place of
 ``oracle_integral`` is an independent reference (jump sums plus a composite
 trapezoid refinement of the continuous part) used by the property suite, and
 ``error_bound`` evaluates the worst-case bound attached to each rule.  The
-oracle's blocked trapezoid, ``_piece_terms``, also serves the callable
-coefficients of ``linear.hat_exponential`` and ``general_linear_solution``.
+oracle's block walk (``_pieces``, ``_blocks``, ``_trapezoid``) also serves
+``linear.hat_exponential`` and ``general_linear_solution``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import numbers
 from typing import Callable
 
 import numpy as np
 
 from .derivator import (_ORACLE_BLOCK, MAX_GRID_STEPS, Derivator,
-                        _check_rises, _f_on_arrays, make_test_derivator)
+                        _check_rises, _f_on_arrays, _is_integer,
+                        make_test_derivator)
 
 __all__ = [
     "RuleKind",
@@ -74,8 +74,7 @@ def _check_interval(g: Derivator, a: float, b: float):
 def _check_refinement(n, name: str = "n"):
     """Reject ``n`` unless it is an integer (not a bool) in ``[1,
     MAX_GRID_STEPS]``; called before anything is allocated."""
-    if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
-            or not 1 <= n <= MAX_GRID_STEPS):
+    if not (_is_integer(n) and 1 <= n <= MAX_GRID_STEPS):
         raise ValueError(f"need an integer 1 <= {name} <= {MAX_GRID_STEPS} "
                          f"refinement subintervals, got {n!r}")
 
@@ -129,73 +128,90 @@ def _grid_points(lo, hi, m, idx):
     return xs
 
 
+def _pieces(g: Derivator, a: float, b: float, n: int):
+    """``(lo, hi, m)`` for each piece of ``[a, b]`` cut at the jumps inside
+    ``(a, b)``, the ``n`` subintervals shared out by length."""
+    interior, _ = g.jumps_in(np.nextafter(a, b), b)
+    cuts = np.concatenate(([a], interior, [b]))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi > lo:
+            yield lo, hi, max(1, int(round(n * (hi - lo) / (b - a))))
+
+
+def _blocks(g: Derivator, lo: float, hi: float, m: int):
+    """``(start, block, dgc)`` for each block of ``_ORACLE_BLOCK`` steps of
+    ``np.linspace(lo, hi, m + 1)`` that is not flat throughout.
+
+    ``gC`` is read on the block ends (indices ``0, B, .., m``) first; it is
+    nondecreasing, so a block whose end values are equal is flat and is
+    skipped, unread.  A ``gC`` difference that is NaN or falls by more than
+    rounding (the slack of the block-end values) raises ``ValueError``
+    through ``derivator._check_rises``: each evaluated block's steps as it
+    is read, then the block-end differences; the error names the first bad
+    step of the first check that fails.  A NaN or a decrease strictly
+    inside a block whose end values agree goes unseen.
+    """
+    starts = range(0, m, _ORACLE_BLOCK)
+    edges = _grid_points(lo, hi, m, np.array([*starts, m], dtype=float))
+    ce = g.continuous_value(edges)
+    slack = g._rise_slack(ce)
+    for j, start in enumerate(starts):
+        if ce[j] == ce[j + 1]:
+            continue  # flat throughout
+        stop = min(start + _ORACLE_BLOCK, m)
+        block = _grid_points(lo, hi, m,
+                             np.arange(start, stop + 1, dtype=float))
+        dgc = np.diff(g.continuous_value(block))
+        _check_rises(dgc, slack, block, "oracle")
+        yield start, block, dgc
+    _check_rises(np.diff(ce), slack, edges, "oracle")
+
+
+def _trapezoid(f, block, dgc, out, weight=None, first=None):
+    """``out[i] = (v_i + v_i+1)/2 * dgc[i]`` in place on fresh zeros, for
+    ``v = weight * f(block)`` (``weight`` defaults to 1) and ``first(x_0)``
+    in place of ``f(x_0)`` when given.  A flat step (``dgc[i] == 0``) keeps
+    ``0.0``, and ``f`` is read only at the ends of the other steps.
+    The ``f(block)`` of a block without flat steps is served from the
+    driver's memo of ``continuous_value(block)`` when ``f`` evaluates ``g``.
+    """
+    live = dgc != 0
+    if live.all():
+        fv = _f_on_arrays(f, block)
+        live = True  # a plain add below
+    else:
+        # ``f`` at the ends of the live steps only, 0 elsewhere
+        ends = np.append(live, False)
+        ends[1:] |= live
+        fv = np.zeros_like(block)
+        fv[ends] = _f_on_arrays(f, block[ends])
+    if weight is not None:
+        fv = weight * fv  # a new array: ``f`` may hand back the block
+    if first is not None and dgc[0] != 0:
+        # a copy: ``f`` may hand back its argument, the block
+        fv = np.concatenate(([_eval(first, block[0])], fv[1:]))
+    # 0.5 * (fv[1:] + fv[:-1]) * dgc on the live steps, in place
+    np.add(fv[1:], fv[:-1], out=out, where=live)
+    out *= 0.5
+    out *= dgc
+
+
 def _piece_terms(f, g: Derivator, a: float, b: float, n: int,
                  f_right: Callable | None = None):
     """Trapezoid terms of ``f`` against the continuous part, piece by piece.
 
-    ``[a, b]`` is cut at the jumps of ``g`` inside ``(a, b)``, and the ``n``
-    subintervals are shared out by length.  For each piece this yields
-    ``(lo, hi, terms)``, ``terms[i] = (f(x_i) + f(x_i+1))/2 * (gC(x_i+1) -
-    gC(x_i))`` on ``x = np.linspace(lo, hi, m + 1)``; ``f_right(lo)``, when
-    given, replaces ``f(lo)`` at a jump.  The grid is built and evaluated in
-    blocks of ``_ORACLE_BLOCK`` steps, so no whole grid is held.
-
-    Each piece first reads ``gC`` once on its block ends (indices ``0, B,
-    2B, .., m``).  ``gC`` is nondecreasing, so a block whose two end values
-    are equal is flat throughout: its terms stay ``0.0`` and neither ``gC``
-    nor ``f`` is read inside it.  Every other block reads ``gC`` on all its
-    points.  A flat step (``gC(x_i+1) == gC(x_i)``) carries no measure: its
-    term is ``0.0`` and ``f`` is read only at the ends of the other steps.
-    The ``f(block)`` of a block without flat steps is served from the
-    driver's memo of ``continuous_value(block)`` when ``f`` evaluates ``g``.
-
-    A ``gC`` difference that is NaN or falls by more than rounding (the
-    slack of the piece's block-end values) raises ``ValueError`` through
-    ``derivator._check_rises``.  The steps of each evaluated block are
-    checked as the block is read, in grid order, and then the differences
-    between consecutive block ends (a skipped block's is 0); the error names
-    the first bad step of the first check that fails.  A NaN or a decrease
-    strictly inside a block whose end values agree goes unseen.
+    For each piece of ``_pieces`` this yields ``(lo, hi, terms)``,
+    ``terms[i] = (f(x_i) + f(x_i+1))/2 * (gC(x_i+1) - gC(x_i))`` on ``x =
+    np.linspace(lo, hi, m + 1)``, 0.0 on the flat blocks that ``_blocks``
+    skips; ``f_right(lo)``, when given, replaces ``f(lo)`` at a jump.  No
+    whole grid is held.
     """
-    interior, _ = g.jumps_in(np.nextafter(a, b), b)
-    cuts = np.concatenate(([a], interior, [b]))
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if not hi > lo:
-            continue
-        m = max(1, int(round(n * (hi - lo) / (b - a))))
-        right_start = f_right is not None and lo in g.jump_times
+    for lo, hi, m in _pieces(g, a, b, n):
+        first = f_right if f_right is not None and lo in g.jump_times else None
         terms = np.zeros(m)
-        starts = range(0, m, _ORACLE_BLOCK)
-        edges = _grid_points(lo, hi, m, np.array([*starts, m], dtype=float))
-        ce = g.continuous_value(edges)
-        slack = g._rise_slack(ce)
-        for j, start in enumerate(starts):
-            if ce[j] == ce[j + 1]:
-                continue  # flat throughout
-            stop = min(start + _ORACLE_BLOCK, m)
-            block = _grid_points(lo, hi, m,
-                                 np.arange(start, stop + 1, dtype=float))
-            dgc = np.diff(g.continuous_value(block))
-            _check_rises(dgc, slack, block, "oracle")
-            live = dgc != 0
-            if live.all():
-                fv = _f_on_arrays(f, block)
-                live = True  # a plain add below
-            else:
-                # ``f`` at the ends of the live steps only, 0 elsewhere
-                ends = np.append(live, False)
-                ends[1:] |= live
-                fv = np.zeros_like(block)
-                fv[ends] = _f_on_arrays(f, block[ends])
-            if start == 0 and right_start and dgc[0] != 0:
-                # a copy: ``f`` may hand back its argument, the block
-                fv = np.concatenate(([_eval(f_right, lo)], fv[1:]))
-            # 0.5 * (fv[1:] + fv[:-1]) * dgc on the live steps, in place
-            out = terms[start:stop]
-            np.add(fv[1:], fv[:-1], out=out, where=live)
-            out *= 0.5
-            out *= dgc
-        _check_rises(np.diff(ce), slack, edges, "oracle")
+        for start, block, dgc in _blocks(g, lo, hi, m):
+            _trapezoid(f, block, dgc, terms[start:start + dgc.size],
+                       first=None if start else first)
         yield lo, hi, terms
 
 
@@ -215,7 +231,7 @@ def oracle_integral(f, g: Derivator, a: float, b: float, n: int,
     piece and inside the blocks whose end values differ, not inside a block
     that is flat throughout.  Where it is NaN or falls by more than
     rounding, the call raises ``ValueError`` by the partition's rule (see
-    ``_piece_terms``).  ``n`` must be an integer in ``[1, MAX_GRID_STEPS]``.
+    ``_blocks``).  ``n`` must be an integer in ``[1, MAX_GRID_STEPS]``.
     The oracle shares no code with the single-interval rules above.
     """
     _check_interval(g, a, b)
@@ -234,13 +250,19 @@ def error_bound(kind: RuleKind, H: float, p: float, a: float, b: float,
     One-point and trapezoid take a ``p``-Holder continuous part with
     constant ``H`` and an integrand of total variation ``var_f``; the
     corrected rules take the common Lipschitz constant ``H`` of both
-    continuous parts (``p`` is forced to 1 and ``var_f`` ignored).
+    continuous parts (``p`` is forced to 1 and ``var_f`` ignored).  A NaN,
+    infinite or negative ``H`` or ``var_f`` raises ``ValueError``: no error
+    could meet the bound it gives.
     """
     kind = RuleKind(kind)
     if not b > a:
         raise ValueError(f"need b > a, got a={a}, b={b}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"Holder exponent must be in (0, 1], got {p}")
+    for name, value in (("H", H), ("var_f", var_f)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, "
+                             f"got {value}")
     width = b - a
     if kind.corrected:
         return (0.5 * H if kind.trapezoid else H) * H * width * width
@@ -279,10 +301,12 @@ def run_bound_suite(num_cases: int = 200, n_oracle: int = 10 ** 6,
     integrand, an interval of random position and scale, and one of the
     four rules, then compares the rule against the refinement oracle.
     Returns one row per case with the rule value, the oracle value, the
-    bound, and a pass flag.  ``num_cases`` must be at least 1.
+    bound, and a pass flag.  ``num_cases`` must be an integer of at least
+    1.
     """
-    if num_cases < 1:
-        raise ValueError("need at least one case")
+    if not (_is_integer(num_cases) and num_cases >= 1):
+        raise ValueError(f"need at least one case: num_cases must be an "
+                         f"integer >= 1, got {num_cases!r}")
     rng = np.random.default_rng(seed)
     kinds = list(RuleKind)
     rows = []

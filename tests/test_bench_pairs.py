@@ -98,9 +98,12 @@ def test_main_prints_every_end_to_end_metric(tmp_path, monkeypatch, capsys):
         (tmp_path / side / "bench" / "run.py").write_text("")
     pairs = [pair(run_lines(0.9), run_lines(0.8, rss=49.0)),
              pair(run_lines(0.7), run_lines(0.75, setup=0.2))]
+    lines = {"parent": 2338, "change": 2357}
     monkeypatch.setattr(bench_pairs, "describe_checkout",
-                        lambda checkout: {"commit": None, "src_lines": 1,
-                                          "src_sha256": "0"})
+                        lambda checkout: {
+                            "commit": None,
+                            "src_lines": lines[os.path.basename(checkout)],
+                            "src_sha256": "0"})
     monkeypatch.setattr(bench_pairs, "measure", lambda args, log: {
         "pairs": pairs, "summary": bench_pairs.summarize(pairs),
         "environment": {}})
@@ -117,6 +120,10 @@ def test_main_prints_every_end_to_end_metric(tmp_path, monkeypatch, capsys):
         assert last[name] == summary[name]
     assert last["peak_rss_mb"]["change_better_pairs"] == 1
     assert last["setup_s"]["parent_better_pairs"] == 1
+    # each side's src/ line count, as the record's sides hold it
+    assert last["src_lines"] == lines
+    sides = json.loads(out.read_text())["sides"]
+    assert {side: sides[side]["src_lines"] for side in lines} == lines
 
 
 def test_checkouts_differ_by_their_sources_not_their_line_counts(tmp_path):

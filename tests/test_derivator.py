@@ -226,6 +226,18 @@ def test_test_derivator_rejects_more_jumps_than_a_grid_holds(monkeypatch):
         make_test_derivator(11)
 
 
+@pytest.mark.parametrize("num_jumps", [2.5, 2.0, True, "2"])
+def test_test_derivator_rejects_a_count_that_is_not_an_integer(num_jumps):
+    # 2.5 used to build 3 jumps at 10j/3.5 and True one jump at 5.0
+    with pytest.raises(ValueError, match="num_jumps must be an integer"):
+        make_test_derivator(num_jumps)
+
+
+def test_test_derivator_takes_a_numpy_integer():
+    assert np.array_equal(make_test_derivator(np.int64(3)).jump_times,
+                          make_test_derivator(3).jump_times)
+
+
 @pytest.mark.parametrize("num_jumps", [0, 1, 2, 7, 99, 1000])
 @pytest.mark.parametrize("T", [10.0, 3.7])
 def test_test_derivator_jump_times_match_the_loop(num_jumps, T):

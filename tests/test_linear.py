@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpu_target import per_target
-from stieltjes_ode.derivator import (MAX_GRID_STEPS, Derivator,
+from stieltjes_ode.derivator import (_ORACLE_BLOCK, MAX_GRID_STEPS, Derivator,
                                      identity_derivator, make_test_derivator)
 from stieltjes_ode.linear import (check_admissibility,
                                   constant_linear_solution,
@@ -356,15 +356,43 @@ class TestClosedFormBits:
 
         value = general_linear_solution(d, forcing, 1.25, g, 9.3)
         assert value == float.fromhex(MULTI_BLOCK_BITS)
-        # the ends of the grid steps where g^C rises, plus the four jumps
+        # the ends of the grid steps where g^C rises, plus the four jumps;
+        # each block reads the ends of its own live steps, so a block end
+        # with a live step on both sides is read once by either block
         want = g.n_jumps
+        shared = 0
         for lo, hi, terms in _piece_terms(d, g, 0.0, 9.3, 10 ** 6):
             xs = np.linspace(lo, hi, terms.size + 1)
             live = np.diff(g.continuous_value(xs)) != 0
             want += int(np.count_nonzero(np.append(live, False)
                                          | np.append(False, live)))
-        assert sum(map(len, seen)) == want
+            ends = np.arange(_ORACLE_BLOCK, terms.size, _ORACLE_BLOCK)
+            shared += int(np.count_nonzero(live[ends - 1] & live[ends]))
+        assert shared == 16
+        assert sum(map(len, seen)) == want + shared
         assert want < 600_000  # of 1_000_006 grid points and 4 jumps
+
+    def test_the_driver_is_read_in_one_walk(self):
+        # the forcing's trapezoid reads the blocks the d-integral reads: as
+        # many g^C points as hat_exponential on the same coefficient and
+        # grid, not a second pass over every grid point
+        base = make_test_derivator(4, snap=0.1)
+        points = []
+
+        def part(t):
+            arr = np.asarray(t, dtype=float)
+            points.append(arr.size)
+            return base.continuous_part(arr)
+
+        g = Derivator(base.domain_end, part, base.jump_times, base.jump_gaps)
+        d = lambda t: -0.3 + 0.1 * np.sin(t)
+        points.clear()
+        value = general_linear_solution(d, np.cos, 1.0, g, 9.3)
+        assert value == float.fromhex("0x1.a60c2f74c3219p+2")
+        read = sum(points)
+        points.clear()
+        hat_exponential(d, g, 9.3)
+        assert read == sum(points) == 569_950  # of 1_000_005 grid points
 
 
 class TestClosedFormDomain:
@@ -397,3 +425,26 @@ class TestClosedFormDomain:
         assert math.isfinite(hat_exponential(0.5, g, 10.0))
         assert math.isfinite(general_linear_solution(0.5, 0.7, 1.0, g, 10.0,
                                                      quad_n=100))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: homogeneous_solution(math.nan, 1.0, g, 1.0), "damping d"),
+    (lambda g: homogeneous_solution(0.5, math.nan, g, 1.0),
+     "initial value"),
+    (lambda g: constant_linear_solution(0.3, 1.0, math.inf, g, 5.0),
+     "initial value"),
+    (lambda g: constant_linear_solution(0.0, math.nan, 1.0, g, 5.0),
+     "forcing"),
+    (lambda g: constant_linear_solution(-math.inf, 1.0, 1.0, g, 5.0),
+     "damping d"),
+    (lambda g: general_linear_solution(math.nan, 0.7, 1.0, g, 5.0,
+                                       quad_n=100), "damping d"),
+    (lambda g: general_linear_solution(0.5, math.inf, 1.0, g, 5.0,
+                                       quad_n=100), "forcing"),
+    (lambda g: general_linear_solution(np.cos, 0.7, math.nan, g, 5.0,
+                                       quad_n=100), "initial value"),
+])
+def test_non_finite_input_rejected_by_name(call, message):
+    # each of these used to return NaN or inf
+    with pytest.raises(ValueError, match=f"^{message} must be finite"):
+        call(make_test_derivator(2))

@@ -593,6 +593,25 @@ class TestErrorBound:
         with pytest.raises(ValueError):
             error_bound(RuleKind.ONE_POINT, 1.0, 1.0, 1.0, 1.0, 1.0)
 
+    # each used to return a bound no error can meet: NaN, -1.0, -0.5, 1.0
+    @pytest.mark.parametrize("kind, H, var_f, name", [
+        (RuleKind.ONE_POINT, math.nan, 1.0, "H"),
+        (RuleKind.ONE_POINT, -1.0, 1.0, "H"),
+        (RuleKind.TRAPEZOID, 1.0, -1.0, "var_f"),
+        (RuleKind.CORRECTED_ONE_POINT, -1.0, 1.0, "H"),
+        (RuleKind.TRAPEZOID, math.inf, 1.0, "H"),
+        (RuleKind.CORRECTED_TRAPEZOID, 1.0, math.nan, "var_f"),
+        (RuleKind.ONE_POINT, 1.0, math.inf, "var_f"),
+    ])
+    def test_rejects_a_bad_constant_by_name(self, kind, H, var_f, name):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite and nonnegative"):
+            error_bound(kind, H, 1.0, 0.0, 1.0, var_f)
+
+    @pytest.mark.parametrize("kind", list(RuleKind))
+    def test_zero_constants_give_a_zero_bound(self, kind):
+        assert error_bound(kind, 0.0, 1.0, 0.0, 1.0, 0.0) == 0.0
+
 
 def test_constant_exactness_across_rules():
     rng = np.random.default_rng(99)
@@ -643,6 +662,14 @@ def test_run_bound_suite_row_shape_and_determinism():
 @pytest.mark.parametrize("num_cases", [0, -1])
 def test_run_bound_suite_rejects_a_case_count_below_one(num_cases):
     with pytest.raises(ValueError, match="need at least one case"):
+        run_bound_suite(num_cases=num_cases, n_oracle=10, seed=1)
+
+
+@pytest.mark.parametrize("num_cases", [1.5, 2.0, True])
+def test_run_bound_suite_rejects_a_case_count_that_is_not_an_integer(
+        num_cases):
+    # 1.5 used to fail with a bare TypeError from range, True to run a case
+    with pytest.raises(ValueError, match="num_cases must be an integer"):
         run_bound_suite(num_cases=num_cases, n_oracle=10, seed=1)
 
 

@@ -18,8 +18,8 @@ its git commit (when it is a work tree) and a sha256 over its ``src/``
 sources.  When ``--out`` already holds a record of the same two source
 trees, the workload is added to it, so one file can hold several workloads.
 The last line of standard output is the workload's summary as one JSON
-object: the pair count, the digest and failure checks and one row per
-end-to-end metric.  Exits 1 when a run fails or the two sides wrote different outputs
+object: the pair count, the digest and failure checks, one row per
+end-to-end metric and each side's ``src/`` line count.  Exits 1 when a run fails or the two sides wrote different outputs
 for the same seed, 2 on bad arguments.
 """
 
@@ -235,7 +235,9 @@ def main(argv=None):
         json.dump(record, fh, indent=1)
         fh.write("\n")
     summary = entry["summary"]
-    print(json.dumps({"workload": args.workload} | summary))
+    src_lines = {side: sides[side]["src_lines"] for side in SIDES}
+    print(json.dumps({"workload": args.workload} | summary
+                     | {"src_lines": src_lines}))
     ok = summary["digests_identical"] and not any(
         summary["failed_runs"].values())
     return 0 if ok else 1
