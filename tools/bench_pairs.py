@@ -19,8 +19,9 @@ sources.  When ``--out`` already holds a record of the same two source
 trees, the workload is added to it, so one file can hold several workloads.
 The last line of standard output is the workload's summary as one JSON
 object: the pair count, the digest and failure checks, one row per
-end-to-end metric and each side's ``src/`` line count.  Exits 1 when a run fails or the two sides wrote different outputs
-for the same seed, 2 on bad arguments.
+end-to-end metric and each side's ``src/`` line count.  Exits 1 when a run
+fails or the two sides wrote different outputs for the same seed, 2 on bad
+arguments.
 """
 
 from __future__ import annotations
