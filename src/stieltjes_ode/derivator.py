@@ -91,9 +91,19 @@ def _check_rises(steps, slack, xs, grid):
                          f"{xs[k + 1]}: its measure there is {steps[k]}")
 
 
-def _check_domain_end(T):
-    if not 0.0 < T < math.inf:
-        raise ValueError(f"domain end T must be positive and finite, got {T}")
+# each rule of ``_check_number``: its test and its words in the message
+_NUMBER_RULES = {
+    "finite": (math.isfinite, "finite"),
+    "positive": (lambda x: 0.0 < x < math.inf, "positive and finite"),
+    "nonnegative": (lambda x: 0.0 <= x < math.inf, "finite and nonnegative")}
+
+
+def _check_number(x, name, rule="finite"):
+    """Raise ``ValueError`` naming the argument ``name`` unless the number
+    ``x`` keeps ``rule``, a key of ``_NUMBER_RULES`` (NaN keeps none)."""
+    test, words = _NUMBER_RULES[rule]
+    if not test(x):
+        raise ValueError(f"{name} must be {words}, got {x}")
 
 
 def _check_times(arr, T, closed_right=True):
@@ -145,7 +155,7 @@ class Derivator:
 
     def __init__(self, domain_end, continuous_part, jump_times=(), jump_gaps=()):
         T = float(domain_end)
-        _check_domain_end(T)
+        _check_number(T, "domain end T", "positive")
         times = np.asarray(jump_times, dtype=float)
         gaps = np.asarray(jump_gaps, dtype=float)
         if times.shape != gaps.shape or times.ndim > 1:
@@ -340,8 +350,7 @@ def make_phi(alpha: float) -> Callable:
     steepness; the output is exactly 0 for ``x <= 0`` and for NaN, and
     exactly 1 for ``x >= 1``.  Every input takes one path, by masks.
     """
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    _check_number(alpha, "alpha", "positive")
 
     def phi(x):
         arr, scalar = _as_float_array(x)
@@ -369,13 +378,12 @@ def make_test_derivator(num_jumps: int, alpha: float = 4.0, T: float = 10.0,
     once at the ramps' starts and ends, with the ramp run in place inside
     each; other input takes ``phi``'s masks.  Both give the same bits.
     """
-    _check_domain_end(T)
-    if snap is not None and not 0.0 < snap < math.inf:
-        raise ValueError(f"snap must be positive and finite, got {snap}")
+    _check_number(T, "domain end T", "positive")
+    if snap is not None:
+        _check_number(snap, "snap", "positive")
     if not _is_integer(num_jumps):
         raise ValueError(f"num_jumps must be an integer, got {num_jumps!r}")
-    if num_jumps < 0:
-        raise ValueError(f"num_jumps must be nonnegative, got {num_jumps}")
+    _check_number(num_jumps, "num_jumps", "nonnegative")
     if num_jumps > MAX_GRID_STEPS:
         raise ValueError(f"num_jumps={num_jumps} asks for more jumps than the "
                          f"{MAX_GRID_STEPS} steps a grid may have, and every "
@@ -434,7 +442,7 @@ def make_silkworm_derivator(T: float) -> Derivator:
     (flat); unit jumps at ``5k+4`` (moth death) and ``5k+5`` (hatching)
     extend it with period 5: ``g(t+5) = g(t) + 4``.
     """
-    _check_domain_end(T)
+    _check_number(T, "domain end T", "positive")
     periods = math.ceil(T / 5.0)
     if 2 * periods > MAX_GRID_STEPS:
         raise ValueError(f"domain end T={T} asks for about {0.4 * T:.4g} "

@@ -6,8 +6,10 @@ solution is expressed through a driver-adapted exponential: coefficients are
 driver's measure, and exponentiated, with a sign flip recorded at every jump
 where ``1 + c(t) gap`` is negative.  A jump is admissible as long as
 ``d(t) * gap != 1``; the constant-coefficient closed forms additionally
-require ``d * gap < 1``, which keeps every product factor positive.  Every
-closed form takes its arguments in the order ``(coefficients, x0, g, t)``.
+require ``d * gap < 1``, which keeps every product factor positive.  The
+jump factors come from ``_jump_map``, which rejects one that is 0 or NaN; a
+non-finite constant coefficient is rejected too.  Every closed form takes
+its arguments in the order ``(coefficients, x0, g, t)``.
 
 With classical time (no jumps, ``g(t) = t``) everything reduces to the
 textbook formulas.
@@ -20,7 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .derivator import Derivator, _f_on_arrays
+from .derivator import Derivator, _check_number, _f_on_arrays
 from .quadrature import (_blocks, _check_refinement, _piece_terms, _pieces,
                          _trapezoid)
 
@@ -37,18 +39,29 @@ __all__ = [
 Coefficient = Union[float, Callable]
 
 
-def _as_time_function(v: Coefficient) -> Callable:
+def _as_time_function(v: Coefficient, name: str) -> Callable:
+    """``v`` as a function of time, which for a constant ``v`` (it must be
+    finite) returns an array of ``t``'s shape."""
     if callable(v):
         return v
     c = float(v)
+    _check_number(c, name)
+    return lambda t: np.full(np.shape(t), c)
 
-    def const(t):
-        arr = np.asarray(t, dtype=float)
-        if arr.ndim == 0:
-            return c
-        return np.full(arr.shape, c)
 
-    return const
+def _jump_map(c_values, times, gaps, positive=False):
+    """The factors ``1 + c*gap`` of the jump maps ``x -> (1 + c*gap) x``,
+    with ``c_values`` the coefficient at the jumps ``times``.  ``ValueError``
+    names the first jump whose map is not invertible: the factor is 0 or NaN
+    (with ``positive``, it is not above 0)."""
+    factors = 1.0 + np.asarray(c_values, dtype=float) * gaps
+    bad = ~(factors > 0.0) if positive else ~(np.abs(factors) > 0.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"inadmissible jump at t={float(times[k])}: the jump "
+                         f"factor {float(factors[k])} is not "
+                         f"{'positive' if positive else 'a nonzero number'}")
+    return factors
 
 
 def check_admissibility(d: Coefficient, g: Derivator,
@@ -59,54 +72,32 @@ def check_admissibility(d: Coefficient, g: Derivator,
     With finitely many jumps the summability condition on ``ln|1 - d*gap|``
     always holds, so it is not checked.
     """
-    d_fun = _as_time_function(d)
+    d_fun = _as_time_function(d, "damping d")
     offending = []
     for time, gap in zip(g.jump_times, g.jump_gaps):
         prod = float(d_fun(time)) * float(gap)
-        bad = prod >= 1.0 if strict else prod == 1.0
-        if bad:
+        if prod >= 1.0 if strict else prod == 1.0:
             offending.append((float(time), prod))
     return offending
-
-
-def _check_finite(d: Coefficient, forcing: Coefficient, x0: float):
-    """Reject a non-finite ``x0`` or constant coefficient; a callable one is
-    not sampled."""
-    if not math.isfinite(x0):
-        raise ValueError(f"initial value must be finite, got {x0}")
-    for name, c in (("damping d", d), ("forcing", forcing)):
-        if not callable(c) and not math.isfinite(c):
-            raise ValueError(f"{name} must be finite, got {c}")
-
-
-def _require_admissible(d, g, strict):
-    offending = check_admissibility(d, g, strict=strict)
-    if offending:
-        kind = "d*gap < 1" if strict else "d*gap != 1"
-        raise ValueError(
-            f"inadmissible damping: {kind} fails at jumps {offending}")
 
 
 def hat_transform(c: Coefficient, g: Derivator) -> Callable:
     """Driver-adapted coefficient: ``ln|1 + c(t) gap| / gap`` at jumps.
 
     Away from jumps the coefficient is returned unchanged.  Accepts scalar
-    or array ``t``; raises when ``1 + c(t) gap`` vanishes at some jump.
+    or array ``t``; raises when ``1 + c(t) gap`` is 0 or NaN at some jump
+    (``_jump_map``), or at once when a constant ``c`` is not finite.
     """
-    c_fun = _as_time_function(c)
+    c_fun = _as_time_function(c, "coefficient c")
 
     def hatted(t):
         arr = np.asarray(t, dtype=float)
-        gap = g.jump_gap(arr)
-        c_val = _f_on_arrays(c_fun, arr)
-        at_jump = gap > 0.0
-        arg = 1.0 + c_val * gap
-        singular = at_jump & (arg == 0.0)
-        if np.any(singular):
-            raise ValueError("hat transform undefined: 1 + c*gap = 0 at jump "
-                             f"t={float(arr[singular][0])}")
-        out = np.where(at_jump, np.log(np.abs(arg))
-                       / np.where(at_jump, gap, 1.0), c_val)
+        gap = np.asarray(g.jump_gap(arr))
+        # a copy: ``c`` may hand back its argument, which must not change
+        out = np.array(_f_on_arrays(c_fun, arr))
+        at = gap > 0.0
+        factors = _jump_map(out[at], arr[at], gap[at])
+        out[at] = np.log(np.abs(factors)) / gap[at]
         return float(out) if arr.ndim == 0 else out
 
     return hatted
@@ -119,46 +110,40 @@ def hat_exponential(c: Coefficient, g: Derivator, t: float,
     Magnitude is ``exp`` of the measure integral of the hatted coefficient
     over ``[0, t)`` (constant ``c`` evaluates in closed form, otherwise the
     continuous part is refined on ``quad_n`` subintervals); the sign flips
-    once for every jump before ``t`` with ``1 + c*gap < 0``.  A ``t``
-    outside ``[0, T]``, or a ``quad_n`` that is not an integer in ``[1,
-    MAX_GRID_STEPS]`` (checked for a constant ``c`` too), raises
+    once for every jump before ``t`` with ``1 + c*gap < 0``.  A factor ``1
+    + c*gap`` of 0 or NaN (``_jump_map``), a non-finite constant ``c``, a
+    ``t`` outside ``[0, T]``, or a ``quad_n`` that is not an integer in
+    ``[1, MAX_GRID_STEPS]`` (checked for a constant ``c`` too), raises
     ``ValueError``.
     """
     _check_refinement(quad_n, "quad_n")
     t = float(t)
     times, gaps = g.jumps_in(0.0, t)
-    c_fun = _as_time_function(c)
+    c_fun = _as_time_function(c, "coefficient c")
+    factors = _jump_map([float(c_fun(s)) for s in times], times, gaps)
     log_mag = 0.0
-    flips = 0
-    for d_time, gap in zip(times, gaps):
-        arg = 1.0 + float(c_fun(d_time)) * gap
-        if arg == 0.0:
-            raise ValueError(
-                f"adapted exponential undefined: 1 + c*gap = 0 at jump t={d_time}")
-        if arg < 0.0:
-            flips += 1
-        log_mag += math.log(abs(arg))
+    for factor in factors:
+        log_mag += math.log(abs(factor))
     if not callable(c):
         log_mag += float(c) * g.continuous_value(t)
     else:
         for _, _, terms in _piece_terms(c, g, 0.0, t, quad_n):
             log_mag += float(np.sum(terms))
-    return (-1.0) ** flips * math.exp(log_mag)
+    return (-1.0) ** int(np.sum(factors < 0.0)) * math.exp(log_mag)
 
 
 def tilde_coefficients(d: Coefficient, forcing: Coefficient, g: Derivator,
                        t: float):
     """Coefficients of the right-limit form: both divided by ``1 - d*gap``.
 
-    At non-jump times this is the identity.
+    At non-jump times this is the identity.  A factor ``1 - d*gap`` that is
+    0 or NaN (``_jump_map``), or a non-finite constant, raises ``ValueError``.
     """
     t = float(t)
     gap = g.jump_gap(t)
-    d_val = float(_as_time_function(d)(t))
-    f_val = float(_as_time_function(forcing)(t))
-    denom = 1.0 - d_val * gap
-    if denom == 0.0:
-        raise ValueError(f"inadmissible jump at t={t}: d*gap = 1")
+    d_val = float(_as_time_function(d, "damping d")(t))
+    f_val = float(_as_time_function(forcing, "forcing")(t))
+    denom = float(_jump_map([-d_val], [t], [gap])[0]) if gap > 0.0 else 1.0
     return d_val / denom, f_val / denom
 
 
@@ -168,14 +153,16 @@ def homogeneous_solution(d: float, x0: float, g: Derivator, t,
 
     ``x(t) = x0 * exp(-d g(t)) * prod (1 - d gap) exp(d gap)`` with the
     product over jumps strictly before ``t`` (or up to and including ``t``
-    for the right limit).  Requires finite ``d`` and ``x0`` and ``d * gap <
-    1`` at every jump; accepts scalar or array ``t``.
+    for the right limit).  Requires finite ``d`` and ``x0`` and a positive
+    jump factor ``1 - d * gap`` (``_jump_map``), that is ``d * gap < 1``,
+    at every jump; accepts scalar or array ``t``.
     """
-    _check_finite(d, 0.0, x0)
-    _require_admissible(d, g, strict=True)
+    _check_number(d, "damping d")
+    _check_number(x0, "initial value")
+    factors = (_jump_map(-d, g.jump_times, g.jump_gaps, positive=True)
+               * np.exp(d * g.jump_gaps))
     arr, scalar = np.asarray(t, dtype=float), np.asarray(t).ndim == 0
     g_vals = g.right_value(arr) if from_right else g.value(arr)
-    factors = (1.0 - d * g.jump_gaps) * np.exp(d * g.jump_gaps)
     prefix = np.concatenate(([1.0], np.cumprod(factors)))
     prods = g._prefix_at(prefix, arr, "right" if from_right else "left")
     out = x0 * np.exp(-d * g_vals) * prods
@@ -192,7 +179,9 @@ def constant_linear_solution(d: float, forcing: float, x0: float, g: Derivator,
     forcing g(t)``.  Requires finite ``d``, ``forcing`` and ``x0`` and ``d *
     gap < 1`` at every jump; accepts scalar or array ``t``.
     """
-    _check_finite(d, forcing, x0)
+    _check_number(d, "damping d")
+    _check_number(forcing, "forcing")
+    _check_number(x0, "initial value")
     if d == 0.0:
         return x0 + forcing * (g.right_value(t) if from_right else g.value(t))
     hom = homogeneous_solution(d, 1.0, g, t, from_right)
@@ -213,15 +202,17 @@ def general_linear_solution(d: Coefficient, forcing: Coefficient, x0: float,
     is read at the jumps and at the ends of grid steps where ``g^C`` rises,
     never inside a flat stretch, where it may even be NaN.  Requires a
     finite ``x0`` and finite constant coefficients (a callable is not
-    sampled), ``d(t) * gap != 1`` at every jump, ``t`` in ``[0, T]`` and an
-    integer ``quad_n`` in ``[1, MAX_GRID_STEPS]``.
+    sampled), a jump factor ``1 - d(t) * gap`` that is neither 0 nor NaN
+    at every jump (``_jump_map``, with ``d`` read once per jump), ``t`` in
+    ``[0, T]`` and an integer ``quad_n`` in ``[1, MAX_GRID_STEPS]``.
     """
     _check_refinement(quad_n, "quad_n")
-    _check_finite(d, forcing, x0)
-    _require_admissible(d, g, strict=False)
+    _check_number(x0, "initial value")
+    d_fun = _as_time_function(d, "damping d")
+    h_fun = _as_time_function(forcing, "forcing")
+    denoms = _jump_map([-float(d_fun(s)) for s in g.jump_times],
+                       g.jump_times, g.jump_gaps)
     t = float(t)
-    d_fun = _as_time_function(d)
-    h_fun = _as_time_function(forcing)
     times, gaps = g.jumps_in(0.0, t)
     log_mag = 0.0
     sign = 1.0
@@ -243,9 +234,7 @@ def general_linear_solution(d: Coefficient, forcing: Coefficient, x0: float,
         forced += float(np.sum(terms))
         log_mag = float(log_mag + run)
         if i < len(times):
-            s, gap = float(times[i]), float(gaps[i])
-            d_s = float(d_fun(s))
-            denom = 1.0 - d_s * gap
+            s, gap, denom = float(times[i]), float(gaps[i]), float(denoms[i])
             h_tilde = float(h_fun(s)) / denom
             forced += sign * math.exp(log_mag) * h_tilde * gap
             log_mag += -math.log(abs(denom))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivator import _check_domain_end, _check_times, _silkworm_base
+from .derivator import _check_number, _check_times, _silkworm_base
 from .solver import IvpSpec, Trajectory
 
 __all__ = [
@@ -45,15 +45,10 @@ class SilkwormParams:
     T: float = 10.0
 
     def __post_init__(self):
-        if not 0 < self.c < math.inf:
-            raise ValueError(
-                f"decay rate c must be positive and finite, got {self.c}")
-        if not 0 <= self.lam < math.inf:
-            raise ValueError(
-                f"fecundity lam must be nonnegative and finite, got {self.lam}")
-        _check_domain_end(self.T)
-        if not math.isfinite(self.x0):
-            raise ValueError(f"initial value must be finite, got {self.x0}")
+        _check_number(self.c, "decay rate c", "positive")
+        _check_number(self.lam, "fecundity lam", "nonnegative")
+        _check_number(self.T, "domain end T", "positive")
+        _check_number(self.x0, "initial value")
 
 
 def silkworm_rhs(t: float, x: float, history: Trajectory,
@@ -165,6 +160,5 @@ class SilkwormSolution:
 
 def make_linear_spec(d: float, x0: float) -> IvpSpec:
     """Solver spec for the homogeneous linear benchmark ``x'_g = -d x``."""
-    if not math.isfinite(d):
-        raise ValueError(f"damping d must be finite, got {d}")
+    _check_number(d, "damping d")
     return IvpSpec(rhs=lambda t, x, hist: -d * x, x0=x0)

@@ -31,8 +31,8 @@ from typing import Callable
 import numpy as np
 
 from .derivator import (_ORACLE_BLOCK, MAX_GRID_STEPS, Derivator,
-                        _check_rises, _f_on_arrays, _is_integer,
-                        make_test_derivator)
+                        _check_number, _check_rises, _f_on_arrays,
+                        _is_integer, make_test_derivator)
 
 __all__ = [
     "RuleKind",
@@ -259,10 +259,8 @@ def error_bound(kind: RuleKind, H: float, p: float, a: float, b: float,
         raise ValueError(f"need b > a, got a={a}, b={b}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"Holder exponent must be in (0, 1], got {p}")
-    for name, value in (("H", H), ("var_f", var_f)):
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and nonnegative, "
-                             f"got {value}")
+    _check_number(H, "H", "nonnegative")
+    _check_number(var_f, "var_f", "nonnegative")
     width = b - a
     if kind.corrected:
         return (0.5 * H if kind.trapezoid else H) * H * width * width

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .derivator import MAX_GRID_STEPS, Derivator, _check_rises
+from .derivator import MAX_GRID_STEPS, Derivator, _check_number, _check_rises
 
 __all__ = [
     "GridMismatchError",
@@ -103,8 +103,7 @@ class Partition:
 def _uniform_nodes(g: Derivator, h: float) -> np.ndarray:
     """Nodes of :func:`build_partition`, checked and snapped to the jumps the
     same way, without evaluating the driver."""
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"step must be positive and finite, got {h}")
+    _check_number(h, "step", "positive")
     T = g.domain_end
     steps = T / h
     if steps > MAX_GRID_STEPS + 0.5:
@@ -164,8 +163,7 @@ class IvpSpec:
     def __post_init__(self):
         if self.rhs_right is None:
             self.rhs_right = self.rhs
-        if not math.isfinite(self.x0):
-            raise ValueError(f"initial value must be finite, got {self.x0}")
+        _check_number(self.x0, "initial value")
 
 
 @dataclass
