@@ -232,16 +232,17 @@ def run_silkworm(args) -> int:
     params = models.SilkwormParams(c=args.c, lam=args.lam, x0=args.x0, T=args.T)
     g = derivator.make_silkworm_derivator(args.T)
     part = solver.build_partition(g, args.h)
+    # Heun's decay factor 1 - z + z^2/2 exceeds 1 once z = c*dg exceeds 2:
+    # the state then grows without bound, finite or not, so no solve is run
+    z = args.c * float(np.max(part.dg))
+    if z > 2.0:
+        raise ValueError(f"the step is unstable for this decay rate: z = c*dg "
+                         f"= {z:.4g} > 2 on the steepest step, where the state "
+                         f"grows without bound and may turn non-finite")
     spec = models.make_silkworm_spec(params)
     # a diverging state ends in solve's own FloatingPointError
     with np.errstate(over="ignore", invalid="ignore"):
         traj = solver.solve(spec, part)
-    # Heun's decay factor 1 - z + z^2/2 exceeds 1 once z = c*dg exceeds 2:
-    # the state then grows without bound but may stay finite
-    z = args.c * float(np.max(part.dg))
-    if z > 2.0:
-        raise ValueError(f"the step is unstable for this decay rate: "
-                         f"z = c*dg = {z:.4g} > 2 on the steepest step")
     exact = models.SilkwormSolution(params)
     report = analysis.error_report(traj, exact)
     columns = (part.nodes, traj.values, exact(part.nodes), report.e)

@@ -69,14 +69,15 @@ def check_admissibility(d: Coefficient, g: Derivator,
     """The ``(time, d*gap)`` pairs of the jumps that violate ``d(t) * gap !=
     1`` (or ``< 1`` when strict); empty when every jump is admissible.
 
-    With finitely many jumps the summability condition on ``ln|1 - d*gap|``
-    always holds, so it is not checked.
+    A NaN ``d(t) * gap`` violates both; a non-finite constant ``d`` raises
+    ``ValueError``.  With finitely many jumps the summability condition on
+    ``ln|1 - d*gap|`` always holds, so it is not checked.
     """
     d_fun = _as_time_function(d, "damping d")
     offending = []
     for time, gap in zip(g.jump_times, g.jump_gaps):
         prod = float(d_fun(time)) * float(gap)
-        if prod >= 1.0 if strict else prod == 1.0:
+        if math.isnan(prod) or (prod >= 1.0 if strict else prod == 1.0):
             offending.append((float(time), prod))
     return offending
 

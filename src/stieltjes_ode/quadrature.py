@@ -252,9 +252,11 @@ def error_bound(kind: RuleKind, H: float, p: float, a: float, b: float,
     corrected rules take the common Lipschitz constant ``H`` of both
     continuous parts (``p`` is forced to 1 and ``var_f`` ignored).  A NaN,
     infinite or negative ``H`` or ``var_f`` raises ``ValueError``: no error
-    could meet the bound it gives.
+    could meet the bound it gives.  So does a non-finite ``a`` or ``b``.
     """
     kind = RuleKind(kind)
+    _check_number(a, "a")
+    _check_number(b, "b")
     if not b > a:
         raise ValueError(f"need b > a, got a={a}, b={b}")
     if not 0.0 < p <= 1.0:
@@ -271,8 +273,11 @@ def make_lipschitz_integrand(g: Derivator, c1: float, c2: float):
     """Integrand ``c1*g + c2*sin(g)`` with its right-limit companion.
 
     It is Lipschitz along ``g`` with constant ``|c1| + |c2|``, which makes
-    its jump sizes and total variation easy to bound analytically.
+    its jump sizes and total variation easy to bound analytically.  A
+    non-finite ``c1`` or ``c2`` raises ``ValueError``.
     """
+    _check_number(c1, "c1")
+    _check_number(c2, "c2")
 
     def combine(gv):
         # c1 * gv + c2 * sin(gv), in place on the fresh driver values
@@ -300,11 +305,12 @@ def run_bound_suite(num_cases: int = 200, n_oracle: int = 10 ** 6,
     four rules, then compares the rule against the refinement oracle.
     Returns one row per case with the rule value, the oracle value, the
     bound, and a pass flag.  ``num_cases`` must be an integer of at least
-    1.
+    1, and ``n_oracle`` one in ``[1, MAX_GRID_STEPS]``.
     """
     if not (_is_integer(num_cases) and num_cases >= 1):
         raise ValueError(f"need at least one case: num_cases must be an "
                          f"integer >= 1, got {num_cases!r}")
+    _check_refinement(n_oracle, "n_oracle")
     rng = np.random.default_rng(seed)
     kinds = list(RuleKind)
     rows = []

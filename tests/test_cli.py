@@ -224,6 +224,30 @@ class TestSilkworm:
         assert err.startswith("error:") and "z = c*dg = 435.9" in err
         assert not (tmp_path / "s.csv").exists()
 
+    def test_unstable_step_that_overflows_exits_2_before_the_solve(
+            self, tmp_path, capsys):
+        # z = 141 at the default step: the state used to overflow at node
+        # 562 and the run ended with the solver's message instead
+        code = run(["silkworm", "--c", "1000",
+                    "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: the step is unstable for this decay "
+                              "rate: z = c*dg = 141.1 > 2")
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_overflowing_hatch_exits_2_from_the_solve(self, tmp_path,
+                                                      capsys):
+        # a stable step whose hatch overflows the float range still ends in
+        # the solver's own message
+        code = run(["silkworm", "--lambda", "1e308",
+                    "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("error: state became non-finite stepping to node 501 "
+                       "(t=5.01); aborting\n")
+
     def test_stable_step_near_the_limit_runs(self, tmp_path):
         # z = 4 * 0.436 = 1.74, below the limit 2
         code = run(["silkworm", "--c", "4", "--h", "0.1",

@@ -448,3 +448,61 @@ def test_non_finite_input_rejected_by_name(call, message):
     # each of these used to return NaN or inf
     with pytest.raises(ValueError, match=f"^{message} must be finite"):
         call(make_test_derivator(2))
+
+
+class TestJumpMap:
+    """Every closed form takes its jump factors from one jump map, which
+    rejects a factor that is 0 or NaN at the first such jump."""
+
+    @staticmethod
+    def nan_at_jumps(g):
+        # a callable coefficient that is NaN at the jumps and 0.25 elsewhere
+        return lambda t: np.where(np.isin(t, g.jump_times), math.nan, 0.25)
+
+    @pytest.mark.parametrize("call", [
+        lambda c, g: hat_transform(c, g)(np.array([1.0, g.jump_times[0]])),
+        lambda c, g: hat_exponential(c, g, 9.3, quad_n=100),
+        lambda c, g: tilde_coefficients(c, 0.7, g, g.jump_times[0]),
+        lambda c, g: general_linear_solution(c, 0.7, 1.0, g, 9.3,
+                                             quad_n=100),
+    ], ids=["hat_transform", "hat_exponential", "tilde_coefficients",
+            "general_linear_solution"])
+    def test_callable_coefficient_nan_at_a_jump_rejected(self, call):
+        # each of these used to return NaN
+        g = make_test_derivator(2, snap=0.1)
+        with pytest.raises(ValueError,
+                           match=r"^inadmissible jump at t=3\.3.*factor nan"):
+            call(self.nan_at_jumps(g), g)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_admissibility_reports_a_nan_product(self, strict):
+        g = make_test_derivator(2, snap=0.1)
+        offending = check_admissibility(self.nan_at_jumps(g), g, strict)
+        assert [t for t, _ in offending] == list(g.jump_times)
+        assert all(math.isnan(prod) for _, prod in offending)
+
+    def test_hat_transform_leaves_its_argument_unchanged(self):
+        # ``lambda t: t`` hands back the array it is given
+        g = linear_driver(2.0, [1.0], [1.0])
+        ts = np.array([0.5, 1.0, 1.5])
+        values = hat_transform(lambda t: t, g)(ts)
+        assert list(ts) == [0.5, 1.0, 1.5]
+        assert list(values) == [0.5, math.log(2.0), 1.5]
+
+    def test_general_solution_reads_d_once_per_jump(self):
+        g = make_test_derivator(4, snap=0.1)
+        at_jumps = []
+
+        def d(t):
+            if np.ndim(t) == 0:
+                at_jumps.append(float(t))
+            return 0.3 * np.sin(t)
+
+        general_linear_solution(d, np.cos, 1.25, g, 9.3, quad_n=100)
+        assert at_jumps == list(g.jump_times)
+
+    def test_homogeneous_factor_must_be_positive(self):
+        g = linear_driver(2.0, [1.0], [1.0])
+        with pytest.raises(ValueError, match=r"^inadmissible jump at t=1\.0: "
+                           r"the jump factor -0\.5 is not positive"):
+            homogeneous_solution(1.5, 1.0, g, 1.5)

@@ -789,3 +789,10 @@ def test_oracle_bits_on_multi_block_pieces():
         "0x1.f976027876d66p+3")
     assert oracle_integral(f, g, 4.0, 9.5, 7) == float.fromhex(
         "0x1.dda791863a18ap+3")
+
+
+@pytest.mark.parametrize("n_oracle", [0, 1.5, MAX_GRID_STEPS + 1])
+def test_run_bound_suite_names_a_bad_oracle_refinement(n_oracle):
+    # it used to name ``n``, the oracle's own argument, from inside a case
+    with pytest.raises(ValueError, match="n_oracle"):
+        run_bound_suite(num_cases=1, n_oracle=n_oracle, seed=1)
