@@ -25,6 +25,6 @@ from .models import (SilkwormParams, SilkwormSolution, make_linear_spec,
 from .analysis import (BoundConstants, ConvergenceCell, ErrorReport,
                        convergence_table, error_report, estimate_order,
                        format_convergence_csv, measure_constants,
-                       theoretical_bounds, truncation_errors)
+                       sample_exact, theoretical_bounds, truncation_errors)
 
 __version__ = "0.1.0"

@@ -1,11 +1,12 @@
 """Error metrics, truncation errors, propagation bounds, and order fits.
 
-Given a computed trajectory and an exact solution, this module reports the
-per-node errors of the corrector, the predictor and the right-limit update,
-evaluates the scheme's local truncation errors, and assembles the constants
-``G1 .. G6`` that drive the a-priori error bounds.  ``estimate_order`` fits a
-convergence order from (step, error) pairs and ``convergence_table`` runs a
-whole benchmark grid.
+``sample_exact`` samples an exact solution on a partition once, as a
+reference ``Trajectory``.  Given a computed trajectory and that reference,
+this module reports the per-node errors of the corrector, the predictor and
+the right-limit update, evaluates the scheme's local truncation errors, and
+assembles the constants ``G1 .. G6`` that drive the a-priori error bounds.
+``estimate_order`` fits a convergence order from (step, error) pairs and
+``convergence_table`` runs a whole benchmark grid.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .derivator import Derivator, _f_on_arrays
+from .derivator import _ORACLE_BLOCK, Derivator, _f_on_arrays
 from .solver import (IvpSpec, GridMismatchError, Partition, Trajectory,
                      build_partition, solve)
 
 __all__ = [
     "ErrorReport",
     "BoundConstants",
+    "sample_exact",
     "error_report",
     "truncation_errors",
     "measure_constants",
@@ -54,8 +56,11 @@ class ErrorReport:
     max_e_plus: float
 
 
-# steps per block of measure_constants' refinement grid; bounds its memory
-_BLOCK_STEPS = 2048
+# points per step of measure_constants' refinement grid
+_STEP_POINTS = 21
+# steps per block of that grid: one block's points fit the driver's memo, so
+# the exact solution's read of g^C is served from it
+_BLOCK_STEPS = (_ORACLE_BLOCK + 1) // _STEP_POINTS
 
 
 def _on_arrays(rhs: Callable, hist: Trajectory, t, x) -> np.ndarray:
@@ -71,23 +76,33 @@ def _state_slope(rhs: Callable, hist: Trajectory, t, x,
                         / (2 * delta)))
 
 
-def _sample_exact(exact: Callable, part: Partition) -> Trajectory:
-    """The exact solution as a trajectory, the history its right-hand side
-    reads: ``exact`` on the nodes and its right limits on ``nodes[:-1]``."""
+def sample_exact(exact: Callable, part: Partition) -> Trajectory:
+    """The exact solution on ``part`` as a reference trajectory, the history
+    its right-hand side reads.
+
+    ``exact(t, from_right=False)`` must accept numpy arrays of times; with
+    ``from_right=True`` it returns the right limits ``x(t+)``.  It is called
+    twice: on the nodes and, for the right limits, on ``nodes[:-1]``.
+    """
     nodes = part.nodes
     x = np.asarray(exact(nodes), dtype=float)
     x_right = np.asarray(exact(nodes[:-1], from_right=True), dtype=float)
     return Trajectory(part, x, x_right, x[1:])
 
 
-def error_report(traj: Trajectory, exact: Callable) -> ErrorReport:
-    """Compare a trajectory with the exact solution of its problem.
+def _check_reference(ref: Trajectory, part: Partition) -> None:
+    if not isinstance(ref, Trajectory):
+        raise TypeError(f"the reference must be a Trajectory from "
+                        f"sample_exact, got {type(ref).__name__}")
+    if ref.partition is not part:
+        raise ValueError("the reference is sampled on another partition")
 
-    ``exact(t, from_right=False)`` must accept numpy arrays of times; with
-    ``from_right=True`` it returns the right limits ``x(t+)``.
-    """
+
+def error_report(traj: Trajectory, ref: Trajectory) -> ErrorReport:
+    """Compare a trajectory with the reference ``sample_exact`` drew on its
+    partition; another partition raises ``ValueError``."""
     part = traj.partition
-    ref = _sample_exact(exact, part)
+    _check_reference(ref, part)
     e = traj.values - ref.values
     e_star = traj.predictor_values - ref.predictor_values
     e_plus = traj.right_values - ref.right_values
@@ -99,22 +114,24 @@ def error_report(traj: Trajectory, exact: Callable) -> ErrorReport:
                        max_e_plus=max_e_plus)
 
 
-def truncation_errors(spec: IvpSpec, part: Partition, exact: Callable):
+def truncation_errors(spec: IvpSpec, part: Partition, ref: Trajectory):
     """Local truncation residuals of the exact solution in the scheme.
 
-    Returns three arrays indexed by step (entry ``k`` belongs to node
-    ``k+1``): the predictor residual, the corrector residual with the exact
-    endpoint value, and the combined residual with the predicted endpoint.
+    ``ref`` is the exact solution sampled on ``part`` (``sample_exact``);
+    another partition raises ``ValueError``.  Returns three arrays indexed
+    by step (entry ``k`` belongs to node ``k+1``): the predictor residual,
+    the corrector residual with the exact endpoint value, and the combined
+    residual with the predicted endpoint.
     """
+    _check_reference(ref, part)
     nodes = part.nodes
-    hist = _sample_exact(exact, part)
-    x_right, x_end = hist.right_values, hist.predictor_values
-    f_plus = _on_arrays(spec.rhs_right, hist, nodes[:-1], x_right)
+    x_right, x_end = ref.right_values, ref.predictor_values
+    f_plus = _on_arrays(spec.rhs_right, ref, nodes[:-1], x_right)
     resid_pred = x_end - x_right - f_plus * part.dg
-    f_end = _on_arrays(spec.rhs, hist, nodes[1:], x_end)
+    f_end = _on_arrays(spec.rhs, ref, nodes[1:], x_end)
     resid_corr = x_end - x_right - 0.5 * (f_plus + f_end) * part.dg
     x_star = x_right + f_plus * part.dg
-    f_pred = _on_arrays(spec.rhs, hist, nodes[1:], x_star)
+    f_pred = _on_arrays(spec.rhs, ref, nodes[1:], x_star)
     resid_comb = x_end - x_right - 0.5 * (f_plus + f_pred) * part.dg
     return resid_pred, resid_corr, resid_comb
 
@@ -167,42 +184,56 @@ class BoundConstants:
         return 0.5 * self.k2 * self.lip * self.h
 
 
-def measure_constants(spec: IvpSpec, part: Partition,
+def _within_steps(v: np.ndarray) -> np.ndarray:
+    """The differences of neighbours in one step of the flat refinement
+    array ``v``, ``_STEP_POINTS`` points a step, as a (steps, points - 1)
+    view; none is taken across a step boundary."""
+    out = np.empty(v.size)
+    np.subtract(v[1:], v[:-1], out=out[:-1])
+    return out.reshape(-1, _STEP_POINTS)[:, :-1]
+
+
+def measure_constants(spec: IvpSpec, part: Partition, ref: Trajectory,
                       exact: Callable) -> BoundConstants:
     """Sample the regularity constants along the exact solution.
 
-    ``k2`` and ``k3`` come from central differences of the right-hand side
-    in the state variable over the solution's range; the Lipschitz constant
-    is the largest time difference quotient of the driver's continuous part
-    and of the composed right-hand side (restricted per step, so jump
-    contributions are excluded), sampled 20 times per step.
+    ``ref`` is the exact solution sampled on ``part`` (``sample_exact``;
+    another partition raises ``ValueError``) and ``exact`` the same solution
+    as a callable, read only inside the steps.  ``k2`` and ``k3`` come from
+    central differences of the right-hand side in the state variable over
+    the solution's range; the Lipschitz constant is the largest time
+    difference quotient of the driver's continuous part and of the composed
+    right-hand side (restricted per step, so jump contributions are
+    excluded), sampled 20 times per step.  Each block of the refinement
+    grid is one array that both ``continuous_value`` and ``exact`` read,
+    so the driver's memo evaluates the continuous part once per point.
     """
+    _check_reference(ref, part)
     g = part.g
     nodes = part.nodes
-    hist = _sample_exact(exact, part)
-    x, x_right = hist.values, hist.right_values
+    x, x_right = ref.values, ref.right_values
     scale = max(1.0, float(np.max(np.abs(x))))
     delta = 1e-6 * scale
     starts = nodes[:-1]
-    k2 = _state_slope(spec.rhs, hist, nodes, x, delta)
-    k3 = _state_slope(spec.rhs_right, hist, starts, x_right, delta)
-    frac = np.linspace(0.0, 1.0, 21)
+    k2 = _state_slope(spec.rhs, ref, nodes, x, delta)
+    k3 = _state_slope(spec.rhs_right, ref, starts, x_right, delta)
+    frac = np.linspace(0.0, 1.0, _STEP_POINTS)
     widths = np.diff(nodes)
     block_lips = []
     for k0 in range(0, part.n_steps, _BLOCK_STEPS):
         block = slice(k0, k0 + _BLOCK_STEPS)
-        ts_grid = starts[block, None] + widths[block, None] * frac[None, :]
-        cv_grid = g.continuous_value(ts_grid.ravel()).reshape(ts_grid.shape)
-        inner = ts_grid[:, 1:]
-        x_grid = np.asarray(exact(inner.ravel()), dtype=float).reshape(inner.shape)
-        fv = np.empty(ts_grid.shape)
+        ts = (starts[block, None] + widths[block, None] * frac).ravel()
+        cv = g.continuous_value(ts)
+        xs = np.asarray(exact(ts), dtype=float).reshape(-1, _STEP_POINTS)
+        ts_grid = ts.reshape(xs.shape)
+        fv = np.empty(xs.shape)
         # within a step the composed rhs is continuous from t_k+ onwards
-        fv[:, 0] = _on_arrays(spec.rhs_right, hist, starts[block],
+        fv[:, 0] = _on_arrays(spec.rhs_right, ref, starts[block],
                               x_right[block])
-        fv[:, 1:] = _on_arrays(spec.rhs, hist, inner, x_grid)
-        dts = np.diff(ts_grid, axis=1)
-        block_lips.append(np.max(np.abs(np.diff(cv_grid, axis=1)) / dts))
-        block_lips.append(np.max(np.abs(np.diff(fv, axis=1)) / dts))
+        fv[:, 1:] = _on_arrays(spec.rhs, ref, ts_grid[:, 1:], xs[:, 1:])
+        dts = _within_steps(ts)
+        block_lips.append(np.max(np.abs(_within_steps(cv)) / dts))
+        block_lips.append(np.max(np.abs(_within_steps(fv.ravel())) / dts))
     lip = float(np.max(block_lips))
     return BoundConstants(g.max_gap, k2, k3, lip, part.h, g.n_jumps)
 
@@ -283,7 +314,7 @@ def convergence_table(spec: IvpSpec, drivers: Sequence[Derivator],
             try:
                 part = build_partition(g, h)
                 traj = solve(spec, part)
-                report = error_report(traj, exact)
+                report = error_report(traj, sample_exact(exact, part))
             except GridMismatchError as exc:
                 cells.append(ConvergenceCell(g.n_jumps, h, failed=True,
                                              reason=str(exc)))

@@ -243,9 +243,9 @@ def run_silkworm(args) -> int:
     # a diverging state ends in solve's own FloatingPointError
     with np.errstate(over="ignore", invalid="ignore"):
         traj = solver.solve(spec, part)
-    exact = models.SilkwormSolution(params)
-    report = analysis.error_report(traj, exact)
-    columns = (part.nodes, traj.values, exact(part.nodes), report.e)
+    ref = analysis.sample_exact(models.SilkwormSolution(params), part)
+    report = analysis.error_report(traj, ref)
+    columns = (part.nodes, traj.values, ref.values, report.e)
     with open(args.out, "wb") as fh:
         fh.write(b"t,numeric,exact,error\n")
         # blocks of rows keep the byte matrices small
@@ -288,8 +288,9 @@ def run_bounds(args) -> int:
     # an overflowing solution shows up as non-finite maxima, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         traj = solver.solve(spec, part)
-        report = analysis.error_report(traj, exact)
-        _, _, resid_comb = analysis.truncation_errors(spec, part, exact)
+        ref = analysis.sample_exact(exact, part)
+        report = analysis.error_report(traj, ref)
+        _, _, resid_comb = analysis.truncation_errors(spec, part, ref)
         resid_max = float(np.max(np.abs(resid_comb)))
     measured = {"corrector error": report.max_e,
                 "predictor error": report.max_e_star,
@@ -299,7 +300,7 @@ def run_bounds(args) -> int:
     if bad:
         raise ValueError(f"non-finite maximum of the {', '.join(bad)} (the "
                          f"solution overflows the float range)")
-    consts = analysis.measure_constants(spec, part, exact)
+    consts = analysis.measure_constants(spec, part, ref, exact)
     bounds = analysis.theoretical_bounds(consts, args.T, 0.0, resid_max)
     if not all(map(math.isfinite, bounds)):
         raise ValueError("the a-priori bound exceeds the float range "

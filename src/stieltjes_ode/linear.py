@@ -7,9 +7,9 @@ driver's measure, and exponentiated, with a sign flip recorded at every jump
 where ``1 + c(t) gap`` is negative.  A jump is admissible as long as
 ``d(t) * gap != 1``; the constant-coefficient closed forms additionally
 require ``d * gap < 1``, which keeps every product factor positive.  The
-jump factors come from ``_jump_map``, which rejects one that is 0 or NaN; a
-non-finite constant coefficient is rejected too.  Every closed form takes
-its arguments in the order ``(coefficients, x0, g, t)``.
+jump factors come from ``_jump_map``, which rejects one that is 0, NaN or
+infinite; a non-finite constant coefficient is rejected too.  Every closed
+form takes its arguments in the order ``(coefficients, x0, g, t)``.
 
 With classical time (no jumps, ``g(t) = t``) everything reduces to the
 textbook formulas.
@@ -52,15 +52,17 @@ def _as_time_function(v: Coefficient, name: str) -> Callable:
 def _jump_map(c_values, times, gaps, positive=False):
     """The factors ``1 + c*gap`` of the jump maps ``x -> (1 + c*gap) x``,
     with ``c_values`` the coefficient at the jumps ``times``.  ``ValueError``
-    names the first jump whose map is not invertible: the factor is 0 or NaN
-    (with ``positive``, it is not above 0)."""
-    factors = 1.0 + np.asarray(c_values, dtype=float) * gaps
-    bad = ~(factors > 0.0) if positive else ~(np.abs(factors) > 0.0)
+    names the first jump whose map is not invertible: the factor is not
+    finite and nonzero (with ``positive``, not finite and above 0)."""
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        factors = 1.0 + np.asarray(c_values, dtype=float) * gaps
+    size = factors if positive else np.abs(factors)
+    bad = ~((size > 0.0) & (size < math.inf))
     if bad.any():
         k = int(np.argmax(bad))
+        rule = "positive and finite" if positive else "a finite nonzero number"
         raise ValueError(f"inadmissible jump at t={float(times[k])}: the jump "
-                         f"factor {float(factors[k])} is not "
-                         f"{'positive' if positive else 'a nonzero number'}")
+                         f"factor {float(factors[k])} is not {rule}")
     return factors
 
 
@@ -69,15 +71,17 @@ def check_admissibility(d: Coefficient, g: Derivator,
     """The ``(time, d*gap)`` pairs of the jumps that violate ``d(t) * gap !=
     1`` (or ``< 1`` when strict); empty when every jump is admissible.
 
-    A NaN ``d(t) * gap`` violates both; a non-finite constant ``d`` raises
-    ``ValueError``.  With finitely many jumps the summability condition on
-    ``ln|1 - d*gap|`` always holds, so it is not checked.
+    A ``d(t) * gap`` that is NaN or infinite violates both; a non-finite
+    constant ``d`` raises ``ValueError``.  With finitely many jumps the
+    summability condition on ``ln|1 - d*gap|`` always holds, so it is not
+    checked.
     """
     d_fun = _as_time_function(d, "damping d")
     offending = []
     for time, gap in zip(g.jump_times, g.jump_gaps):
         prod = float(d_fun(time)) * float(gap)
-        if math.isnan(prod) or (prod >= 1.0 if strict else prod == 1.0):
+        if not math.isfinite(prod) or (prod >= 1.0 if strict
+                                       else prod == 1.0):
             offending.append((float(time), prod))
     return offending
 
@@ -86,8 +90,9 @@ def hat_transform(c: Coefficient, g: Derivator) -> Callable:
     """Driver-adapted coefficient: ``ln|1 + c(t) gap| / gap`` at jumps.
 
     Away from jumps the coefficient is returned unchanged.  Accepts scalar
-    or array ``t``; raises when ``1 + c(t) gap`` is 0 or NaN at some jump
-    (``_jump_map``), or at once when a constant ``c`` is not finite.
+    or array ``t``; raises when ``1 + c(t) gap`` is 0, NaN or infinite at
+    some jump (``_jump_map``), or at once when a constant ``c`` is not
+    finite.
     """
     c_fun = _as_time_function(c, "coefficient c")
 
@@ -112,10 +117,10 @@ def hat_exponential(c: Coefficient, g: Derivator, t: float,
     over ``[0, t)`` (constant ``c`` evaluates in closed form, otherwise the
     continuous part is refined on ``quad_n`` subintervals); the sign flips
     once for every jump before ``t`` with ``1 + c*gap < 0``.  A factor ``1
-    + c*gap`` of 0 or NaN (``_jump_map``), a non-finite constant ``c``, a
-    ``t`` outside ``[0, T]``, or a ``quad_n`` that is not an integer in
-    ``[1, MAX_GRID_STEPS]`` (checked for a constant ``c`` too), raises
-    ``ValueError``.
+    + c*gap`` of 0, NaN or inf (``_jump_map``), a non-finite constant
+    ``c``, a ``t`` outside ``[0, T]``, or a ``quad_n`` that is not an
+    integer in ``[1, MAX_GRID_STEPS]`` (checked for a constant ``c`` too),
+    raises ``ValueError``.
     """
     _check_refinement(quad_n, "quad_n")
     t = float(t)
@@ -138,7 +143,8 @@ def tilde_coefficients(d: Coefficient, forcing: Coefficient, g: Derivator,
     """Coefficients of the right-limit form: both divided by ``1 - d*gap``.
 
     At non-jump times this is the identity.  A factor ``1 - d*gap`` that is
-    0 or NaN (``_jump_map``), or a non-finite constant, raises ``ValueError``.
+    0, NaN or inf (``_jump_map``), or a non-finite constant, raises
+    ``ValueError``.
     """
     t = float(t)
     gap = g.jump_gap(t)
@@ -203,9 +209,9 @@ def general_linear_solution(d: Coefficient, forcing: Coefficient, x0: float,
     is read at the jumps and at the ends of grid steps where ``g^C`` rises,
     never inside a flat stretch, where it may even be NaN.  Requires a
     finite ``x0`` and finite constant coefficients (a callable is not
-    sampled), a jump factor ``1 - d(t) * gap`` that is neither 0 nor NaN
-    at every jump (``_jump_map``, with ``d`` read once per jump), ``t`` in
-    ``[0, T]`` and an integer ``quad_n`` in ``[1, MAX_GRID_STEPS]``.
+    sampled), a finite nonzero jump factor ``1 - d(t) * gap`` at every jump
+    (``_jump_map``, with ``d`` read once per jump), ``t`` in ``[0, T]`` and
+    an integer ``quad_n`` in ``[1, MAX_GRID_STEPS]``.
     """
     _check_refinement(quad_n, "quad_n")
     _check_number(x0, "initial value")

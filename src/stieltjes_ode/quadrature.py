@@ -305,12 +305,15 @@ def run_bound_suite(num_cases: int = 200, n_oracle: int = 10 ** 6,
     four rules, then compares the rule against the refinement oracle.
     Returns one row per case with the rule value, the oracle value, the
     bound, and a pass flag.  ``num_cases`` must be an integer of at least
-    1, and ``n_oracle`` one in ``[1, MAX_GRID_STEPS]``.
+    1, ``n_oracle`` one in ``[1, MAX_GRID_STEPS]`` and ``seed`` one of at
+    least 0.
     """
     if not (_is_integer(num_cases) and num_cases >= 1):
         raise ValueError(f"need at least one case: num_cases must be an "
                          f"integer >= 1, got {num_cases!r}")
     _check_refinement(n_oracle, "n_oracle")
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     kinds = list(RuleKind)
     rows = []

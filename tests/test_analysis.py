@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stieltjes_ode.analysis import (BoundConstants, convergence_table,
-                                    error_report, estimate_order,
-                                    format_convergence_csv, measure_constants,
+from stieltjes_ode.analysis import (_BLOCK_STEPS, BoundConstants,
+                                    convergence_table, error_report,
+                                    estimate_order, format_convergence_csv,
+                                    measure_constants, sample_exact,
                                     theoretical_bounds, truncation_errors)
-from stieltjes_ode.derivator import (identity_derivator,
+from stieltjes_ode.derivator import (Derivator, identity_derivator,
                                      make_silkworm_derivator,
                                      make_test_derivator)
 from stieltjes_ode.linear import homogeneous_solution
@@ -42,7 +43,7 @@ class TestErrorReport:
         spec = IvpSpec(rhs=lambda t, x, hist: 0.0, x0=2.0)
         part = build_partition(g, 0.1)
         traj = solve(spec, part)
-        report = error_report(traj, constant(2.0))
+        report = error_report(traj, sample_exact(constant(2.0), part))
         assert report.max_e == 0.0
         assert report.max_e_star == 0.0
         assert report.max_e_plus == 0.0
@@ -58,7 +59,7 @@ class TestErrorReport:
                 return np.array([lookup[float(t)] for t in np.atleast_1d(ts)])
             return np.interp(ts, part.nodes, traj.values)
 
-        report = error_report(traj, exact)
+        report = error_report(traj, sample_exact(exact, part))
         assert report.max_e == 0.0
         assert report.max_e_plus == 0.0
 
@@ -66,7 +67,7 @@ class TestErrorReport:
         g, spec, exact = benchmark_setup()
         part = build_partition(g, 0.1)
         traj = solve(spec, part)
-        report = error_report(traj, exact)
+        report = error_report(traj, sample_exact(exact, part))
         # jump placement is not pinned by the source table, so allow slack
         assert report.max_e_star == pytest.approx(REF_H1["e_star"], rel=0.25)
         assert report.max_e == pytest.approx(REF_H1["e"], rel=0.25)
@@ -78,7 +79,8 @@ class TestTruncationErrors:
         g = make_test_derivator(2, snap=0.1)
         spec = IvpSpec(rhs=lambda t, x, hist: 0.0, x0=1.5)
         part = build_partition(g, 0.1)
-        pred, corr, comb = truncation_errors(spec, part, constant(1.5))
+        pred, corr, comb = truncation_errors(
+            spec, part, sample_exact(constant(1.5), part))
         assert np.max(np.abs(pred)) == 0.0
         assert np.max(np.abs(corr)) == 0.0
         assert np.max(np.abs(comb)) == 0.0
@@ -88,8 +90,9 @@ class TestTruncationErrors:
         spec = IvpSpec(rhs=lambda t, x, hist: -x, x0=1.0)
         part = build_partition(g, 1e-2)
         exact = lambda t, from_right=False: np.exp(-np.asarray(t, dtype=float))
-        pred, corr, _ = truncation_errors(spec, part, exact)
-        consts = measure_constants(spec, part, exact)
+        ref = sample_exact(exact, part)
+        pred, corr, _ = truncation_errors(spec, part, ref)
+        consts = measure_constants(spec, part, ref, exact)
         H, h = consts.lip, part.h
         assert np.max(np.abs(pred)) <= H * H * h * h
         assert np.max(np.abs(corr)) <= 0.5 * H * H * h * h
@@ -97,8 +100,9 @@ class TestTruncationErrors:
     def test_benchmark_bounds_pointwise(self):
         g, spec, exact = benchmark_setup()
         part = build_partition(g, 1e-2)
-        pred, corr, comb = truncation_errors(spec, part, exact)
-        consts = measure_constants(spec, part, exact)
+        ref = sample_exact(exact, part)
+        pred, corr, comb = truncation_errors(spec, part, ref)
+        consts = measure_constants(spec, part, ref, exact)
         H, K2, h = consts.lip, consts.k2, part.h
         assert np.max(np.abs(pred)) <= H * H * h * h
         assert np.max(np.abs(corr)) <= 0.5 * H * H * h * h
@@ -111,15 +115,16 @@ class TestTruncationErrors:
         ratios = []
         for h in (1e-1, 1e-2, 1e-3):
             part = build_partition(g, h)
-            _, _, comb = truncation_errors(spec, part, exact)
+            _, _, comb = truncation_errors(spec, part,
+                                           sample_exact(exact, part))
             ratios.append(np.max(np.abs(comb)) / h)
         assert ratios[2] < ratios[1] < ratios[0]
 
 
 class TestExactProtocol:
-    """Each analysis pass reads the exact solution through one callable:
-    ``exact(t)`` on the nodes and ``exact(t, from_right=True)`` on every
-    node but the last."""
+    """The exact solution is read through one callable, sampled on the
+    nodes once per run: ``exact(t)`` on the nodes and ``exact(t,
+    from_right=True)`` on every node but the last."""
 
     @staticmethod
     def counting(g, calls):
@@ -138,23 +143,67 @@ class TestExactProtocol:
         g, spec, _ = benchmark_setup()
         part = build_partition(g, 1e-2)
         traj = solve(spec, part)
-        for run in (lambda exact: error_report(traj, exact),
-                    lambda exact: truncation_errors(spec, part, exact)):
-            calls = []
-            run(self.counting(g, calls))
-            assert len(calls) == 2
-            self.assert_nodes_then_right_limits(calls, part.nodes)
+        calls = []
+        ref = sample_exact(self.counting(g, calls), part)
+        assert len(calls) == 2
+        self.assert_nodes_then_right_limits(calls, part.nodes)
+        # the analysis passes read the reference, never the callable
+        error_report(traj, ref)
+        truncation_errors(spec, part, ref)
+        assert len(calls) == 2
 
     def test_measure_constants_also_samples_the_refinement(self):
         g, spec, _ = benchmark_setup()
-        part = build_partition(g, 1e-3)  # 10000 steps: five blocks
+        part = build_partition(g, 1e-3)  # 10000 steps: seven blocks
         calls = []
-        measure_constants(spec, part, self.counting(g, calls))
+        exact = self.counting(g, calls)
+        measure_constants(spec, part, sample_exact(exact, part), exact)
         self.assert_nodes_then_right_limits(calls, part.nodes)
         blocks = calls[2:]
-        assert len(blocks) == 5
+        assert len(blocks) == math.ceil(part.n_steps / _BLOCK_STEPS) == 7
         assert all(kwargs == {} for _, kwargs in blocks)
-        assert sum(t.size for t, _ in blocks) == 20 * part.n_steps
+        assert sum(t.size for t, _ in blocks) == 21 * part.n_steps
+
+    @pytest.mark.parametrize("run", [
+        lambda spec, part, traj, ref: error_report(traj, ref),
+        lambda spec, part, traj, ref: truncation_errors(spec, part, ref),
+        lambda spec, part, traj, ref: measure_constants(
+            spec, part, ref, partial(homogeneous_solution, -0.5, 1.0,
+                                     part.g)),
+    ], ids=["error_report", "truncation_errors", "measure_constants"])
+    def test_reference_from_another_partition_rejected(self, run):
+        g, spec, exact = benchmark_setup()
+        part = build_partition(g, 1e-2)
+        # an equal partition built again is another partition
+        ref = sample_exact(exact, build_partition(g, 1e-2))
+        with pytest.raises(ValueError, match="another partition"):
+            run(spec, part, solve(spec, part), ref)
+
+    def test_a_callable_reference_is_a_type_error(self):
+        g, spec, exact = benchmark_setup()
+        part = build_partition(g, 1e-2)
+        with pytest.raises(TypeError, match="sample_exact"):
+            error_report(solve(spec, part), exact)
+
+
+def test_measure_constants_runs_the_continuous_part_once_per_point():
+    # continuous_value and exact read one array per block, so the driver's
+    # memo serves exact's read (counted as in TestOracleDriverEvaluations)
+    base = make_test_derivator(2, snap=0.1)
+    points = [0]
+
+    def part_fn(t):
+        arr = np.asarray(t, dtype=float)
+        points[0] += arr.size
+        return base.continuous_part(arr)
+
+    g = Derivator(base.domain_end, part_fn, base.jump_times, base.jump_gaps)
+    exact = partial(homogeneous_solution, -0.5, 1.0, g)
+    part = build_partition(g, 1e-3)  # seven blocks, the last one partial
+    ref = sample_exact(exact, part)
+    points[0] = 0
+    measure_constants(make_linear_spec(-0.5, 1.0), part, ref, exact)
+    assert points[0] == 21 * part.n_steps
 
 
 class TestArrayProtocol:
@@ -171,8 +220,9 @@ class TestArrayProtocol:
 
     def analyse(self, g, spec, exact, h):
         part = build_partition(g, h)
-        resid = truncation_errors(spec, part, exact)
-        consts = measure_constants(spec, part, exact)
+        ref = sample_exact(exact, part)
+        resid = truncation_errors(spec, part, ref)
+        consts = measure_constants(spec, part, ref, exact)
         return part, resid, consts
 
     def assert_same(self, g, spec, twin, h=1e-3, d=-0.5, x0=1.0):
@@ -209,9 +259,12 @@ class TestArrayProtocol:
         g, spec, exact = benchmark_setup()
         calls = []
         spec = IvpSpec(rhs=self.counted(spec.rhs, calls), x0=spec.x0)
-        self.analyse(g, spec, exact, 1e-3)
+        part, _, _ = self.analyse(g, spec, exact, 1e-3)
         assert 0 not in calls
-        assert len(calls) < 20  # against 22 per node point by point
+        # three residual passes, four state slopes, two calls per block,
+        # against 22 per node point by point
+        blocks = math.ceil(part.n_steps / _BLOCK_STEPS)
+        assert len(calls) == 7 + 2 * blocks
 
     def test_blocks_cover_the_whole_grid(self):
         # x grows along the last ramp, so the largest quotient of the

@@ -163,6 +163,19 @@ class TestLinearConvergence:
         assert "inadmissible" in err
         assert "np.float64" not in err
 
+    def test_overflowing_alpha_exits_2_with_one_line(self, tmp_path, capsys):
+        # 2*alpha overflowed inside the ramp: a numpy warning, its source
+        # line and then the error
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["linear-convergence", "--alpha", "1e308", "--jumps",
+                        "2", "--h", "1e-1", "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: alpha must be at most ")
+
     def test_jump_next_to_zero_exits_3(self, tmp_path, capsys):
         desc = '{"kind": "custom", "T": 1, "jumps": [{"t": 1e-12, "gap": 1}]}'
         code = run(["linear-convergence", "--derivator", desc, "--h", "0.1",
@@ -345,6 +358,14 @@ class TestQuadratureCheck:
         assert run(["quadrature-check", "--cases", "0",
                     "--out", str(tmp_path / "q.csv")]) == 2
 
+    def test_negative_seed_exits_2_naming_the_seed(self, tmp_path, capsys):
+        # numpy's own message named no argument
+        code = run(["quadrature-check", "--seed", "-1", "--cases", "1",
+                    "--n-oracle", "10", "--out", str(tmp_path / "q.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: seed must be an integer >= 0, got -1\n")
+
     def test_oversized_oracle_exits_2(self, tmp_path, capsys):
         code, peak = run_traced(["quadrature-check", "--cases", "1",
                                  "--n-oracle", "10000000000",
@@ -402,6 +423,26 @@ class TestBounds:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "exceeds the float range" in err
+
+    def test_samples_the_node_grid_once(self, tmp_path, monkeypatch):
+        # the reference serves error_report, truncation_errors and
+        # measure_constants; only the refinement reads the callable again
+        calls = []
+        plain = cli.linear.homogeneous_solution
+
+        def counted(d, x0, g, t, from_right=False):
+            calls.append(np.array(t, copy=True))
+            return plain(d, x0, g, t, from_right)
+
+        monkeypatch.setattr(cli.linear, "homogeneous_solution", counted)
+        assert run(["bounds", "--out", str(tmp_path / "b.csv")]) == 0
+        nodes = solver.build_partition(
+            cli.derivator.make_test_derivator(2, snap=0.1), 1e-2).nodes
+        on_nodes = [t for t in calls if np.array_equal(t, nodes)
+                    or np.array_equal(t, nodes[:-1])]
+        assert len(on_nodes) == 2
+        # one refinement block of 21 points per step
+        assert [t.size for t in calls[2:]] == [21 * (nodes.size - 1)]
 
 
 def test_unknown_subcommand_exits_2():

@@ -459,7 +459,13 @@ class TestJumpMap:
         # a callable coefficient that is NaN at the jumps and 0.25 elsewhere
         return lambda t: np.where(np.isin(t, g.jump_times), math.nan, 0.25)
 
-    @pytest.mark.parametrize("call", [
+    @staticmethod
+    def inf_at_jumps(g):
+        # the same, infinite at the jumps
+        return lambda t: np.where(np.isin(t, g.jump_times), math.inf, 0.25)
+
+    # each closed form that takes a callable coefficient, called with ``c``
+    CALLS = pytest.mark.parametrize("call", [
         lambda c, g: hat_transform(c, g)(np.array([1.0, g.jump_times[0]])),
         lambda c, g: hat_exponential(c, g, 9.3, quad_n=100),
         lambda c, g: tilde_coefficients(c, 0.7, g, g.jump_times[0]),
@@ -467,6 +473,8 @@ class TestJumpMap:
                                              quad_n=100),
     ], ids=["hat_transform", "hat_exponential", "tilde_coefficients",
             "general_linear_solution"])
+
+    @CALLS
     def test_callable_coefficient_nan_at_a_jump_rejected(self, call):
         # each of these used to return NaN
         g = make_test_derivator(2, snap=0.1)
@@ -480,6 +488,31 @@ class TestJumpMap:
         offending = check_admissibility(self.nan_at_jumps(g), g, strict)
         assert [t for t, _ in offending] == list(g.jump_times)
         assert all(math.isnan(prod) for _, prod in offending)
+
+    @CALLS
+    def test_callable_coefficient_inf_at_a_jump_rejected(self, call):
+        # general_linear_solution used to raise a bare ZeroDivisionError,
+        # hat_exponential to return inf, tilde_coefficients (nan, -0.0)
+        g = make_test_derivator(2, snap=0.1)
+        with pytest.raises(ValueError, match=r"^inadmissible jump at t=3\.3.*"
+                           r"factor -?inf is not a finite nonzero number"):
+            call(self.inf_at_jumps(g), g)
+
+    def test_homogeneous_factor_must_be_finite(self):
+        # d*gap = -1e309 overflows: the factor 1 - d*gap is inf
+        g = linear_driver(20.0, [1.0], [10.0])
+        with pytest.raises(ValueError, match=r"^inadmissible jump at t=1\.0: "
+                           r"the jump factor inf is not positive and finite"):
+            homogeneous_solution(-1e308, 1.0, g, 1.5)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_admissibility_reports_an_infinite_product(self, strict, sign):
+        # the non-strict check used to return [] for both signs
+        g = make_test_derivator(2, snap=0.1)
+        d = lambda t: sign * self.inf_at_jumps(g)(t)
+        offending = check_admissibility(d, g, strict)
+        assert offending == [(t, sign * math.inf) for t in g.jump_times]
 
     def test_hat_transform_leaves_its_argument_unchanged(self):
         # ``lambda t: t`` hands back the array it is given

@@ -1,4 +1,6 @@
 import importlib
+import os
+import re
 
 import pytest
 
@@ -24,3 +26,17 @@ def test_package_exports_come_from_module_all_lists():
                 if not n.startswith("_")
                 and getattr(obj, "__module__", "").startswith("stieltjes_ode.")}
     assert exported and exported <= listed
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+
+
+def test_readme_python_blocks_run_in_order():
+    # the blocks share one namespace, as a reader runs them one after another
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(),
+                            re.DOTALL | re.MULTILINE)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, README, "exec"), namespace)

@@ -673,6 +673,18 @@ def test_run_bound_suite_rejects_a_case_count_that_is_not_an_integer(
         run_bound_suite(num_cases=num_cases, n_oracle=10, seed=1)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5, None])
+def test_run_bound_suite_rejects_a_seed_that_is_not_a_nonnegative_integer(
+        seed, monkeypatch):
+    # -1 used to fail with numpy's "expected non-negative integer", True and
+    # None to run; the check comes before the first case is drawn
+    def no_case(*args, **kwargs):
+        raise AssertionError("a case was drawn")
+    monkeypatch.setattr(quadrature, "make_test_derivator", no_case)
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0"):
+        run_bound_suite(num_cases=1, n_oracle=10, seed=seed)
+
+
 def test_subdivided_corrected_rule_additivity():
     # summing the corrected rule over subintervals that contain the interior
     # jumps stays within the summed per-interval bounds of the oracle
