@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .derivator import _ORACLE_BLOCK, Derivator, _f_on_arrays
+from .derivator import MEMO_POINTS, Derivator, _f_on_arrays
 from .solver import (IvpSpec, GridMismatchError, Partition, Trajectory,
                      build_partition, solve)
 
@@ -60,7 +60,7 @@ class ErrorReport:
 _STEP_POINTS = 21
 # steps per block of that grid: one block's points fit the driver's memo, so
 # the exact solution's read of g^C is served from it
-_BLOCK_STEPS = (_ORACLE_BLOCK + 1) // _STEP_POINTS
+_BLOCK_STEPS = MEMO_POINTS // _STEP_POINTS
 
 
 def _on_arrays(rhs: Callable, hist: Trajectory, t, x) -> np.ndarray:
@@ -91,9 +91,6 @@ def sample_exact(exact: Callable, part: Partition) -> Trajectory:
 
 
 def _check_reference(ref: Trajectory, part: Partition) -> None:
-    if not isinstance(ref, Trajectory):
-        raise TypeError(f"the reference must be a Trajectory from "
-                        f"sample_exact, got {type(ref).__name__}")
     if ref.partition is not part:
         raise ValueError("the reference is sampled on another partition")
 
@@ -217,6 +214,8 @@ def measure_constants(spec: IvpSpec, part: Partition, ref: Trajectory,
     starts = nodes[:-1]
     k2 = _state_slope(spec.rhs, ref, nodes, x, delta)
     k3 = _state_slope(spec.rhs_right, ref, starts, x_right, delta)
+    # within a step the composed rhs is continuous from t_k+ onwards
+    f_plus = _on_arrays(spec.rhs_right, ref, starts, x_right)
     frac = np.linspace(0.0, 1.0, _STEP_POINTS)
     widths = np.diff(nodes)
     block_lips = []
@@ -227,9 +226,7 @@ def measure_constants(spec: IvpSpec, part: Partition, ref: Trajectory,
         xs = np.asarray(exact(ts), dtype=float).reshape(-1, _STEP_POINTS)
         ts_grid = ts.reshape(xs.shape)
         fv = np.empty(xs.shape)
-        # within a step the composed rhs is continuous from t_k+ onwards
-        fv[:, 0] = _on_arrays(spec.rhs_right, ref, starts[block],
-                              x_right[block])
+        fv[:, 0] = f_plus[block]
         fv[:, 1:] = _on_arrays(spec.rhs, ref, ts_grid[:, 1:], xs[:, 1:])
         dts = _within_steps(ts)
         block_lips.append(np.max(np.abs(_within_steps(cv)) / dts))

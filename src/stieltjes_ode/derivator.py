@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "MAX_GRID_STEPS",
+    "MEMO_POINTS",
     "Derivator",
     "identity_derivator",
     "make_phi",
@@ -42,10 +43,12 @@ _MONOTONE_SAMPLES = 1025
 _DG_ULPS = 8
 
 # grid points per block of the refinement oracle (``quadrature``): about
-# 256 kB per array.  One oracle block (``_ORACLE_BLOCK + 1`` points) is the
-# largest argument ``Derivator`` keeps in its continuous-part memo, and
-# ``analysis.measure_constants`` sizes its refinement blocks to fit it.
+# 256 kB per array
 _ORACLE_BLOCK = 2 ** 15
+
+# the most points of an argument ``Derivator`` keeps in its continuous-part
+# memo: one oracle block with its end point
+MEMO_POINTS = _ORACLE_BLOCK + 1
 
 
 def _as_float_array(t):
@@ -142,13 +145,11 @@ class Derivator:
     ``continuous_value(block)`` and, on a block without flat steps, its
     ``f(block)`` evaluate the part once per point (on a block with flat
     steps ``f`` reads only the ends of the live steps, a smaller array that
-    is evaluated afresh).  ``analysis.measure_constants`` hands one array
-    per refinement block to ``continuous_value`` and to the exact solution,
-    whose ``value`` then reads the memo.  A remembered value is served only
-    for an argument of the same shape and the same bits (``-0.0`` and
+    is evaluated afresh).  A remembered value is served
+    only for an argument of the same shape and the same bits (``-0.0`` and
     ``0.0`` differ, and so do NaN payloads), so an argument changed in place
     between two calls gets fresh values.  Scalars, arrays of more than
-    ``_ORACLE_BLOCK + 1`` points and parts that return a view of their
+    ``MEMO_POINTS`` points and parts that return a view of their
     argument are never remembered.  The memo is one tuple of a private copy
     of the argument and the raw values, replaced whole and never handed
     out: every call returns fresh arrays, so a thread that reads a stale
@@ -219,7 +220,7 @@ class Derivator:
             if old.item(0) == new.item(0) and np.array_equal(old, new):
                 return memo[1]
         raw = np.asarray(self.continuous_part(arr), dtype=float)
-        if (0 < arr.ndim and arr.size <= _ORACLE_BLOCK + 1
+        if (0 < arr.ndim and arr.size <= MEMO_POINTS
                 and not np.may_share_memory(raw, arr)):
             self._memo = (arr.copy(), raw)
         return raw
@@ -338,9 +339,12 @@ def _ramp(z, alpha):
     z -= 1.0
     z *= 0.5 * np.pi
     np.tan(z, out=z)
-    # an infinite product or exponential is the ramp's exact limit, 0 or 1
+    # an infinite product or exponential is the ramp's exact limit, 0 or 1;
+    # doubling is exact, so the two products round as one, and 0 * alpha
+    # stays 0 for every finite alpha
     with np.errstate(over="ignore"):
-        z *= -2.0 * float(alpha)
+        z *= -2.0
+        z *= float(alpha)
         np.exp(z, out=z)
     z += 1.0
     return np.divide(1.0, z, out=z)
@@ -351,15 +355,10 @@ def make_phi(alpha: float) -> Callable:
 
     ``phi(x) = [1 + exp(-2*alpha*tan(pi/2*(2x - 1)))]**-1`` for ``x`` in
     ``(0, 1)``, extended by 0 below and 1 above.  ``alpha`` controls the
-    steepness, and ``2*alpha`` must be finite; the output is exactly 0 for
-    ``x <= 0`` and for NaN, and exactly 1 for ``x >= 1``.  Every input takes
-    one path, by masks.
+    steepness; the output is exactly 0 for ``x <= 0`` and for NaN, and
+    exactly 1 for ``x >= 1``.  Every input takes one path, by masks.
     """
     _check_number(alpha, "alpha", "positive")
-    if not math.isfinite(2.0 * float(alpha)):
-        top = float(np.finfo(float).max) / 2
-        raise ValueError(f"alpha must be at most {top} so that 2*alpha is "
-                         f"finite, got {alpha}")
 
     def phi(x):
         arr, scalar = _as_float_array(x)
