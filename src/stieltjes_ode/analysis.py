@@ -90,6 +90,12 @@ def sample_exact(exact: Callable, part: Partition) -> Trajectory:
     return Trajectory(part, x, x_right, x[1:])
 
 
+def _max_abs(v: np.ndarray) -> float:
+    """``max(|v|)`` without an array of ``|v|``; NaN when ``v`` holds one,
+    and ``0.0``, not ``-0.0``, for an array of zeros."""
+    return float(abs(max(v.max(), -v.min())))
+
+
 def _check_reference(ref: Trajectory, part: Partition) -> None:
     if ref.partition is not part:
         raise ValueError("the reference is sampled on another partition")
@@ -101,14 +107,15 @@ def error_report(traj: Trajectory, ref: Trajectory) -> ErrorReport:
     part = traj.partition
     _check_reference(ref, part)
     e = traj.values - ref.values
-    e_star = traj.predictor_values - ref.predictor_values
-    e_plus = traj.right_values - ref.right_values
-    at_jump = part.gaps[:-1] > 0.0
-    max_e_plus = float(np.max(np.abs(e_plus[at_jump]))) if np.any(at_jump) \
-        else float(np.max(np.abs(e_plus)))
-    return ErrorReport(e=e, max_e=float(np.max(np.abs(e))),
-                       max_e_star=float(np.max(np.abs(e_star))),
-                       max_e_plus=max_e_plus)
+    diff = traj.predictor_values - ref.predictor_values
+    max_e_star = _max_abs(diff)
+    at_jump = np.flatnonzero(part.gaps[:-1])  # a gap is 0.0 or positive
+    if at_jump.size:
+        diff = traj.right_values[at_jump] - ref.right_values[at_jump]
+    else:
+        np.subtract(traj.right_values, ref.right_values, out=diff)
+    return ErrorReport(e=e, max_e=_max_abs(e), max_e_star=max_e_star,
+                       max_e_plus=_max_abs(diff))
 
 
 def truncation_errors(spec: IvpSpec, part: Partition, ref: Trajectory):

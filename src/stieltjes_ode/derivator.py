@@ -87,9 +87,9 @@ def _is_sorted(arr):
 def _check_rises(steps, slack, xs, grid):
     """Raise ``ValueError`` naming the first step ``[xs[k], xs[k + 1]]`` of
     the ``grid`` whose measure ``steps[k]`` is NaN or below ``-slack``."""
-    bad = ~(steps >= -slack)
-    if bad.any():
-        k = int(np.argmax(bad))
+    rises = steps >= -slack
+    if not rises.all():
+        k = int(np.argmin(rises))
         raise ValueError(f"the driver's continuous part decreases or is NaN "
                          f"on the {grid} grid between {xs[k]} and "
                          f"{xs[k + 1]}: its measure there is {steps[k]}")
@@ -111,12 +111,16 @@ def _check_number(x, name, rule="finite"):
 
 
 def _check_times(arr, T, closed_right=True):
-    """Reject a time outside ``[0, T]`` (``[0, T)`` unless ``closed_right``)."""
+    """Reject a time outside ``[0, T]`` (``[0, T)`` unless ``closed_right``);
+    return the smallest and the largest time, ``(0.0, 0.0)`` for none."""
+    if not arr.size:
+        return 0.0, 0.0
+    lo, hi = arr.min(), arr.max()
     # ``min``/``max`` propagate NaN, which then fails both comparisons
-    if arr.size and not (arr.min() >= 0.0 and (
-            arr.max() <= T if closed_right else arr.max() < T)):
+    if not (lo >= 0.0 and (hi <= T if closed_right else hi < T)):
         raise ValueError(f"time outside the domain [0, {T}"
                          f"{']' if closed_right else ')'}")
+    return lo, hi
 
 
 class Derivator:
@@ -231,15 +235,20 @@ class Derivator:
         top = np.max(np.abs(values), initial=0.0, where=np.isfinite(values))
         return _DG_ULPS * np.finfo(float).eps * (top + abs(self._c0))
 
-    def _prefix_at(self, table, arr, side):
+    def _prefix_at(self, table, arr, side, span):
         """``table[searchsorted(jump_times, arr, side)]`` for a table with
         one entry per jump interval, such as the jump mass before each point
         (``self._prefix``, ``side="left"``) or up to it (``"right"``).
 
-        A sorted 1-d ``arr`` (every oracle block and partition) is cut into
-        one run per jump interval instead of being searched point by point;
-        the values are the same.
+        ``span`` is the smallest and the largest time of ``arr``, as
+        ``_check_times`` returns them.  When no jump separates them the
+        entry is one float; otherwise a sorted 1-d ``arr`` (every oracle
+        block and partition) is cut into one run per jump interval instead
+        of being searched point by point.  The values are the same.
         """
+        first, last = np.searchsorted(self.jump_times, span, side)
+        if first == last:
+            return table[first]
         if _is_sorted(arr):
             ends = np.searchsorted(arr, self.jump_times,
                                    side="right" if side == "left" else "left")
@@ -255,17 +264,17 @@ class Derivator:
     def value(self, t):
         """``g(t)``: continuous part plus all gaps strictly before ``t``."""
         arr, scalar = _as_float_array(t)
-        _check_times(arr, self.domain_end)
-        out = (self._raw_continuous(arr) - self._c0
-               + self._prefix_at(self._prefix, arr, "left"))
+        span = _check_times(arr, self.domain_end)
+        out = self._raw_continuous(arr) - self._c0
+        out += self._prefix_at(self._prefix, arr, "left", span)
         return float(out) if scalar else out
 
     def right_value(self, t):
         """Right limit ``g(t+)``; includes the gap at ``t`` itself."""
         arr, scalar = _as_float_array(t)
-        _check_times(arr, self.domain_end, closed_right=False)
-        out = (self._raw_continuous(arr) - self._c0
-               + self._prefix_at(self._prefix, arr, "right"))
+        span = _check_times(arr, self.domain_end, closed_right=False)
+        out = self._raw_continuous(arr) - self._c0
+        out += self._prefix_at(self._prefix, arr, "right", span)
         return float(out) if scalar else out
 
     def jump_gap(self, t):

@@ -22,7 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .derivator import Derivator, _check_number, _f_on_arrays
+from .derivator import Derivator, _check_number, _check_times, _f_on_arrays
 from .quadrature import (_blocks, _check_refinement, _piece_terms, _pieces,
                          _trapezoid)
 
@@ -169,10 +169,16 @@ def homogeneous_solution(d: float, x0: float, g: Derivator, t,
     factors = (_jump_map(-d, g.jump_times, g.jump_gaps, positive=True)
                * np.exp(d * g.jump_gaps))
     arr, scalar = np.asarray(t, dtype=float), np.asarray(t).ndim == 0
-    g_vals = g.right_value(arr) if from_right else g.value(arr)
+    span = _check_times(arr, g.domain_end, closed_right=not from_right)
     prefix = np.concatenate(([1.0], np.cumprod(factors)))
-    prods = g._prefix_at(prefix, arr, "right" if from_right else "left")
-    out = x0 * np.exp(-d * g_vals) * prods
+    prods = g._prefix_at(prefix, arr, "right" if from_right else "left", span)
+    # ``x0 * exp(-d * g) * prods`` in place on the fresh array of ``g`` (a
+    # float for a 0-d ``t``, which ``asarray`` makes a writable 0-d array)
+    out = np.asarray(g.right_value(arr) if from_right else g.value(arr))
+    out *= -d
+    np.exp(out, out=out)
+    out *= x0
+    out *= prods
     return float(out) if scalar else out
 
 

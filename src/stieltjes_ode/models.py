@@ -32,9 +32,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SilkwormParams:
-    """Decay rate ``c``, fecundity ``lam``, initial population and horizon,
-    all finite.
+    """Decay rate ``c``, fecundity ``lam``, initial population ``x0`` and
+    horizon, all finite.
 
+    ``x0 >= 0``: it is a population (``0`` and ``-0.0`` are valid).
     ``lam = 0`` is allowed as the degenerate no-reproduction case (the
     population dies out after the first cycle); negative rates are not.
     """
@@ -48,7 +49,7 @@ class SilkwormParams:
         _check_number(self.c, "decay rate c", "positive")
         _check_number(self.lam, "fecundity lam", "nonnegative")
         _check_number(self.T, "domain end T", "positive")
-        _check_number(self.x0, "initial value")
+        _check_number(self.x0, "initial value", "nonnegative")
 
 
 def silkworm_rhs(t: float, x: float, history: Trajectory,

@@ -115,15 +115,17 @@ def evaluate_rule(kind: RuleKind, f, f_right, g: Derivator, a: float,
 def _grid_points(lo, hi, m, idx):
     """``np.linspace(lo, hi, m + 1)[idx]``, bit for bit, for an array
     ``idx`` of increasing grid indices, without building the rest of the
-    grid."""
+    grid.  A float ``idx`` is scaled in place and returned."""
+    ends_at_hi = idx[-1] == m  # read before ``idx`` is overwritten
+    xs = idx.astype(float, copy=False)
     width = hi - lo
     if width / m == 0:  # numpy's order when a subnormal width underflows
-        xs = idx / m
+        xs /= m
         xs *= width
     else:
-        xs = idx * (width / m)
+        xs *= width / m
     xs += lo
-    if idx[-1] == m:
+    if ends_at_hi:
         xs[-1] = hi
     return xs
 
@@ -175,11 +177,11 @@ def _trapezoid(f, block, dgc, out, weight=None, first=None):
     The ``f(block)`` of a block without flat steps is served from the
     driver's memo of ``continuous_value(block)`` when ``f`` evaluates ``g``.
     """
-    live = dgc != 0
-    if live.all():
+    if dgc.all():  # no flat step (``_blocks`` rejected NaN)
         fv = _f_on_arrays(f, block)
         live = True  # a plain add below
     else:
+        live = dgc != 0
         # ``f`` at the ends of the live steps only, 0 elsewhere
         ends = np.append(live, False)
         ends[1:] |= live

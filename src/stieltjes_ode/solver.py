@@ -93,7 +93,8 @@ class Partition:
         gaps = np.zeros(nodes.size)
         gaps[at] = g.jump_gaps
         g_left = g.value(nodes)
-        dg = g_left[1:] - (g_left[:-1] + gaps[:-1])
+        dg = np.add(g_left[:-1], gaps[:-1])
+        np.subtract(g_left[1:], dg, out=dg)
         # g(t_k) + gap(t_k) is rounded, so a flat step of a nondecreasing
         # driver may come out an ulp or two of its values below zero
         _check_rises(dg, g._rise_slack(g_left), nodes, "partition")

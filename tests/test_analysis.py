@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -441,6 +442,21 @@ class TestConvergenceTable:
         assert [c.num_jumps for c in cells] == [4, 4, 0, 0]
         assert len(built) == 2 and all(a is b for a, b in zip(built, drivers))
         assert not any(c.failed for c in cells)
+
+    def test_a_cell_holds_few_node_arrays_at_its_peak(self):
+        # a cell keeps nine node arrays: the partition's nodes, gaps and dg,
+        # the trajectory's three, the reference's two and the report's e;
+        # each full-array read makes its result once and works in place
+        args = self.factories([4])
+        convergence_table(*args, h_values=[1e-2])  # warm-up
+        tracemalloc.start()
+        try:
+            [cell] = convergence_table(*args, h_values=[1e-4])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not cell.failed
+        assert peak <= 10.5 * 8 * 100_001
 
     def test_csv_format(self):
         cells = convergence_table(*self.factories([2]), h_values=[1e-1])

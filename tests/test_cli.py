@@ -201,6 +201,16 @@ class TestSilkworm:
         max_err = float(last.split(",")[-1])
         assert max_err == pytest.approx(2.3724e-01, rel=1e-3)
 
+    def test_negative_population_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = run(["silkworm", "--h", "1e-1", "--x0", "-1",
+                    "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ("error: initial value must be finite and "
+                                "nonnegative, got -1.0\n")
+        assert captured.out == "" and not out.exists()
+
     def test_zero_population_run(self, tmp_path):
         out = tmp_path / "s.csv"
         code = run(["silkworm", "--h", "1e-1", "--lambda", "0", "--x0", "0",

@@ -290,6 +290,57 @@ def test_sorted_points_get_the_values_of_shuffled_ones(g):
                               shuffled.view(np.uint64))
 
 
+def read_cases():
+    """Times for the driver reads of ``make_test_derivator(4, snap=0.1)``
+    (jumps at 2, 4, 6 and 8): inside one jump interval, ending or starting
+    on a jump, across jumps, unsorted, 2-d, 0-d and empty."""
+    rng = np.random.default_rng(11)
+    inside = np.linspace(2.0, 4.0, 41)[1:-1]
+    across = np.sort(np.concatenate((np.linspace(0.1, 9.9, 99),
+                                     [2.0, 4.0, 6.0, 8.0, 0.0, -0.0])))
+    return [inside, rng.permutation(inside), np.append(inside, 4.0),
+            np.insert(inside, 0, 2.0), rng.permutation(np.append(inside, 4.0)),
+            across, rng.permutation(across), across.reshape(7, 15),
+            np.array(3.0), np.array(4.0), np.array(-0.0), 6.0,
+            np.array([]), np.empty((0, 3))]
+
+
+def per_point_value(g, ts, side):
+    """``g`` by its definition, one point at a time: ``continuous_value(t) +
+    _prefix[searchsorted(jump_times, t, side)]``."""
+    out = [g.continuous_value(t)
+           + g._prefix[np.searchsorted(g.jump_times, t, side)]
+           for t in np.ravel(ts).tolist()]
+    return np.array(out, dtype=float).reshape(np.shape(ts))
+
+
+@pytest.mark.parametrize("g", [make_test_derivator(4, snap=0.1),
+                               make_silkworm_derivator(10.0),
+                               identity_derivator(10.0)],
+                         ids=["ramps", "silkworm", "identity"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_reads_keep_the_bits_of_the_per_point_definition(g, side):
+    # an argument inside one jump interval takes one float of jump mass,
+    # others one entry per point; both are the per-point bits
+    read = g.value if side == "left" else g.right_value
+    for ts in read_cases():
+        out = read(ts)
+        assert isinstance(out, float) == (np.ndim(ts) == 0)
+        assert np.shape(out) == np.shape(ts)
+        assert np.array_equal(bits(out), bits(per_point_value(g, ts, side)))
+
+
+def test_a_negative_zero_part_reads_as_zero_without_jumps():
+    # g^C(t) - g^C(0) is -0.0 past t = 1; adding the no-jump mass 0.0 (one
+    # float, or one per point) turns it +0.0, as every read did before
+    g = Derivator(2.0, lambda t: np.copysign(0.0, 1.0 - np.asarray(t)))
+    ts = np.linspace(0.0, 1.9, 20)
+    assert bits(g.continuous_value(1.5)) == bits(-0.0)
+    for read in (g.value, g.right_value):
+        for arg in (ts, ts[::-1], ts[ts > 1.0], 1.5):
+            assert np.all(bits(read(arg)) == bits(0.0))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(0.0, 1.0))
 # a + 1.0 * (b - a) rounds one ulp above b here

@@ -13,6 +13,7 @@ from stieltjes_ode.linear import (check_admissibility,
                                   tilde_coefficients)
 from stieltjes_ode.quadrature import _piece_terms, oracle_integral
 from stieltjes_ode.solver import IvpSpec, build_partition, solve
+from test_derivator import bits, per_point_value, read_cases
 
 
 def linear_driver(T, times, gaps):
@@ -167,6 +168,25 @@ class TestHomogeneousSolution:
         sorted_vals = homogeneous_solution(-0.5, 1.3, g, ts, from_right)
         shuffled_vals = homogeneous_solution(-0.5, 1.3, g, shuffled, from_right)
         assert np.array_equal(sorted_vals, shuffled_vals[order])
+
+    @pytest.mark.parametrize("from_right", [False, True])
+    @pytest.mark.parametrize("d", [-0.5, 0.4])
+    def test_keeps_the_bits_of_the_per_point_definition(self, d, from_right):
+        # one point at a time: x0 * exp(-d g(t)) * the product of the jump
+        # factors before t (up to t from the right); an argument inside one
+        # jump interval takes that product as one float
+        g = make_test_derivator(4, snap=0.1)
+        side = "right" if from_right else "left"
+        factors = (1.0 - d * g.jump_gaps) * np.exp(d * g.jump_gaps)
+        prods = np.concatenate(([1.0], np.cumprod(factors)))
+        for ts in read_cases():
+            want = [1.3 * np.exp(-d * per_point_value(g, t, side))
+                    * prods[np.searchsorted(g.jump_times, t, side)]
+                    for t in np.ravel(ts).tolist()]
+            out = homogeneous_solution(d, 1.3, g, ts, from_right)
+            assert isinstance(out, float) == (np.ndim(ts) == 0)
+            assert np.array_equal(bits(out),
+                                  bits(np.reshape(want, np.shape(ts))))
 
     def test_agrees_with_scheme(self):
         g = linear_driver(4.0, [2.0], [1.0])

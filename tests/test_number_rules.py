@@ -54,7 +54,7 @@ RULES = [
      lambda v: SilkwormParams(c=1.2, lam=v, x0=8.0)),
     ("SilkwormParams", "domain end T", "positive",
      lambda v: SilkwormParams(c=1.2, lam=1.1, x0=8.0, T=v)),
-    ("SilkwormParams", "initial value", "finite",
+    ("SilkwormParams", "initial value", "nonnegative",
      lambda v: SilkwormParams(c=1.2, lam=1.1, x0=v)),
     ("make_linear_spec", "damping d", "finite",
      lambda v: make_linear_spec(v, 1.0)),
