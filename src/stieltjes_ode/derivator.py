@@ -74,11 +74,6 @@ def _f_on_arrays(f, *arrays):
                     ).reshape(arrays[0].shape)
 
 
-def _is_integer(n):
-    """``n`` is an integer (a Python or numpy one), not a bool."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
-
-
 def _is_sorted(arr):
     """1-d, two or more points, ``arr[1:] >= arr[:-1]`` (so no NaN)."""
     return arr.ndim == 1 and arr.size > 1 and (arr[1:] >= arr[:-1]).all()
@@ -95,19 +90,40 @@ def _check_rises(steps, slack, xs, grid):
                          f"{xs[k + 1]}: its measure there is {steps[k]}")
 
 
+def _is_integer(n, lo, hi=math.inf):
+    """``n`` is an integer (a Python or numpy one, not a bool) in ``[lo,
+    hi]``."""
+    return (isinstance(n, numbers.Integral) and not isinstance(n, bool)
+            and lo <= n <= hi)
+
+
 # each rule of ``_check_number``: its test and its words in the message
 _NUMBER_RULES = {
     "finite": (math.isfinite, "finite"),
     "positive": (lambda x: 0.0 < x < math.inf, "positive and finite"),
-    "nonnegative": (lambda x: 0.0 <= x < math.inf, "finite and nonnegative")}
+    "nonnegative": (lambda x: 0.0 <= x < math.inf, "finite and nonnegative"),
+    # counts: jumps and seeds, bound-suite cases, grid subintervals
+    "count": (lambda n: _is_integer(n, 0), "an integer >= 0"),
+    "case count": (lambda n: _is_integer(n, 1), "an integer >= 1"),
+    "grid steps": (lambda n: _is_integer(n, 1, MAX_GRID_STEPS),
+                   f"an integer in [1, {MAX_GRID_STEPS}]")}
 
 
 def _check_number(x, name, rule="finite"):
     """Raise ``ValueError`` naming the argument ``name`` unless the number
-    ``x`` keeps ``rule``, a key of ``_NUMBER_RULES`` (NaN keeps none)."""
+    ``x`` keeps ``rule``, a key of ``_NUMBER_RULES`` (NaN keeps none, and
+    a bool or a float keeps no count rule)."""
     test, words = _NUMBER_RULES[rule]
     if not test(x):
         raise ValueError(f"{name} must be {words}, got {x}")
+
+
+def _check_interval(a, b, T, empty=False):
+    """Raise ``ValueError`` unless ``0 <= a < b <= T`` (``a <= b`` with
+    ``empty``), the rule of every ``[a, b)`` argument; NaN fails it."""
+    if not (0.0 <= a <= b <= T and (empty or a < b)):
+        raise ValueError(f"need 0 <= a {'<=' if empty else '<'} b <= {T}, "
+                         f"got a={a}, b={b}")
 
 
 def _check_times(arr, T, closed_right=True):
@@ -294,19 +310,16 @@ class Derivator:
         return float(out) if scalar else out
 
     def measure(self, a, b):
-        """Measure of ``[a, b)``: ``g(b) - g(a)``; requires ``a <= b``."""
-        a = float(a)
-        b = float(b)
-        if a > b:
-            raise ValueError(f"interval endpoints out of order: {a} > {b}")
+        """Measure of ``[a, b)``: ``g(b) - g(a)``; ``ValueError`` unless
+        ``0 <= a <= b <= T``."""
+        a, b = float(a), float(b)
+        _check_interval(a, b, self.domain_end, empty=True)
         return self.value(b) - self.value(a)
 
     def jumps_in(self, a, b):
         """Jump times and gaps inside ``[a, b)`` as two arrays; ``ValueError``
         unless ``0 <= a <= b <= T`` (so also for a NaN end)."""
-        if not 0.0 <= a <= b <= self.domain_end:
-            raise ValueError(f"need 0 <= a <= b <= {self.domain_end}, "
-                             f"got a={a}, b={b}")
+        _check_interval(a, b, self.domain_end, empty=True)
         lo = np.searchsorted(self.jump_times, a, side="left")
         hi = np.searchsorted(self.jump_times, b, side="left")
         return self.jump_times[lo:hi], self.jump_gaps[lo:hi]
@@ -320,9 +333,7 @@ class Derivator:
         narrow for 4001 distinct floats the repeated points are dropped.
         """
         a, b = float(a), float(b)
-        if not a < b:
-            raise ValueError(f"need a < b for the interval [{a}, {b}]")
-        _check_times(np.array((a, b)), self.domain_end)
+        _check_interval(a, b, self.domain_end)
         # ``unique`` leaves a strictly increasing grid as it is
         ts = np.unique(np.linspace(a, b, 4001))
         vals = self.continuous_value(ts)
@@ -398,9 +409,7 @@ def make_test_derivator(num_jumps: int, alpha: float = 4.0, T: float = 10.0,
     _check_number(T, "domain end T", "positive")
     if snap is not None:
         _check_number(snap, "snap", "positive")
-    if not _is_integer(num_jumps):
-        raise ValueError(f"num_jumps must be an integer, got {num_jumps!r}")
-    _check_number(num_jumps, "num_jumps", "nonnegative")
+    _check_number(num_jumps, "num_jumps", "count")
     if num_jumps > MAX_GRID_STEPS:
         raise ValueError(f"num_jumps={num_jumps} asks for more jumps than the "
                          f"{MAX_GRID_STEPS} steps a grid may have, and every "

@@ -23,8 +23,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .derivator import Derivator, _check_number, _check_times, _f_on_arrays
-from .quadrature import (_blocks, _check_refinement, _piece_terms, _pieces,
-                         _trapezoid)
+from .quadrature import _blocks, _piece_terms, _pieces, _trapezoid
 
 __all__ = [
     "check_admissibility",
@@ -49,15 +48,21 @@ def _as_time_function(v: Coefficient, name: str) -> Callable:
     return lambda t: np.full(np.shape(t), c)
 
 
+def _not_invertible(factors, positive=False):
+    """Mask of the jump factors ``1 + c*gap`` whose map ``x -> (1 + c*gap)
+    x`` is not invertible: not finite and nonzero (with ``positive``, not
+    finite and above 0)."""
+    size = factors if positive else np.abs(factors)
+    return ~((size > 0.0) & (size < math.inf))
+
+
 def _jump_map(c_values, times, gaps, positive=False):
-    """The factors ``1 + c*gap`` of the jump maps ``x -> (1 + c*gap) x``,
-    with ``c_values`` the coefficient at the jumps ``times``.  ``ValueError``
-    names the first jump whose map is not invertible: the factor is not
-    finite and nonzero (with ``positive``, not finite and above 0)."""
+    """The factors ``1 + c*gap`` of the jump maps, with ``c_values`` the
+    coefficient at the jumps ``times``; ``ValueError`` names the first jump
+    whose map is not invertible (``_not_invertible``)."""
     with np.errstate(over="ignore"):  # an overflow is rejected below
         factors = 1.0 + np.asarray(c_values, dtype=float) * gaps
-    size = factors if positive else np.abs(factors)
-    bad = ~((size > 0.0) & (size < math.inf))
+    bad = _not_invertible(factors, positive)
     if bad.any():
         k = int(np.argmax(bad))
         rule = "positive and finite" if positive else "a finite nonzero number"
@@ -71,19 +76,17 @@ def check_admissibility(d: Coefficient, g: Derivator,
     """The ``(time, d*gap)`` pairs of the jumps that violate ``d(t) * gap !=
     1`` (or ``< 1`` when strict); empty when every jump is admissible.
 
-    A ``d(t) * gap`` that is NaN or infinite violates both; a non-finite
-    constant ``d`` raises ``ValueError``.  With finitely many jumps the
-    summability condition on ``ln|1 - d*gap|`` always holds, so it is not
-    checked.
+    The verdict is ``_jump_map``'s on the factor ``1 - d*gap`` (bit for bit
+    ``1 + (-d)*gap``), positive when strict, so a ``d(t) * gap`` that is NaN
+    or infinite violates both; a non-finite constant ``d`` raises
+    ``ValueError``.  With finitely many jumps the summability condition on
+    ``ln|1 - d*gap|`` always holds, so it is not checked.
     """
     d_fun = _as_time_function(d, "damping d")
-    offending = []
-    for time, gap in zip(g.jump_times, g.jump_gaps):
-        prod = float(d_fun(time)) * float(gap)
-        if not math.isfinite(prod) or (prod >= 1.0 if strict
-                                       else prod == 1.0):
-            offending.append((float(time), prod))
-    return offending
+    with np.errstate(over="ignore"):
+        prods = np.array([float(d_fun(s)) for s in g.jump_times]) * g.jump_gaps
+    bad = _not_invertible(1.0 - prods, positive=strict)
+    return list(zip(g.jump_times[bad].tolist(), prods[bad].tolist()))
 
 
 def hat_transform(c: Coefficient, g: Derivator) -> Callable:
@@ -122,7 +125,7 @@ def hat_exponential(c: Coefficient, g: Derivator, t: float,
     integer in ``[1, MAX_GRID_STEPS]`` (checked for a constant ``c`` too),
     raises ``ValueError``.
     """
-    _check_refinement(quad_n, "quad_n")
+    _check_number(quad_n, "quad_n", "grid steps")
     t = float(t)
     times, gaps = g.jumps_in(0.0, t)
     c_fun = _as_time_function(c, "coefficient c")
@@ -219,7 +222,7 @@ def general_linear_solution(d: Coefficient, forcing: Coefficient, x0: float,
     (``_jump_map``, with ``d`` read once per jump), ``t`` in ``[0, T]`` and
     an integer ``quad_n`` in ``[1, MAX_GRID_STEPS]``.
     """
-    _check_refinement(quad_n, "quad_n")
+    _check_number(quad_n, "quad_n", "grid steps")
     _check_number(x0, "initial value")
     d_fun = _as_time_function(d, "damping d")
     h_fun = _as_time_function(forcing, "forcing")

@@ -30,9 +30,9 @@ from typing import Callable
 
 import numpy as np
 
-from .derivator import (_ORACLE_BLOCK, MAX_GRID_STEPS, Derivator,
+from .derivator import (_ORACLE_BLOCK, Derivator, _check_interval,
                         _check_number, _check_rises, _f_on_arrays,
-                        _is_integer, make_test_derivator)
+                        make_test_derivator)
 
 __all__ = [
     "RuleKind",
@@ -64,21 +64,6 @@ class RuleKind(enum.Enum):
                         RuleKind.CORRECTED_TRAPEZOID)
 
 
-def _check_interval(g: Derivator, a: float, b: float):
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
-    if a < 0.0 or b > g.domain_end:
-        raise ValueError(f"[{a}, {b}) not inside [0, {g.domain_end}]")
-
-
-def _check_refinement(n, name: str = "n"):
-    """Reject ``n`` unless it is an integer (not a bool) in ``[1,
-    MAX_GRID_STEPS]``; called before anything is allocated."""
-    if not (_is_integer(n) and 1 <= n <= MAX_GRID_STEPS):
-        raise ValueError(f"need an integer 1 <= {name} <= {MAX_GRID_STEPS} "
-                         f"refinement subintervals, got {n!r}")
-
-
 def _eval(f: Callable, x):
     return float(f(float(x)))
 
@@ -88,12 +73,13 @@ def evaluate_rule(kind: RuleKind, f, f_right, g: Derivator, a: float,
     """The rule ``kind`` (a ``RuleKind`` or its value string) on ``[a, b)``.
 
     Only ``f``/``f_right`` values on the interval are needed; the
-    discontinuities of ``f`` must sit inside the jump set of ``g``.
+    discontinuities of ``f`` must sit inside the jump set of ``g``, and
+    ``0 <= a < b <= T``.
     """
     kind = RuleKind(kind)
     if not kind.corrected:
         f_right = f
-    _check_interval(g, a, b)
+    _check_interval(a, b, g.domain_end)
     cb = g.continuous_value(b)
     dc = cb - g.continuous_value(a)
     # the one-point weight term comes before the jump terms, the trapezoid
@@ -233,11 +219,13 @@ def oracle_integral(f, g: Derivator, a: float, b: float, n: int,
     piece and inside the blocks whose end values differ, not inside a block
     that is flat throughout.  Where it is NaN or falls by more than
     rounding, the call raises ``ValueError`` by the partition's rule (see
-    ``_blocks``).  ``n`` must be an integer in ``[1, MAX_GRID_STEPS]``.
-    The oracle shares no code with the single-interval rules above.
+    ``_blocks``).  ``[a, b)`` must lie in ``[0, T]`` with ``a < b``, and
+    ``n`` be an integer in ``[1, MAX_GRID_STEPS]``, checked before anything
+    is allocated.  The oracle shares no code with the single-interval rules
+    above.
     """
-    _check_interval(g, a, b)
-    _check_refinement(n)
+    _check_interval(a, b, g.domain_end)
+    _check_number(n, "n", "grid steps")
     times, gaps = g.jumps_in(a, b)
     total = sum(_eval(f, d) * gap for d, gap in zip(times, gaps))
     for _, _, terms in _piece_terms(f, g, a, b, n, f_right):
@@ -310,12 +298,9 @@ def run_bound_suite(num_cases: int = 200, n_oracle: int = 10 ** 6,
     1, ``n_oracle`` one in ``[1, MAX_GRID_STEPS]`` and ``seed`` one of at
     least 0.
     """
-    if not (_is_integer(num_cases) and num_cases >= 1):
-        raise ValueError(f"need at least one case: num_cases must be an "
-                         f"integer >= 1, got {num_cases!r}")
-    _check_refinement(n_oracle, "n_oracle")
-    if not (_is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    _check_number(num_cases, "num_cases", "case count")
+    _check_number(n_oracle, "n_oracle", "grid steps")
+    _check_number(seed, "seed", "count")
     rng = np.random.default_rng(seed)
     kinds = list(RuleKind)
     rows = []

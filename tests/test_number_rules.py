@@ -1,10 +1,14 @@
-"""The shared rules for numeric arguments: finite, positive or nonnegative.
+"""The shared rules for numeric arguments: finite, positive or nonnegative
+numbers, integer counts, and intervals ``[a, b)`` of the domain.
 
 One table lists each entry point, the argument it checks, the name its
-message gives that argument, and the rule.  Every rule has one definition
-(``derivator._check_number``), so each entry must reject NaN, both
-infinities and the first value outside its rule with a ``ValueError`` that
-names the argument, and a nonnegative rule must accept 0.
+message gives that argument, and the rule.  Every number and count rule has
+one definition (``derivator._check_number``), so each entry must reject
+NaN, both infinities and the first value outside its rule with a
+``ValueError`` that names the argument; a count rule also rejects a bool
+and a non-integral float, and accepts its smallest value.  A second table
+does the same for the one interval rule (``derivator._check_interval``),
+whose ends are times: a bool and a non-integral float are valid there.
 """
 
 import math
@@ -13,7 +17,7 @@ import re
 import numpy as np
 import pytest
 
-from stieltjes_ode.derivator import (Derivator, make_phi,
+from stieltjes_ode.derivator import (MAX_GRID_STEPS, Derivator, make_phi,
                                      make_silkworm_derivator,
                                      make_test_derivator)
 from stieltjes_ode.linear import (check_admissibility,
@@ -22,17 +26,37 @@ from stieltjes_ode.linear import (check_admissibility,
                                   hat_transform, homogeneous_solution,
                                   tilde_coefficients)
 from stieltjes_ode.models import SilkwormParams, make_linear_spec
-from stieltjes_ode.quadrature import error_bound, make_lipschitz_integrand
+from stieltjes_ode.quadrature import (error_bound, evaluate_rule,
+                                      make_lipschitz_integrand,
+                                      oracle_integral, run_bound_suite)
 from stieltjes_ode.solver import IvpSpec, build_partition
 
 G = make_test_derivator(2, snap=0.1)  # jumps at 3.3 and 6.7
 
 # the values each rule rejects; the first value outside it comes last
+NOT_A_COUNT = [math.nan, math.inf, -math.inf, True, 2.5]
 REJECTED = {
     "finite": [math.nan, math.inf, -math.inf],
     "positive": [math.nan, math.inf, -math.inf, 0.0],
     "nonnegative": [math.nan, math.inf, -math.inf, -1.0],
+    "count": NOT_A_COUNT + [-1],
+    "case count": NOT_A_COUNT + [0],
+    "grid steps": NOT_A_COUNT + [0, MAX_GRID_STEPS + 1],
 }
+
+# the smallest value each rule accepts
+SMALLEST = {"nonnegative": 0.0, "count": 0, "case count": 1, "grid steps": 1}
+
+# the words of each rule in its message
+WORDS = {"finite": "finite", "positive": "positive and finite",
+         "nonnegative": "finite and nonnegative", "count": "an integer >= 0",
+         "case count": "an integer >= 1",
+         "grid steps": f"an integer in [1, {MAX_GRID_STEPS}]"}
+
+
+def integrand(t):
+    return np.cos(np.asarray(t, dtype=float))
+
 
 # (entry point, name in the message, rule, call with the value)
 RULES = [
@@ -96,7 +120,40 @@ RULES = [
      lambda v: make_lipschitz_integrand(G, v, 1.0)),
     ("make_lipschitz_integrand", "c2", "finite",
      lambda v: make_lipschitz_integrand(G, 1.0, v)),
+    ("make_test_derivator", "num_jumps", "count", make_test_derivator),
+    ("run_bound_suite", "num_cases", "case count",
+     lambda v: run_bound_suite(num_cases=v, n_oracle=10, seed=1)),
+    ("run_bound_suite", "n_oracle", "grid steps",
+     lambda v: run_bound_suite(num_cases=1, n_oracle=v, seed=1)),
+    ("run_bound_suite", "seed", "count",
+     lambda v: run_bound_suite(num_cases=1, n_oracle=10, seed=v)),
+    ("oracle_integral", "n", "grid steps",
+     lambda v: oracle_integral(integrand, G, 0.0, 5.0, v)),
+    ("hat_exponential", "quad_n", "grid steps",
+     lambda v: hat_exponential(np.cos, G, 5.0, quad_n=v)),
+    ("general_linear_solution", "quad_n", "grid steps",
+     lambda v: general_linear_solution(np.cos, 0.7, 1.0, G, 5.0, quad_n=v)),
 ]
+
+# (entry point, whether ``a == b`` is valid, call with the two ends)
+INTERVALS = [
+    ("jumps_in", True, G.jumps_in),
+    ("measure", True, G.measure),
+    ("estimate_continuous_lipschitz", False, G.estimate_continuous_lipschitz),
+    ("evaluate_rule", False,
+     lambda a, b: evaluate_rule("trapezoid", integrand, integrand, G, a, b)),
+    ("oracle_integral", False,
+     lambda a, b: oracle_integral(integrand, G, a, b, 100)),
+]
+T = G.domain_end
+
+# (a, b) pairs outside the rule: NaN, the infinities, then the first value
+# outside it at either end, for a second end inside the domain
+BAD_ENDS = [(a, 5.0) for a in (math.nan, math.inf, -math.inf, -5e-324)] + [
+    (0.5, b) for b in (math.nan, math.inf, -math.inf,
+                       float(np.nextafter(T, math.inf)))]
+# valid ends: a bool and a non-integral float at either end, and the domain
+GOOD_ENDS = [(True, 5.0), (2.5, 5.0), (0.5, True), (0.5, 2.5), (0.0, T)]
 
 
 @pytest.mark.parametrize("call, name, value", [
@@ -107,29 +164,65 @@ def test_a_value_outside_the_rule_is_rejected_by_name(call, name, value):
         call(value)
 
 
-@pytest.mark.parametrize("call", [
-    pytest.param(call, id=f"{entry}-{name}")
-    for entry, name, rule, call in RULES if rule == "nonnegative"])
-def test_zero_is_accepted_where_the_rule_is_nonnegative(call):
-    call(0.0)
+@pytest.mark.parametrize("call, value", [
+    pytest.param(call, SMALLEST[rule], id=f"{entry}-{name}")
+    for entry, name, rule, call in RULES if rule in SMALLEST])
+def test_the_smallest_value_of_the_rule_is_accepted(call, value):
+    call(value)
 
 
-@pytest.mark.parametrize("rule, words", [
-    ("finite", "finite"), ("positive", "positive and finite"),
-    ("nonnegative", "finite and nonnegative")])
-def test_each_rule_has_one_message_format(rule, words):
+def test_a_numpy_integer_is_a_count():
+    assert make_test_derivator(np.int64(0)).n_jumps == 0
+    assert math.isfinite(oracle_integral(integrand, G, 0.0, 5.0,
+                                         np.int32(10)))
+
+
+@pytest.mark.parametrize("rule", WORDS)
+def test_each_rule_has_one_message_format(rule):
     messages = set()
     for entry, name, entry_rule, call in RULES:
         if entry_rule == rule:
             with pytest.raises(ValueError) as info:
                 call(math.nan)
             messages.add(str(info.value).replace(name, "<name>", 1))
-    assert messages == {f"<name> must be {words}, got nan"}
+    assert messages == {f"<name> must be {WORDS[rule]}, got nan"}
 
 
-def test_a_negative_jump_count_keeps_the_nonnegative_rule():
-    # an integer count: NaN and the infinities fail the integer check first
-    with pytest.raises(ValueError,
-                       match="^num_jumps must be finite and nonnegative"):
-        make_test_derivator(-1)
-    assert make_test_derivator(0).n_jumps == 0
+@pytest.mark.parametrize("call, empty, a, b", [
+    pytest.param(call, empty, a, b, id=f"{entry}-{a}-{b}")
+    for entry, empty, call in INTERVALS for a, b in BAD_ENDS])
+def test_an_interval_end_outside_the_domain_is_rejected(call, empty, a, b):
+    op = "<=" if empty else "<"
+    with pytest.raises(ValueError, match=re.escape(
+            f"need 0 <= a {op} b <= {T}, got a={a}, b={b}")):
+        call(a, b)
+
+
+@pytest.mark.parametrize("call, a, b", [
+    pytest.param(call, a, b, id=f"{entry}-{a}-{b}")
+    for entry, empty, call in INTERVALS for a, b in GOOD_ENDS])
+def test_an_interval_inside_the_domain_is_accepted(call, a, b):
+    call(a, b)
+
+
+@pytest.mark.parametrize("call, empty", [
+    pytest.param(call, empty, id=entry) for entry, empty, call in INTERVALS])
+def test_an_empty_interval_is_valid_only_where_the_flag_says(call, empty):
+    if empty:
+        call(2.5, 2.5)
+    else:
+        with pytest.raises(ValueError, match=re.escape(
+                f"need 0 <= a < b <= {T}, got a=2.5, b=2.5")):
+            call(2.5, 2.5)
+
+
+@pytest.mark.parametrize("empty", [True, False])
+def test_the_interval_rule_has_one_message_format(empty):
+    messages = set()
+    for entry, entry_empty, call in INTERVALS:
+        if entry_empty == empty:
+            with pytest.raises(ValueError) as info:
+                call(3.0, 1.0)
+            messages.add(str(info.value))
+    op = "<=" if empty else "<"
+    assert messages == {f"need 0 <= a {op} b <= {T}, got a=3.0, b=1.0"}
