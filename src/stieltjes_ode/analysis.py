@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .derivator import MEMO_POINTS, Derivator, _f_on_arrays
+from .derivator import MEMO_POINTS, Derivator, _check_number, _f_on_arrays
 from .solver import (IvpSpec, GridMismatchError, Partition, Trajectory,
                      build_partition, solve)
 
@@ -252,7 +252,13 @@ def theoretical_bounds(consts: BoundConstants, t: float, e0: float,
     the exponential propagates the per-step growth over ``t/h`` steps.  The
     predictor bound is that times ``exp(G4) * (1 + G5)``, the right-limit
     bound that times ``1 + G3``.  An entry past the float range is ``inf``.
+    A NaN, infinite or negative ``t`` or ``truncation_max``, or a
+    non-finite ``e0``, raises ``ValueError``: no error could meet the
+    bound it gives.
     """
+    _check_number(t, "t", "nonnegative")
+    _check_number(e0, "e0")
+    _check_number(truncation_max, "truncation_max", "nonnegative")
     g1 = consts.g1
     if g1 == 0.0:
         raise ValueError(f"bound undefined: G1 = 0 (K2={consts.k2:.4g}, "

@@ -102,6 +102,7 @@ _NUMBER_RULES = {
     "finite": (math.isfinite, "finite"),
     "positive": (lambda x: 0.0 < x < math.inf, "positive and finite"),
     "nonnegative": (lambda x: 0.0 <= x < math.inf, "finite and nonnegative"),
+    "not NaN": (lambda x: not math.isnan(x), "a number, not NaN"),
     # counts: jumps and seeds, bound-suite cases, grid subintervals
     "count": (lambda n: _is_integer(n, 0), "an integer >= 0"),
     "case count": (lambda n: _is_integer(n, 1), "an integer >= 1"),
@@ -247,8 +248,11 @@ class Derivator:
 
     def _rise_slack(self, values):
         """``_DG_ULPS`` ulps of what the part returned for driver ``values``:
-        their largest finite ``|value|`` plus the ``|g^C(0)|`` subtracted."""
-        top = np.max(np.abs(values), initial=0.0, where=np.isfinite(values))
+        their largest finite ``|value|``, ``max(max, -min)`` with no array of
+        ``|values|``, plus the ``|g^C(0)|`` subtracted."""
+        finite = np.isfinite(values)
+        top = max(values.max(initial=0.0, where=finite),
+                  -values.min(initial=0.0, where=finite))
         return _DG_ULPS * np.finfo(float).eps * (top + abs(self._c0))
 
     def _prefix_at(self, table, arr, side, span):

@@ -79,11 +79,13 @@ class Partition:
             raise ValueError(f"nodes must be a 1-d array of 1 to "
                              f"{MAX_GRID_STEPS} steps, got shape {nodes.shape}")
         T = g.domain_end
-        steps = np.diff(nodes)
+        # the step widths, in the array that becomes ``dg`` below
+        dg = np.diff(nodes)
         # increasing from 0 to a finite T also rules out NaN and inf nodes
-        if not (nodes[0] == 0.0 and nodes[-1] == T and np.all(steps > 0.0)):
+        if not (nodes[0] == 0.0 and nodes[-1] == T and np.all(dg > 0.0)):
             raise ValueError(f"nodes must be finite and strictly increasing "
                              f"from 0 to {T}")
+        h = float(dg.max())
         # jump times lie inside (0, T), so each one has a node at or after it
         at = np.searchsorted(nodes, g.jump_times)
         missing = g.jump_times[nodes[at] != g.jump_times]
@@ -93,12 +95,12 @@ class Partition:
         gaps = np.zeros(nodes.size)
         gaps[at] = g.jump_gaps
         g_left = g.value(nodes)
-        dg = np.add(g_left[:-1], gaps[:-1])
+        np.add(g_left[:-1], gaps[:-1], out=dg)
         np.subtract(g_left[1:], dg, out=dg)
         # g(t_k) + gap(t_k) is rounded, so a flat step of a nondecreasing
         # driver may come out an ulp or two of its values below zero
         _check_rises(dg, g._rise_slack(g_left), nodes, "partition")
-        return cls(g, float(steps.max()), nodes, gaps, dg)
+        return cls(g, h, nodes, gaps, dg)
 
 
 def _uniform_nodes(g: Derivator, h: float) -> np.ndarray:
@@ -196,8 +198,11 @@ class Trajectory:
         both ends may lie in one cell).  A cell that starts at a jump node
         ``t_k`` runs from the right limit ``u_k+`` to ``u_{k+1}``; the last
         filled node's ``u_k+`` is not read, as a solve has not written it
-        yet.  ``lo`` is clamped to the start of the grid.
+        yet.  ``lo`` is clamped to the start of the grid (``-inf`` too); a
+        NaN end raises ``ValueError`` naming it.
         """
+        _check_number(lo, "lo", "not NaN")
+        _check_number(hi, "hi", "not NaN")
         part = self.partition
         lo = max(lo, part.nodes[0])
         if hi <= lo:

@@ -56,6 +56,44 @@ def test_parse_run_rejects_output_without_a_result_line():
         bench_pairs.parse_run("")
 
 
+def test_parse_run_rejects_output_without_a_record_line():
+    # the digest is read from the record, so a run without one used to end
+    # in a TypeError from the path join that main does not catch
+    lines = [ln for ln in run_lines(0.8).splitlines()
+             if "record:" not in ln]
+    with pytest.raises(ValueError, match="no 'record:' line"):
+        bench_pairs.parse_run("\n".join(lines) + "\n")
+
+
+def test_main_reports_a_run_without_a_record_line(tmp_path, monkeypatch,
+                                                    capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text("")
+    no_record = "\n".join(ln for ln in run_lines(0.8).splitlines()
+                          if "record:" not in ln)
+
+    class Done:
+        returncode = 0
+        stdout = no_record
+        stderr = ""
+
+    monkeypatch.setattr(bench_pairs, "describe_checkout",
+                        lambda checkout: {"commit": None, "src_lines": 1,
+                                          "src_sha256": "0"})
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda *args, **kwargs: Done())
+    code = bench_pairs.main([str(tmp_path / "parent"),
+                             str(tmp_path / "change"), "--workload",
+                             "quadrature", "--pairs", "1", "--held-out", "0",
+                             "--seconds", "1",
+                             "--out", str(tmp_path / "out.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: the run printed no 'record:' line\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_summary_medians_quartiles_and_wins():
     walls = [(0.90, 0.80), (0.86, 0.79), (0.88, 0.81), (0.95, 0.97),
              (0.84, 0.84)]

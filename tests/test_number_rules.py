@@ -17,6 +17,7 @@ import re
 import numpy as np
 import pytest
 
+from stieltjes_ode.analysis import BoundConstants, theoretical_bounds
 from stieltjes_ode.derivator import (MAX_GRID_STEPS, Derivator, make_phi,
                                      make_silkworm_derivator,
                                      make_test_derivator)
@@ -29,7 +30,7 @@ from stieltjes_ode.models import SilkwormParams, make_linear_spec
 from stieltjes_ode.quadrature import (error_bound, evaluate_rule,
                                       make_lipschitz_integrand,
                                       oracle_integral, run_bound_suite)
-from stieltjes_ode.solver import IvpSpec, build_partition
+from stieltjes_ode.solver import IvpSpec, build_partition, solve
 
 G = make_test_derivator(2, snap=0.1)  # jumps at 3.3 and 6.7
 
@@ -39,6 +40,7 @@ REJECTED = {
     "finite": [math.nan, math.inf, -math.inf],
     "positive": [math.nan, math.inf, -math.inf, 0.0],
     "nonnegative": [math.nan, math.inf, -math.inf, -1.0],
+    "not NaN": [math.nan],
     "count": NOT_A_COUNT + [-1],
     "case count": NOT_A_COUNT + [0],
     "grid steps": NOT_A_COUNT + [0, MAX_GRID_STEPS + 1],
@@ -49,13 +51,19 @@ SMALLEST = {"nonnegative": 0.0, "count": 0, "case count": 1, "grid steps": 1}
 
 # the words of each rule in its message
 WORDS = {"finite": "finite", "positive": "positive and finite",
-         "nonnegative": "finite and nonnegative", "count": "an integer >= 0",
+         "nonnegative": "finite and nonnegative",
+         "not NaN": "a number, not NaN", "count": "an integer >= 0",
          "case count": "an integer >= 1",
          "grid steps": f"an integer in [1, {MAX_GRID_STEPS}]"}
 
 
 def integrand(t):
     return np.cos(np.asarray(t, dtype=float))
+
+
+CONSTS = BoundConstants(k1=1.0, k2=0.5, k3=0.5, lip=6.0, h=0.1, num_jumps=2)
+# a 2-jump linear solve, whose ``integral`` a delay term reads
+TRAJ = solve(make_linear_spec(-0.5, 1.0), build_partition(G, 0.1))
 
 
 # (entry point, name in the message, rule, call with the value)
@@ -120,6 +128,14 @@ RULES = [
      lambda v: make_lipschitz_integrand(G, v, 1.0)),
     ("make_lipschitz_integrand", "c2", "finite",
      lambda v: make_lipschitz_integrand(G, 1.0, v)),
+    ("theoretical_bounds", "t", "nonnegative",
+     lambda v: theoretical_bounds(CONSTS, v, 0.0, 1e-3)),
+    ("theoretical_bounds", "e0", "finite",
+     lambda v: theoretical_bounds(CONSTS, 1.0, v, 1e-3)),
+    ("theoretical_bounds", "truncation_max", "nonnegative",
+     lambda v: theoretical_bounds(CONSTS, 1.0, 0.0, v)),
+    ("Trajectory.integral", "lo", "not NaN", lambda v: TRAJ.integral(v, 5.0)),
+    ("Trajectory.integral", "hi", "not NaN", lambda v: TRAJ.integral(0.5, v)),
     ("make_test_derivator", "num_jumps", "count", make_test_derivator),
     ("run_bound_suite", "num_cases", "case count",
      lambda v: run_bound_suite(num_cases=v, n_oracle=10, seed=1)),
@@ -171,10 +187,25 @@ def test_the_smallest_value_of_the_rule_is_accepted(call, value):
     call(value)
 
 
-def test_a_numpy_integer_is_a_count():
-    assert make_test_derivator(np.int64(0)).n_jumps == 0
-    assert math.isfinite(oracle_integral(integrand, G, 0.0, 5.0,
-                                         np.int32(10)))
+# values inside the rules of the time and bound arguments: a bool and a
+# non-integral float are numbers there, and ``integral`` clamps ``lo``
+ALSO_ACCEPTED = [
+    ("theoretical_bounds", "t", [True, 2.5]),
+    ("theoretical_bounds", "e0", [True, 2.5, -2.5]),
+    ("theoretical_bounds", "truncation_max", [True, 2.5]),
+    ("Trajectory.integral", "lo", [True, 2.5, -math.inf, math.inf]),
+    ("Trajectory.integral", "hi", [True, 2.5, -math.inf]),
+]
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(call, value, id=f"{entry}-{name}-{value}")
+    for entry, name, values in ALSO_ACCEPTED
+    for row_entry, row_name, rule, call in RULES
+    if (row_entry, row_name) == (entry, name) for value in values])
+def test_a_time_or_bound_argument_takes_any_number_inside_its_rule(call,
+                                                                   value):
+    assert all(map(math.isfinite, np.atleast_1d(call(value))))
 
 
 @pytest.mark.parametrize("rule", WORDS)

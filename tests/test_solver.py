@@ -114,6 +114,19 @@ class TestPartitionFromNodes:
         nodes[index] = value
         return nodes
 
+    def test_build_holds_few_node_arrays_at_its_peak(self):
+        # the partition keeps gaps and dg; the step widths are computed into
+        # dg, and the driver read takes at most two more arrays
+        nodes = solver._uniform_nodes(self.g, 1e-4)
+        tracemalloc.start()
+        try:
+            part = Partition.from_nodes(self.g, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert part.h == float(np.diff(nodes).max())
+        assert peak <= 4.5 * nodes.nbytes
+
     @pytest.mark.parametrize("case", ["unsorted", "repeated", "nan", "inf",
                                       "first", "last", "2-d", "one node"])
     def test_malformed_nodes_rejected(self, case):

@@ -53,7 +53,7 @@ quartiles = _bench_run._quartiles
 def parse_run(stdout):
     """Metrics, correctness and record path of one ``bench/run.py`` run,
     from its standard output: the ``record:`` line and the last line, one
-    JSON object."""
+    JSON object.  Output without either raises ``ValueError``."""
     lines = stdout.strip().splitlines()
     if not lines:
         raise ValueError("the run printed nothing")
@@ -63,6 +63,8 @@ def parse_run(stdout):
         raise ValueError(f"the run's last line is not JSON: {lines[-1]!r}")
     record = next((ln.split("record:", 1)[1].strip() for ln in lines
                    if ln.strip().startswith("record:")), None)
+    if record is None:
+        raise ValueError("the run printed no 'record:' line")
     run = {"correct": result["correct"], "attempted": result["attempted"],
            "failed": result["failed"], "record": record}
     run.update({name: m["value"] for name, m in result["metrics"].items()})
