@@ -46,8 +46,8 @@ REJECTED = {
     "grid steps": NOT_A_COUNT + [0, MAX_GRID_STEPS + 1],
 }
 
-# the smallest value each rule accepts
-SMALLEST = {"nonnegative": 0.0, "count": 0, "case count": 1, "grid steps": 1}
+# the smallest value each count rule accepts
+SMALLEST = {"count": 0, "case count": 1, "grid steps": 1}
 
 # the words of each rule in its message
 WORDS = {"finite": "finite", "positive": "positive and finite",
@@ -180,10 +180,17 @@ def test_a_value_outside_the_rule_is_rejected_by_name(call, name, value):
         call(value)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(call, id=f"{entry}-{name}")
+    for entry, name, rule, call in RULES if rule == "nonnegative"])
+def test_zero_is_accepted_where_the_rule_is_nonnegative(call):
+    call(0.0)
+
+
 @pytest.mark.parametrize("call, value", [
     pytest.param(call, SMALLEST[rule], id=f"{entry}-{name}")
     for entry, name, rule, call in RULES if rule in SMALLEST])
-def test_the_smallest_value_of_the_rule_is_accepted(call, value):
+def test_the_smallest_count_is_accepted(call, value):
     call(value)
 
 
@@ -208,15 +215,15 @@ def test_a_time_or_bound_argument_takes_any_number_inside_its_rule(call,
     assert all(map(math.isfinite, np.atleast_1d(call(value))))
 
 
-@pytest.mark.parametrize("rule", WORDS)
-def test_each_rule_has_one_message_format(rule):
+@pytest.mark.parametrize("rule, words", WORDS.items())
+def test_each_rule_has_one_message_format(rule, words):
     messages = set()
     for entry, name, entry_rule, call in RULES:
         if entry_rule == rule:
             with pytest.raises(ValueError) as info:
                 call(math.nan)
             messages.add(str(info.value).replace(name, "<name>", 1))
-    assert messages == {f"<name> must be {WORDS[rule]}, got nan"}
+    assert messages == {f"<name> must be {words}, got nan"}
 
 
 @pytest.mark.parametrize("call, empty, a, b", [
