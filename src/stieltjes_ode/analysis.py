@@ -148,7 +148,8 @@ class BoundConstants:
     of the right-hand side and of its right limit, ``lip`` is the common
     Lipschitz constant of the continuous parts, ``h`` the grid step and
     ``num_jumps`` the jump count.  ``g1 .. g6`` are recomputed from their
-    defining formulas on every access.
+    defining formulas on every access.  ``ValueError`` unless ``k1 .. lip``
+    are finite and nonnegative, ``h`` positive and ``num_jumps`` a count.
     """
 
     k1: float
@@ -157,6 +158,12 @@ class BoundConstants:
     lip: float
     h: float
     num_jumps: int
+
+    def __post_init__(self):
+        for name in ("k1", "k2", "k3", "lip"):
+            _check_number(getattr(self, name), name, "nonnegative")
+        _check_number(self.h, "h", "positive")
+        _check_number(self.num_jumps, "num_jumps", "count")
 
     @property
     def g1(self) -> float:

@@ -127,6 +127,8 @@ def hat_exponential(c: Coefficient, g: Derivator, t: float,
     """
     _check_number(quad_n, "quad_n", "grid steps")
     t = float(t)
+    if not 0.0 <= t <= g.domain_end:
+        raise ValueError(f"need 0 <= t <= {g.domain_end}, got t={t}")
     times, gaps = g.jumps_in(0.0, t)
     c_fun = _as_time_function(c, "coefficient c")
     factors = _jump_map([float(c_fun(s)) for s in times], times, gaps)
@@ -229,6 +231,8 @@ def general_linear_solution(d: Coefficient, forcing: Coefficient, x0: float,
     denoms = _jump_map([-float(d_fun(s)) for s in g.jump_times],
                        g.jump_times, g.jump_gaps)
     t = float(t)
+    if not 0.0 <= t <= g.domain_end:
+        raise ValueError(f"need 0 <= t <= {g.domain_end}, got t={t}")
     times, gaps = g.jumps_in(0.0, t)
     log_mag = 0.0
     sign = 1.0

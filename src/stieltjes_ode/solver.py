@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -229,8 +228,8 @@ class Trajectory:
         return float(np.sum(0.5 * (ys[1:] + starts) * np.diff(xs)))
 
 
-# a carried run costs ~2.4 us, a step ~0.6 us: carrying every flat run made
-# alternating flat and live steps 2.5x slower (1e5 steps, 0.148 s vs 0.059 s)
+# a carried run costs ~2.8 us, a step ~0.4 us: carrying every flat run made
+# alternating flat and live steps 4x slower (1e5 steps, 0.161 s vs 0.039 s)
 _MIN_CARRIED_RUN = 16
 
 
@@ -247,6 +246,15 @@ def _carried_runs(part: Partition, rhos) -> list[tuple[int, int]]:
     return list(zip(starts[long].tolist(), stops[long].tolist()))
 
 
+def _step_failed(k, t_next, exc=None) -> Exception:
+    """The error of step ``k``: ``exc`` raised, or else a non-finite state."""
+    if exc is None:
+        return FloatingPointError(f"state became non-finite stepping to node "
+                                  f"{k + 1} (t={t_next}); aborting")
+    return RuntimeError(f"right-hand side evaluation failed at node {k} "
+                        f"(step to t={t_next}): {exc}")
+
+
 def _run_scheme(spec: IvpSpec, part: Partition, rhos=()) -> Trajectory:
     n_steps = part.n_steps
     values = np.empty(n_steps + 1)
@@ -255,55 +263,59 @@ def _run_scheme(spec: IvpSpec, part: Partition, rhos=()) -> Trajectory:
     history = Trajectory(part, values, right_values, predictor_values)
     history.filled = 1
     values[0] = spec.x0
-    rhs = spec.rhs
-    rhs_right = spec.rhs_right
+    rhs, rhs_right, isfinite = spec.rhs, spec.rhs_right, math.isfinite
     # memoryviews hand out and take Python floats: the same IEEE arithmetic
     # as numpy scalars, at a fraction of the cost per element
     nodes, gaps, dgs = map(memoryview, (part.nodes, part.gaps, part.dg))
     views = [memoryview(r) for r in rhos]
-    # -0.0 is the additive identity of IEEE floats, signed zeros included
-    unperturbed = repeat((-0.0, -0.0, -0.0))
     out_u, out_plus, out_star = map(memoryview, (values, right_values,
                                                  predictor_values))
     u_k = out_u[0]
     lo = 0
     # the steps up to each carried run, then those after the last one
     for a, b in [*_carried_runs(part, rhos), (n_steps, n_steps)]:
-        perturbations = (zip(*[v[lo:a] for v in views]) if views
-                         else unperturbed)
-        for k, (t_k, t_next, gap, dg, (r_plus, r_star, r)) in enumerate(zip(
-                nodes[lo:a], nodes[lo + 1:a + 1], gaps[lo:a], dgs[lo:a],
-                perturbations), lo):
-            try:
-                # u_k + f * 0.0 is u_k for a finite f and a nonzero u_k
-                if gap or not u_k:
-                    u_plus = u_k + rhs(t_k, u_k, history) * gap + r_plus
-                else:
-                    u_plus = u_k + r_plus
-                f_plus = rhs_right(t_k, u_plus, history)
-                u_star = u_plus + f_plus * dg + r_star
-                f_star = rhs(t_next, u_star, history)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"right-hand side evaluation failed at node {k} "
-                    f"(step to t={t_next}): {exc}") from exc
-            u_k = u_plus + 0.5 * (f_plus + f_star) * dg + r
-            if not math.isfinite(u_k):
-                raise FloatingPointError(
-                    f"state became non-finite stepping to node {k + 1} "
-                    f"(t={t_next}); aborting")
-            out_plus[k] = u_plus
-            out_star[k] = u_star
-            out_u[k + 1] = u_k
-            history.filled = k + 2
+        # one flat tuple per step: k, t_k, t_{k+1}, gap, dg[, three rhos]
+        steps = zip(range(lo, a), nodes[lo:a], nodes[lo + 1:a + 1],
+                    gaps[lo:a], dgs[lo:a], *[v[lo:a] for v in views])
+        # u_k + f * 0.0 is u_k for a finite f and a nonzero u_k; the two
+        # bodies differ only in the perturbation each stage adds last
+        if views:
+            for k, t_k, t_next, gap, dg, r_plus, r_star, r in steps:
+                try:
+                    u_plus = (u_k + rhs(t_k, u_k, history) * gap
+                              if gap or not u_k else u_k) + r_plus
+                    f_plus = rhs_right(t_k, u_plus, history)
+                    u_star = u_plus + f_plus * dg + r_star
+                    f_star = rhs(t_next, u_star, history)
+                except Exception as exc:
+                    raise _step_failed(k, t_next, exc) from exc
+                u_k = u_plus + 0.5 * (f_plus + f_star) * dg + r
+                if not isfinite(u_k):
+                    raise _step_failed(k, t_next)
+                out_plus[k], out_star[k], out_u[k + 1] = u_plus, u_star, u_k
+                history.filled = k + 2
+        else:
+            for k, t_k, t_next, gap, dg in steps:
+                try:
+                    u_plus = (u_k + rhs(t_k, u_k, history) * gap
+                              if gap or not u_k else u_k)
+                    f_plus = rhs_right(t_k, u_plus, history)
+                    u_star = u_plus + f_plus * dg
+                    f_star = rhs(t_next, u_star, history)
+                except Exception as exc:
+                    raise _step_failed(k, t_next, exc) from exc
+                u_k = u_plus + 0.5 * (f_plus + f_star) * dg
+                if not isfinite(u_k):
+                    raise _step_failed(k, t_next)
+                out_plus[k], out_star[k], out_u[k + 1] = u_plus, u_star, u_k
+                history.filled = k + 2
         if u_k == 0.0 and math.copysign(1.0, u_k) < 0.0:
             # stepped through: a flat step turns a -0.0 state into +0.0
             lo = a
             continue
         # every weight is zero on the run: no right-hand side is read
         values[a + 1:b + 1] = u_k
-        right_values[a:b] = u_k
-        predictor_values[a:b] = u_k
+        right_values[a:b] = predictor_values[a:b] = u_k
         history.filled = b + 1
         lo = b
     return history
@@ -312,10 +324,11 @@ def _run_scheme(spec: IvpSpec, part: Partition, rhos=()) -> Trajectory:
 def solve(spec: IvpSpec, part: Partition) -> Trajectory:
     """Run the scheme over the whole partition; deterministic.
 
-    Off the jumps the jump update adds ``f(t_k, u_k) * 0.0``, which leaves
-    a nonzero ``u_k`` as it is, so such a step calls ``rhs_right`` at
-    ``(t_k, u_k)`` and ``rhs`` at the predictor only, as Heun's method
-    does; a jump step or a zero state also reads ``rhs(t_k, u_k)``.
+    Its step body has no perturbation terms.  Off the jumps the jump update
+    adds ``f(t_k, u_k) * 0.0``, which leaves a nonzero ``u_k`` as it is, so
+    such a step calls ``rhs_right`` at ``(t_k, u_k)`` and ``rhs`` at the
+    predictor only, as Heun's method does; a jump step or a zero state
+    also reads ``rhs(t_k, u_k)``.
     A step with ``gap(t_k) = 0`` and ``dg_k = 0`` is flat: every weight of
     the scheme is zero on it.  On a run of at least ``_MIN_CARRIED_RUN``
     (16) flat steps that starts from any state but ``-0.0``, the state is
@@ -336,8 +349,9 @@ def solve_perturbed(spec: IvpSpec, part: Partition, rho_plus, rho_star,
 
     ``rho_plus[k]`` lands on ``u_k+`` (k = 0..N), ``rho_star[k]`` on
     ``u*_{k+1}`` and ``rho[k]`` on ``u_{k+1}``; all three sequences must
-    have length ``N + 1``.  Zero perturbations reproduce :func:`solve`
-    exactly; a step with a nonzero perturbation is never carried.
+    have length ``N + 1``.  Its own step body adds each one last in its
+    stage; zero perturbations reproduce :func:`solve` exactly, and a step
+    with a nonzero perturbation is never carried.
     """
     n = part.n_steps
     rhos = [np.asarray(r, dtype=float) for r in (rho_plus, rho_star, rho)]

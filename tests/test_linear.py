@@ -429,6 +429,16 @@ class TestClosedFormDomain:
         with pytest.raises(ValueError, match="<= 10.0"):
             general_linear_solution(coef, 0.7, 1.0, g, t, quad_n=100)
 
+    @pytest.mark.parametrize("t", [11.0, math.nan])
+    def test_time_outside_the_domain_is_named(self, t):
+        g = make_test_derivator(2)
+        for closed_form in (lambda: hat_exponential(0.5, g, t, quad_n=100),
+                            lambda: general_linear_solution(
+                                0.5, 0.7, 1.0, g, t, quad_n=100)):
+            with pytest.raises(ValueError, match=(
+                    rf"^need 0 <= t <= 10.0, got t={t}$")):
+                closed_form()
+
     @pytest.mark.parametrize("quad_n", [0, -5, 1.5, MAX_GRID_STEPS + 1])
     @pytest.mark.parametrize("coef", [0.5, np.cos], ids=["constant", "callable"])
     def test_bad_refinement_rejected(self, quad_n, coef):

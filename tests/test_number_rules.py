@@ -13,6 +13,7 @@ whose ends are times: a bool and a non-integral float are valid there.
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,6 +135,12 @@ RULES = [
      lambda v: theoretical_bounds(CONSTS, 1.0, v, 1e-3)),
     ("theoretical_bounds", "truncation_max", "nonnegative",
      lambda v: theoretical_bounds(CONSTS, 1.0, 0.0, v)),
+    *[("BoundConstants", name, "nonnegative",
+       lambda v, name=name: replace(CONSTS, **{name: v}))
+      for name in ("k1", "k2", "k3", "lip")],
+    ("BoundConstants", "h", "positive", lambda v: replace(CONSTS, h=v)),
+    ("BoundConstants", "num_jumps", "count",
+     lambda v: replace(CONSTS, num_jumps=v)),
     ("Trajectory.integral", "lo", "not NaN", lambda v: TRAJ.integral(v, 5.0)),
     ("Trajectory.integral", "hi", "not NaN", lambda v: TRAJ.integral(0.5, v)),
     ("make_test_derivator", "num_jumps", "count", make_test_derivator),

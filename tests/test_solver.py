@@ -25,6 +25,18 @@ def decay_spec():
     return IvpSpec(rhs=lambda t, x, hist: -x, x0=1.0)
 
 
+def solve_zero_perturbed(spec, part):
+    """``solve_perturbed`` with zero perturbations: its own step body."""
+    zero = np.zeros(part.n_steps)
+    return solve_perturbed(spec, part, zero, zero, zero)
+
+
+# the two step bodies of the scheme, which carry separate copies of the
+# failure checks
+BOTH_BODIES = pytest.mark.parametrize(
+    "run", [solve, solve_zero_perturbed], ids=["solve", "solve_perturbed"])
+
+
 class TestBuildPartition:
     def test_silkworm_grid(self):
         g = make_silkworm_derivator(10.0)
@@ -329,15 +341,19 @@ class TestSolve:
             expected = u_k + spec.rhs(part.nodes[k], u_k, None) * part.gaps[k]
             assert traj.right_values[k] == pytest.approx(expected, rel=1e-12)
 
-    def test_nonfinite_state_aborts_with_node(self):
+    @BOTH_BODIES
+    def test_nonfinite_state_aborts_with_node(self, run):
         g = identity_derivator(2.0)
         part = build_partition(g, 0.1)
         blowup = IvpSpec(rhs=lambda t, x, hist: x * x, x0=50.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FloatingPointError, match="node"):
-                solve(blowup, part)
+            with pytest.raises(FloatingPointError, match=(
+                    r"^state became non-finite stepping to node 5 "
+                    r"\(t=0.5\); aborting$")):
+                run(blowup, part)
 
-    def test_rhs_failure_names_node(self):
+    @BOTH_BODIES
+    def test_rhs_failure_names_node(self, run):
         g = identity_derivator(1.0)
         part = build_partition(g, 0.25)
 
@@ -346,8 +362,10 @@ class TestSolve:
                 raise ZeroDivisionError("boom")
             return -x
 
-        with pytest.raises(RuntimeError, match=r"node 1 \(step to t=0.5\)") as excinfo:
-            solve(IvpSpec(rhs=bad_rhs, x0=1.0), part)
+        with pytest.raises(RuntimeError, match=(
+                r"^right-hand side evaluation failed at node 1 "
+                r"\(step to t=0.5\): boom$")) as excinfo:
+            run(IvpSpec(rhs=bad_rhs, x0=1.0), part)
         assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
 
 
