@@ -17,9 +17,8 @@ from .quadrature import (RuleKind, error_bound, evaluate_rule,
                          oracle_integral, run_bound_suite)
 from .solver import (IvpSpec, GridMismatchError, Partition, Trajectory,
                      build_partition, solve, solve_perturbed)
-from .linear import (check_admissibility, constant_linear_solution,
-                     general_linear_solution, hat_exponential, hat_transform,
-                     homogeneous_solution, tilde_coefficients)
+from .linear import (constant_linear_solution, general_linear_solution,
+                     hat_exponential, homogeneous_solution)
 from .models import (SilkwormParams, SilkwormSolution, make_linear_spec,
                      make_silkworm_spec, silkworm_rhs, silkworm_rhs_right)
 from .analysis import (BoundConstants, ConvergenceCell, ErrorReport,

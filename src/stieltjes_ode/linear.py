@@ -22,14 +22,11 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .derivator import Derivator, _check_number, _check_times, _f_on_arrays
+from .derivator import Derivator, _check_number, _check_times
 from .quadrature import _blocks, _piece_terms, _pieces, _trapezoid
 
 __all__ = [
-    "check_admissibility",
-    "hat_transform",
     "hat_exponential",
-    "tilde_coefficients",
     "homogeneous_solution",
     "constant_linear_solution",
     "general_linear_solution",
@@ -48,68 +45,21 @@ def _as_time_function(v: Coefficient, name: str) -> Callable:
     return lambda t: np.full(np.shape(t), c)
 
 
-def _not_invertible(factors, positive=False):
-    """Mask of the jump factors ``1 + c*gap`` whose map ``x -> (1 + c*gap)
-    x`` is not invertible: not finite and nonzero (with ``positive``, not
-    finite and above 0)."""
-    size = factors if positive else np.abs(factors)
-    return ~((size > 0.0) & (size < math.inf))
-
-
 def _jump_map(c_values, times, gaps, positive=False):
     """The factors ``1 + c*gap`` of the jump maps, with ``c_values`` the
     coefficient at the jumps ``times``; ``ValueError`` names the first jump
-    whose map is not invertible (``_not_invertible``)."""
+    whose map ``x -> (1 + c*gap) x`` is not invertible: a factor that is not
+    finite and nonzero (with ``positive``, not finite and above 0)."""
     with np.errstate(over="ignore"):  # an overflow is rejected below
         factors = 1.0 + np.asarray(c_values, dtype=float) * gaps
-    bad = _not_invertible(factors, positive)
+    size = factors if positive else np.abs(factors)
+    bad = ~((size > 0.0) & (size < math.inf))
     if bad.any():
         k = int(np.argmax(bad))
         rule = "positive and finite" if positive else "a finite nonzero number"
         raise ValueError(f"inadmissible jump at t={float(times[k])}: the jump "
                          f"factor {float(factors[k])} is not {rule}")
     return factors
-
-
-def check_admissibility(d: Coefficient, g: Derivator,
-                        strict: bool = False) -> list[tuple[float, float]]:
-    """The ``(time, d*gap)`` pairs of the jumps that violate ``d(t) * gap !=
-    1`` (or ``< 1`` when strict); empty when every jump is admissible.
-
-    The verdict is ``_jump_map``'s on the factor ``1 - d*gap`` (bit for bit
-    ``1 + (-d)*gap``), positive when strict, so a ``d(t) * gap`` that is NaN
-    or infinite violates both; a non-finite constant ``d`` raises
-    ``ValueError``.  With finitely many jumps the summability condition on
-    ``ln|1 - d*gap|`` always holds, so it is not checked.
-    """
-    d_fun = _as_time_function(d, "damping d")
-    with np.errstate(over="ignore"):
-        prods = np.array([float(d_fun(s)) for s in g.jump_times]) * g.jump_gaps
-    bad = _not_invertible(1.0 - prods, positive=strict)
-    return list(zip(g.jump_times[bad].tolist(), prods[bad].tolist()))
-
-
-def hat_transform(c: Coefficient, g: Derivator) -> Callable:
-    """Driver-adapted coefficient: ``ln|1 + c(t) gap| / gap`` at jumps.
-
-    Away from jumps the coefficient is returned unchanged.  Accepts scalar
-    or array ``t``; raises when ``1 + c(t) gap`` is 0, NaN or infinite at
-    some jump (``_jump_map``), or at once when a constant ``c`` is not
-    finite.
-    """
-    c_fun = _as_time_function(c, "coefficient c")
-
-    def hatted(t):
-        arr = np.asarray(t, dtype=float)
-        gap = np.asarray(g.jump_gap(arr))
-        # a copy: ``c`` may hand back its argument, which must not change
-        out = np.array(_f_on_arrays(c_fun, arr))
-        at = gap > 0.0
-        factors = _jump_map(out[at], arr[at], gap[at])
-        out[at] = np.log(np.abs(factors)) / gap[at]
-        return float(out) if arr.ndim == 0 else out
-
-    return hatted
 
 
 def hat_exponential(c: Coefficient, g: Derivator, t: float,
@@ -141,22 +91,6 @@ def hat_exponential(c: Coefficient, g: Derivator, t: float,
         for _, _, terms in _piece_terms(c, g, 0.0, t, quad_n):
             log_mag += float(np.sum(terms))
     return (-1.0) ** int(np.sum(factors < 0.0)) * math.exp(log_mag)
-
-
-def tilde_coefficients(d: Coefficient, forcing: Coefficient, g: Derivator,
-                       t: float):
-    """Coefficients of the right-limit form: both divided by ``1 - d*gap``.
-
-    At non-jump times this is the identity.  A factor ``1 - d*gap`` that is
-    0, NaN or inf (``_jump_map``), or a non-finite constant, raises
-    ``ValueError``.
-    """
-    t = float(t)
-    gap = g.jump_gap(t)
-    d_val = float(_as_time_function(d, "damping d")(t))
-    f_val = float(_as_time_function(forcing, "forcing")(t))
-    denom = float(_jump_map([-d_val], [t], [gap])[0]) if gap > 0.0 else 1.0
-    return d_val / denom, f_val / denom
 
 
 def homogeneous_solution(d: float, x0: float, g: Derivator, t,

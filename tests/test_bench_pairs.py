@@ -174,3 +174,43 @@ def test_checkouts_differ_by_their_sources_not_their_line_counts(tmp_path):
         sides.append(bench_pairs.describe_checkout(str(tmp_path / body[4])))
     assert [s["src_lines"] for s in sides] == [1, 1]
     assert sides[0]["src_sha256"] != sides[1]["src_sha256"]
+
+
+def test_main_appends_a_swapped_roles_run(tmp_path, monkeypatch, capsys):
+    for side in ("parent", "change", "other"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text("")
+    pairs = [pair(run_lines(0.8), run_lines(0.9))]
+    monkeypatch.setattr(bench_pairs, "describe_checkout",
+                        lambda checkout: {
+                            "commit": None, "src_lines": 1,
+                            "src_sha256": os.path.basename(checkout)})
+    monkeypatch.setattr(bench_pairs, "measure", lambda args, log: {
+        "pairs": pairs, "summary": bench_pairs.summarize(pairs),
+        "environment": {}})
+    out = tmp_path / "BENCH.json"
+
+    def main(first, second, workload):
+        return bench_pairs.main([str(tmp_path / first), str(tmp_path / second),
+                                 "--workload", workload, "--pairs", "1",
+                                 "--held-out", "0", "--seconds", "1",
+                                 "--out", str(out)])
+
+    assert main("parent", "change", "linear") == 0
+    sides = json.loads(out.read_text())["sides"]
+    assert main("change", "parent", "linear") == 0
+    assert main("change", "parent", "bounds") == 0
+    record = json.loads(out.read_text())
+    assert record["sides"] == sides and list(record["workloads"]) == ["linear"]
+    swapped = record["swapped_roles"]
+    assert swapped["sides"] == {"parent": sides["change"],
+                                "change": sides["parent"]}
+    assert swapped["note"] == bench_pairs.SWAPPED_NOTE
+    assert list(swapped["workloads"]) == ["linear", "bounds"]
+    assert swapped["workloads"]["linear"]["pairs"] == pairs
+    # a record of other trees is still refused, and left as it was
+    capsys.readouterr()
+    assert main("parent", "other", "linear") == 2
+    assert capsys.readouterr().err == (
+        f"error: {out} holds a record of other source trees\n")
+    assert json.loads(out.read_text()) == record

@@ -6,11 +6,9 @@ import pytest
 from cpu_target import per_target
 from stieltjes_ode.derivator import (_ORACLE_BLOCK, MAX_GRID_STEPS, Derivator,
                                      identity_derivator, make_test_derivator)
-from stieltjes_ode.linear import (check_admissibility,
-                                  constant_linear_solution,
+from stieltjes_ode.linear import (constant_linear_solution,
                                   general_linear_solution, hat_exponential,
-                                  hat_transform, homogeneous_solution,
-                                  tilde_coefficients)
+                                  homogeneous_solution)
 from stieltjes_ode.quadrature import _piece_terms, oracle_integral
 from stieltjes_ode.solver import IvpSpec, build_partition, solve
 from test_derivator import bits, per_point_value, read_cases
@@ -18,55 +16,6 @@ from test_derivator import bits, per_point_value, read_cases
 
 def linear_driver(T, times, gaps):
     return Derivator(T, lambda t: np.asarray(t, dtype=float), times, gaps)
-
-
-class TestAdmissibility:
-    def test_passes_below_one(self):
-        g = linear_driver(3.0, [1.0, 2.0], [1.0, 1.0])
-        assert check_admissibility(0.5, g) == []
-
-    def test_fails_at_exactly_one(self):
-        g = linear_driver(2.0, [1.0], [1.0])
-        assert check_admissibility(1.0, g) == [(1.0, 1.0)]
-
-    def test_above_one_passes_nonstrict_with_flips(self):
-        g = linear_driver(2.0, [1.0], [1.0])
-        assert check_admissibility(2.0, g, strict=False) == []
-        # d*gap > 1: the adapted exponential of -d changes sign at the jump
-        assert hat_exponential(-2.0, g, 2.0) < 0.0
-
-    def test_strict_rejects_above_one(self):
-        g = linear_driver(2.0, [1.0], [1.0])
-        assert check_admissibility(2.0, g, strict=True) == [(1.0, 2.0)]
-
-
-class TestHatTransform:
-    def test_identity_off_jumps(self):
-        g = linear_driver(2.0, [1.0], [1.0])
-        c = lambda t: 3.0 * t
-        assert hat_transform(c, g)(0.5) == pytest.approx(1.5)
-
-    def test_log_compression_at_jump(self):
-        g = linear_driver(2.0, [1.0], [1.0])
-        assert hat_transform(-0.5, g)(1.0) == pytest.approx(math.log(0.5))
-
-    def test_zero_coefficient_stays_zero(self):
-        g = linear_driver(2.0, [1.0], [1.0])
-        assert hat_transform(0.0, g)(1.0) == 0.0
-
-    def test_singular_jump_rejected(self):
-        g = linear_driver(2.0, [1.0], [1.0])
-        with pytest.raises(ValueError, match="t=1.0"):
-            hat_transform(-1.0, g)(1.0)
-
-    def test_array_call_matches_scalar_calls(self):
-        g = linear_driver(2.0, [0.5, 1.0], [1.0, 0.25])
-        hatted = hat_transform(lambda t: np.cos(3.0 * t) - 0.5, g)
-        ts = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
-        values = hatted(ts)
-        assert values.shape == ts.shape
-        assert list(values) == [hatted(t) for t in ts]
-        assert isinstance(hatted(0.5), float)
 
 
 class TestHatExponential:
@@ -78,8 +27,9 @@ class TestHatExponential:
         g = linear_driver(2.0, [0.5], [1.0])
         value = hat_exponential(-0.5, g, 1.0)
         assert value == pytest.approx(math.exp(-0.5) * 0.5)
-        # cross-check: exp of the measure integral of the hatted coefficient
-        hatted = hat_transform(-0.5, g)
+        # cross-check: exp of the measure integral of the hatted coefficient,
+        # ln|1 - 0.5 gap| / gap at the jump and -0.5 elsewhere
+        hatted = lambda t: np.where(np.asarray(t) == 0.5, math.log(0.5), -0.5)
         integral = oracle_integral(hatted, g, 0.0, 1.0, 10 ** 5)
         assert value == pytest.approx(math.exp(integral), rel=1e-3)
 
@@ -93,39 +43,6 @@ class TestHatExponential:
         c = lambda t: t
         value = hat_exponential(c, g, 1.5, quad_n=20000)
         assert value == pytest.approx(math.exp(1.5 ** 2 / 2.0), rel=1e-6)
-
-
-class TestTildeCoefficients:
-    def setup_method(self):
-        self.g = linear_driver(3.0, [1.0], [1.0])
-
-    def test_identity_off_jumps(self):
-        assert tilde_coefficients(0.5, 2.0, self.g, 0.25) == (0.5, 2.0)
-
-    def test_halved_denominator(self):
-        d_t, _ = tilde_coefficients(0.5, 0.0, self.g, 1.0)
-        assert d_t == pytest.approx(1.0)
-
-    def test_negative_branch(self):
-        d_t, _ = tilde_coefficients(2.0, 0.0, self.g, 1.0)
-        assert d_t == pytest.approx(-2.0)
-
-    def test_singular_jump_rejected(self):
-        with pytest.raises(ValueError):
-            tilde_coefficients(1.0, 0.0, self.g, 1.0)
-
-
-class TestDomainEnd:
-    """No jump sits at the domain end, so the jump-adapted coefficients
-    there are the plain ones."""
-
-    def test_tilde_coefficients_at_domain_end(self):
-        g = make_test_derivator(2)
-        assert tilde_coefficients(0.5, 0.7, g, 10.0) == (0.5, 0.7)
-
-    def test_hat_transform_at_domain_end(self):
-        g = make_test_derivator(2)
-        assert hat_transform(0.5, g)(10.0) == 0.5
 
 
 class TestHomogeneousSolution:
@@ -289,7 +206,9 @@ class TestGeneralLinearSolution:
 
     def test_inadmissible_rejected(self):
         g = linear_driver(2.0, [1.0], [1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=(
+                r"^inadmissible jump at t=1\.0: the jump factor 0\.0 is not "
+                r"a finite nonzero number")):
             general_linear_solution(1.0, 0.0, 1.0, g, 1.5)
 
 
@@ -496,13 +415,10 @@ class TestJumpMap:
 
     # each closed form that takes a callable coefficient, called with ``c``
     CALLS = pytest.mark.parametrize("call", [
-        lambda c, g: hat_transform(c, g)(np.array([1.0, g.jump_times[0]])),
         lambda c, g: hat_exponential(c, g, 9.3, quad_n=100),
-        lambda c, g: tilde_coefficients(c, 0.7, g, g.jump_times[0]),
         lambda c, g: general_linear_solution(c, 0.7, 1.0, g, 9.3,
                                              quad_n=100),
-    ], ids=["hat_transform", "hat_exponential", "tilde_coefficients",
-            "general_linear_solution"])
+    ], ids=["hat_exponential", "general_linear_solution"])
 
     @CALLS
     def test_callable_coefficient_nan_at_a_jump_rejected(self, call):
@@ -512,17 +428,10 @@ class TestJumpMap:
                            match=r"^inadmissible jump at t=3\.3.*factor nan"):
             call(self.nan_at_jumps(g), g)
 
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_admissibility_reports_a_nan_product(self, strict):
-        g = make_test_derivator(2, snap=0.1)
-        offending = check_admissibility(self.nan_at_jumps(g), g, strict)
-        assert [t for t, _ in offending] == list(g.jump_times)
-        assert all(math.isnan(prod) for _, prod in offending)
-
     @CALLS
     def test_callable_coefficient_inf_at_a_jump_rejected(self, call):
         # general_linear_solution used to raise a bare ZeroDivisionError,
-        # hat_exponential to return inf, tilde_coefficients (nan, -0.0)
+        # hat_exponential to return inf
         g = make_test_derivator(2, snap=0.1)
         with pytest.raises(ValueError, match=r"^inadmissible jump at t=3\.3.*"
                            r"factor -?inf is not a finite nonzero number"):
@@ -534,23 +443,6 @@ class TestJumpMap:
         with pytest.raises(ValueError, match=r"^inadmissible jump at t=1\.0: "
                            r"the jump factor inf is not positive and finite"):
             homogeneous_solution(-1e308, 1.0, g, 1.5)
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_admissibility_reports_an_infinite_product(self, strict, sign):
-        # the non-strict check used to return [] for both signs
-        g = make_test_derivator(2, snap=0.1)
-        d = lambda t: sign * self.inf_at_jumps(g)(t)
-        offending = check_admissibility(d, g, strict)
-        assert offending == [(t, sign * math.inf) for t in g.jump_times]
-
-    def test_hat_transform_leaves_its_argument_unchanged(self):
-        # ``lambda t: t`` hands back the array it is given
-        g = linear_driver(2.0, [1.0], [1.0])
-        ts = np.array([0.5, 1.0, 1.5])
-        values = hat_transform(lambda t: t, g)(ts)
-        assert list(ts) == [0.5, 1.0, 1.5]
-        assert list(values) == [0.5, math.log(2.0), 1.5]
 
     def test_general_solution_reads_d_once_per_jump(self):
         g = make_test_derivator(4, snap=0.1)

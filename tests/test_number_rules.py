@@ -22,11 +22,9 @@ from stieltjes_ode.analysis import BoundConstants, theoretical_bounds
 from stieltjes_ode.derivator import (MAX_GRID_STEPS, Derivator, make_phi,
                                      make_silkworm_derivator,
                                      make_test_derivator)
-from stieltjes_ode.linear import (check_admissibility,
-                                  constant_linear_solution,
+from stieltjes_ode.linear import (constant_linear_solution,
                                   general_linear_solution, hat_exponential,
-                                  hat_transform, homogeneous_solution,
-                                  tilde_coefficients)
+                                  homogeneous_solution)
 from stieltjes_ode.models import SilkwormParams, make_linear_spec
 from stieltjes_ode.quadrature import (error_bound, evaluate_rule,
                                       make_lipschitz_integrand,
@@ -107,16 +105,8 @@ RULES = [
      lambda v: general_linear_solution(np.cos, v, 1.0, G, 1.0, quad_n=100)),
     ("general_linear_solution", "initial value", "finite",
      lambda v: general_linear_solution(-0.5, 0.7, v, G, 1.0, quad_n=100)),
-    ("hat_transform", "coefficient c", "finite",
-     lambda v: hat_transform(v, G)),
     ("hat_exponential", "coefficient c", "finite",
      lambda v: hat_exponential(v, G, 1.0)),
-    ("tilde_coefficients", "damping d", "finite",
-     lambda v: tilde_coefficients(v, 0.7, G, 1.0)),
-    ("tilde_coefficients", "forcing", "finite",
-     lambda v: tilde_coefficients(-0.5, v, G, 1.0)),
-    ("check_admissibility", "damping d", "finite",
-     lambda v: check_admissibility(v, G)),
     ("error_bound", "H", "nonnegative",
      lambda v: error_bound("one-point", v, 1.0, 0.0, 1.0, 1.0)),
     ("error_bound", "var_f", "nonnegative",

@@ -16,7 +16,9 @@ end-to-end metrics and output digests, per-side medians and quartiles, the
 number of pairs each side won, and the environment.  Each side is named by
 its git commit (when it is a work tree) and a sha256 over its ``src/``
 sources.  When ``--out`` already holds a record of the same two source
-trees, the workload is added to it, so one file can hold several workloads.
+trees, the workload is added to it, so one file can hold several workloads;
+when it holds one of the same two trees in swapped roles, the workload goes
+under the record's ``swapped_roles``, so both role orders share one file.
 The last line of standard output is the workload's summary as one JSON
 object: the pair count, the digest and failure checks, one row per
 end-to-end metric and each side's ``src/`` line count.  Exits 1 when a run
@@ -40,6 +42,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "max_err")
 SIDES = ("parent", "change")
 HELD_OUT_SEED = 1001
+SWAPPED_NOTE = ("the same two checkouts passed to tools/bench_pairs.py in "
+                "swapped roles: 'parent' here is the change, 'change' the "
+                "parent")
 TRACE_SEED = 1
 
 # medians and quartiles as bench/run.py computes them, from its own code
@@ -218,12 +223,17 @@ def main(argv=None):
     if os.path.exists(args.out):
         with open(args.out, "r", encoding="utf-8") as fh:
             record = json.load(fh)
-        if record.get("sides") != sides:
+        if args.description:
+            record["description"] = args.description
+    target = record  # the record, or its part of the swapped-roles runs
+    if record.get("sides") != sides:
+        if record.get("sides") != {"parent": sides["change"],
+                                   "change": sides["parent"]}:
             print(f"error: {args.out} holds a record of other source trees",
                   file=sys.stderr)
             return 2
-        if args.description:
-            record["description"] = args.description
+        target = record.setdefault("swapped_roles", {
+            "note": SWAPPED_NOTE, "sides": sides, "workloads": {}})
     try:
         entry = measure(args, log=lambda text: print(text, file=sys.stderr))
     except (RuntimeError, ValueError, subprocess.TimeoutExpired) as exc:
@@ -233,7 +243,7 @@ def main(argv=None):
         "platform": platform.platform(terse=True),
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
     }
-    record["workloads"][args.workload] = entry
+    target["workloads"][args.workload] = entry
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
