@@ -6,7 +6,7 @@ import pytest
 from cpu_target import per_target
 from stieltjes_ode.derivator import (_ORACLE_BLOCK, MAX_GRID_STEPS, Derivator,
                                      identity_derivator, make_test_derivator)
-from stieltjes_ode.linear import (constant_linear_solution,
+from stieltjes_ode.linear import (_jump_map, constant_linear_solution,
                                   general_linear_solution, hat_exponential,
                                   homogeneous_solution)
 from stieltjes_ode.quadrature import _piece_terms, oracle_integral
@@ -16,6 +16,137 @@ from test_derivator import bits, per_point_value, read_cases
 
 def linear_driver(T, times, gaps):
     return Derivator(T, lambda t: np.asarray(t, dtype=float), times, gaps)
+
+
+class TestAdmissibility:
+    """The closed forms' verdict on a jump with ``d * gap`` below, at and
+    above 1: ``hat_exponential`` and ``general_linear_solution`` need a
+    nonzero factor ``1 - d * gap``, the constant-coefficient forms a
+    positive one."""
+
+    def test_passes_below_one(self):
+        g = linear_driver(3.0, [1.0, 2.0], [1.0, 1.0])
+        expected = math.exp(-1.5) * 0.25  # exp(-d t) (1 - d)^2
+        assert hat_exponential(-0.5, g, 3.0) == pytest.approx(expected)
+        assert homogeneous_solution(0.5, 1.0, g, 3.0) == pytest.approx(
+            expected)
+        assert general_linear_solution(0.5, 0.0, 1.0, g, 3.0) == (
+            pytest.approx(expected))
+
+    def test_fails_at_exactly_one(self):
+        g = linear_driver(2.0, [1.0], [1.0])
+        for rule, call in [
+                ("a finite nonzero number",
+                 lambda: hat_exponential(-1.0, g, 2.0)),
+                ("a finite nonzero number",
+                 lambda: general_linear_solution(1.0, 0.0, 1.0, g, 2.0)),
+                ("positive and finite",
+                 lambda: homogeneous_solution(1.0, 1.0, g, 2.0)),
+                ("positive and finite",
+                 lambda: constant_linear_solution(1.0, 0.0, 1.0, g, 2.0))]:
+            with pytest.raises(ValueError, match=(
+                    r"^inadmissible jump at t=1\.0: the jump factor 0\.0 is "
+                    f"not {rule}$")):
+                call()
+
+    def test_above_one_passes_nonstrict_with_flips(self):
+        g = linear_driver(2.0, [1.0], [1.0])
+        # d*gap > 1: the adapted exponential of -d changes sign at the jump
+        assert hat_exponential(-2.0, g, 2.0) == pytest.approx(-math.exp(-4.0))
+        assert general_linear_solution(2.0, 0.0, 1.0, g, 2.0) == (
+            pytest.approx(-math.exp(-4.0)))
+
+    def test_strict_rejects_above_one(self):
+        g = linear_driver(2.0, [1.0], [1.0])
+        for call in [lambda: homogeneous_solution(2.0, 1.0, g, 2.0),
+                     lambda: constant_linear_solution(2.0, 0.0, 1.0, g, 2.0)]:
+            with pytest.raises(ValueError, match=(
+                    r"^inadmissible jump at t=1\.0: the jump factor -1\.0 is "
+                    r"not positive and finite$")):
+                call()
+
+
+class TestHattedCoefficient:
+    """``hat_exponential`` integrates the hatted coefficient: ``c`` off the
+    jumps, ``ln|1 + c gap| / gap`` at them."""
+
+    def setup_method(self):
+        self.g = linear_driver(2.0, [1.0], [1.0])
+
+    def test_identity_off_jumps(self):
+        # the jump at 1.0 is not yet crossed
+        value = hat_exponential(lambda t: 3.0 * t, self.g, 0.9, quad_n=1000)
+        assert value == pytest.approx(math.exp(1.5 * 0.9 ** 2))
+
+    def test_log_compression_at_jump(self):
+        value = hat_exponential(-0.5, self.g, 2.0)
+        assert math.log(value) + 0.5 * 2.0 == pytest.approx(math.log(0.5))
+
+    def test_zero_coefficient_stays_zero(self):
+        assert hat_exponential(0.0, self.g, 2.0) == 1.0
+        zero = lambda t: np.zeros(np.shape(t))
+        assert hat_exponential(zero, self.g, 2.0, quad_n=100) == 1.0
+
+    def test_singular_jump_rejected(self):
+        minus_one = lambda t: np.full(np.shape(t), -1.0)
+        with pytest.raises(ValueError, match="t=1.0"):
+            hat_exponential(minus_one, self.g, 2.0, quad_n=100)
+
+    def test_callable_matches_the_product_of_jump_factors(self):
+        g = linear_driver(2.0, [0.5, 1.0], [1.0, 0.25])
+        c = lambda t: np.cos(3.0 * t) - 0.5
+        expected = (math.exp(math.sin(4.5) / 3.0 - 0.75)
+                    * (1.0 + c(0.5) * 1.0) * (1.0 + c(1.0) * 0.25))
+        assert hat_exponential(c, g, 1.5, quad_n=10 ** 4) == pytest.approx(
+            expected, rel=1e-6)
+
+
+class TestForcingAtJumps:
+    """``general_linear_solution`` adds the forcing at a jump divided by
+    the jump factor ``1 - d * gap``."""
+
+    def setup_method(self):
+        self.g = linear_driver(3.0, [1.0], [1.0])
+
+    def test_identity_off_jumps(self):
+        # before the jump: 4 + (1 - 4) exp(-0.5 t)
+        value = general_linear_solution(0.5, 2.0, 1.0, self.g, 0.9)
+        assert value == pytest.approx(4.0 - 3.0 * math.exp(-0.45))
+
+    def test_halved_denominator(self):
+        value = general_linear_solution(0.5, 1.0, 0.0, self.g, 2.0)
+        assert value == pytest.approx(
+            constant_linear_solution(0.5, 1.0, 0.0, self.g, 2.0))
+        # the rest point forcing / d stays put across the jump
+        assert general_linear_solution(0.5, 1.0, 2.0, self.g, 2.0) == (
+            pytest.approx(2.0))
+
+    def test_negative_branch(self):
+        # d * gap = 2: the factor is -1, and the rest point still stays put
+        for t in (0.5, 1.5, 3.0):
+            assert general_linear_solution(2.0, 1.0, 0.5, self.g, t) == (
+                pytest.approx(0.5))
+
+    def test_singular_jump_rejected(self):
+        one = lambda t: np.ones(np.shape(t))
+        with pytest.raises(ValueError, match=r"^inadmissible jump at t=1\.0"):
+            general_linear_solution(one, one, 1.0, self.g, 2.0, quad_n=100)
+
+
+class TestDomainEnd:
+    """No jump sits at the domain end, so the closed forms there agree with
+    each other."""
+
+    def test_general_solution_at_domain_end(self):
+        g = make_test_derivator(2)
+        value = general_linear_solution(0.5, 0.7, 1.0, g, 10.0, quad_n=10 ** 4)
+        assert value == pytest.approx(
+            constant_linear_solution(0.5, 0.7, 1.0, g, 10.0), rel=1e-6)
+
+    def test_homogeneous_solution_at_domain_end(self):
+        g = make_test_derivator(2)
+        assert homogeneous_solution(0.5, 1.0, g, 10.0) == pytest.approx(
+            hat_exponential(-0.5, g, 10.0), rel=1e-12)
 
 
 class TestHatExponential:
@@ -416,9 +547,14 @@ class TestJumpMap:
     # each closed form that takes a callable coefficient, called with ``c``
     CALLS = pytest.mark.parametrize("call", [
         lambda c, g: hat_exponential(c, g, 9.3, quad_n=100),
+        lambda c, g: hat_exponential(c, g, g.domain_end, quad_n=100),
         lambda c, g: general_linear_solution(c, 0.7, 1.0, g, 9.3,
                                              quad_n=100),
-    ], ids=["hat_exponential", "general_linear_solution"])
+        # every jump's factor is checked, also those after ``t``
+        lambda c, g: general_linear_solution(c, 0.7, 1.0, g, 0.0,
+                                             quad_n=100),
+    ], ids=["hat_exponential", "hat_exponential_at_T",
+            "general_linear_solution", "general_linear_solution_at_0"])
 
     @CALLS
     def test_callable_coefficient_nan_at_a_jump_rejected(self, call):
@@ -436,6 +572,37 @@ class TestJumpMap:
         with pytest.raises(ValueError, match=r"^inadmissible jump at t=3\.3.*"
                            r"factor -?inf is not a finite nonzero number"):
             call(self.inf_at_jumps(g), g)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_admissibility_reports_a_nan_product(self, strict):
+        g = make_test_derivator(2, snap=0.1)
+        c_values = self.nan_at_jumps(g)(g.jump_times)
+        with pytest.raises(ValueError,
+                           match=r"^inadmissible jump at t=3\.3.*factor nan"):
+            _jump_map(c_values, g.jump_times, g.jump_gaps, positive=strict)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_admissibility_reports_an_infinite_product(self, strict, sign):
+        g = make_test_derivator(2, snap=0.1)
+        c_values = sign * self.inf_at_jumps(g)(g.jump_times)
+        factor = "inf" if sign > 0.0 else "-inf"
+        rule = "positive and finite" if strict else "a finite nonzero number"
+        with pytest.raises(ValueError, match=(
+                rf"^inadmissible jump at t=3\.3\d*: the jump factor {factor} "
+                rf"is not {rule}$")):
+            _jump_map(c_values, g.jump_times, g.jump_gaps, positive=strict)
+
+    def test_jump_map_leaves_its_argument_unchanged(self):
+        c_values = np.array([1.0, -0.5])
+        factors = _jump_map(c_values, np.array([1.0, 1.5]),
+                            np.array([1.0, 1.0]))
+        assert list(c_values) == [1.0, -0.5]
+        assert list(factors) == [2.0, 0.5]
+        # ``lambda t: t`` hands back the array it is given: ln 2 at the jump
+        g = linear_driver(2.0, [1.0], [1.0])
+        value = hat_exponential(lambda t: t, g, 2.0, quad_n=1000)
+        assert value == pytest.approx(2.0 * math.exp(2.0))
 
     def test_homogeneous_factor_must_be_finite(self):
         # d*gap = -1e309 overflows: the factor 1 - d*gap is inf

@@ -99,6 +99,17 @@ RULES = [
      lambda v: constant_linear_solution(-0.5, v, 1.0, G, 1.0)),
     ("constant_linear_solution", "initial value", "finite",
      lambda v: constant_linear_solution(-0.5, 0.7, v, G, 1.0)),
+    # the right limit, and ``d = 0``, which returns without the homogeneous
+    # solution, check their arguments as well
+    ("homogeneous_solution(from_right)", "damping d", "finite",
+     lambda v: homogeneous_solution(v, 1.0, G, 1.0, from_right=True)),
+    ("constant_linear_solution(from_right)", "damping d", "finite",
+     lambda v: constant_linear_solution(v, 0.7, 1.0, G, 1.0,
+                                        from_right=True)),
+    ("constant_linear_solution(d=0)", "forcing", "finite",
+     lambda v: constant_linear_solution(0.0, v, 1.0, G, 1.0)),
+    ("constant_linear_solution(d=0)", "initial value", "finite",
+     lambda v: constant_linear_solution(0.0, 0.7, v, G, 1.0)),
     ("general_linear_solution", "damping d", "finite",
      lambda v: general_linear_solution(v, 0.7, 1.0, G, 1.0, quad_n=100)),
     ("general_linear_solution", "forcing", "finite",
