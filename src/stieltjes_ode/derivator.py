@@ -42,8 +42,8 @@ _MONOTONE_SAMPLES = 1025
 # ulps of the raw values a measure may round below zero; read by _rise_slack
 _DG_ULPS = 8
 
-# grid points per block of the refinement oracle (``quadrature``): about
-# 256 kB per array
+# the most grid steps of one block of the refinement oracle (``quadrature``;
+# a block is a leaf of numpy's pairwise sum): about 256 kB per array
 _ORACLE_BLOCK = 2 ** 15
 
 # the most points of an argument ``Derivator`` keeps in its continuous-part

@@ -23,7 +23,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .derivator import Derivator, _check_number, _check_times
-from .quadrature import _blocks, _piece_terms, _pieces, _trapezoid
+from .quadrature import _blocks, _piece_terms, _pieces, _trapezoid, _tree_sum
 
 __all__ = [
     "hat_exponential",
@@ -88,8 +88,8 @@ def hat_exponential(c: Coefficient, g: Derivator, t: float,
     if not callable(c):
         log_mag += float(c) * g.continuous_value(t)
     else:
-        for _, _, terms in _piece_terms(c, g, 0.0, t, quad_n):
-            log_mag += float(np.sum(terms))
+        for piece in _piece_terms(c, g, 0.0, t, quad_n):
+            log_mag += piece
     return (-1.0) ** int(np.sum(factors < 0.0)) * math.exp(log_mag)
 
 
@@ -173,19 +173,20 @@ def general_linear_solution(d: Coefficient, forcing: Coefficient, x0: float,
     forced = 0.0
     # piece i ends at jump i, the last piece at t
     for i, (lo, hi, m) in enumerate(_pieces(g, 0.0, t, quad_n)):
-        terms = np.zeros(m)  # the forcing's trapezoid terms
+        sums = {}  # the sums of the forcing's trapezoid terms, per block
         run = 0.0  # the d-integral along the piece up to the block
-        for start, block, dgc in _blocks(g, lo, hi, m):
+        for start, block, dgc, terms in _blocks(g, lo, hi, m):
             # the d-integral at the block's points: a cumsum seeded by the
             # piece's running integral gives the whole piece's, bit for bit
             phi = np.append(run, np.zeros(dgc.size))
             _trapezoid(d_fun, block, dgc, phi[1:])
             np.cumsum(phi, out=phi)
             run = phi[-1]
-            weight = sign * np.exp(phi + log_mag)
-            _trapezoid(h_fun, block, dgc, terms[start:start + dgc.size],
-                       weight)
-        forced += float(np.sum(terms))
+            np.exp(phi + log_mag, out=phi)  # the forcing's weight, in place
+            phi *= sign
+            _trapezoid(h_fun, block, dgc, terms, phi)
+            sums[start] = float(np.sum(terms))
+        forced += _tree_sum(sums, m)
         log_mag = float(log_mag + run)
         if i < len(times):
             s, gap, denom = float(times[i]), float(gaps[i]), float(denoms[i])

@@ -18,8 +18,8 @@ for ``g``-Lipschitz integrands.  The plain rules read ``f`` in place of
 ``oracle_integral`` is an independent reference (jump sums plus a composite
 trapezoid refinement of the continuous part) used by the property suite, and
 ``error_bound`` evaluates the worst-case bound attached to each rule.  The
-oracle's block walk (``_pieces``, ``_blocks``, ``_trapezoid``) also serves
-``linear.hat_exponential`` and ``general_linear_solution``.
+oracle's pairwise block walk (``_pieces``, ``_blocks``, ``_trapezoid``) also
+serves ``linear.hat_exponential`` and ``general_linear_solution``.
 """
 
 from __future__ import annotations
@@ -126,40 +126,63 @@ def _pieces(g: Derivator, a: float, b: float, n: int):
             yield lo, hi, max(1, int(round(n * (hi - lo) / (b - a))))
 
 
-def _blocks(g: Derivator, lo: float, hi: float, m: int):
-    """``(start, block, dgc)`` for each block of ``_ORACLE_BLOCK`` steps of
-    ``np.linspace(lo, hi, m + 1)`` that is not flat throughout.
+def _half(m):
+    """Where numpy's pairwise sum (``np.sum``) cuts ``m > 128`` terms; 0
+    for one oracle block, at most ``_ORACLE_BLOCK`` or 128 terms."""
+    return 0 if m <= max(_ORACLE_BLOCK, 128) else m // 2 - m // 2 % 8
 
-    ``gC`` is read on the block ends (indices ``0, B, .., m``) first; it is
-    nondecreasing, so a block whose end values are equal is flat and is
-    skipped, unread.  A ``gC`` difference that is NaN or falls by more than
-    rounding (the slack of the block-end values) raises ``ValueError``
-    through ``derivator._check_rises``: each evaluated block's steps as it
-    is read, then the block-end differences; the error names the first bad
-    step of the first check that fails.  A NaN or a decrease strictly
-    inside a block whose end values agree goes unseen.
+
+def _leaf_starts(m, start=0):
+    """The first terms of the oracle's blocks of ``m`` terms, in order."""
+    half = _half(m)
+    return (_leaf_starts(half, start) + _leaf_starts(m - half, start + half)
+            if half else [start])
+
+
+def _tree_sum(sums, m, start=0):
+    """``np.sum`` of ``m`` terms, bit for bit, from ``sums[s]``, the
+    ``np.sum`` of the block that starts at term ``s`` (0.0 if missing)."""
+    half = _half(m)
+    return (_tree_sum(sums, half, start) + _tree_sum(
+        sums, m - half, start + half) if half else sums.get(start, 0.0))
+
+
+def _blocks(g: Derivator, lo: float, hi: float, m: int):
+    """``(start, block, dgc, out)`` for each block of the ``m`` steps of
+    ``np.linspace(lo, hi, m + 1)`` that is not flat throughout: the largest
+    subtrees of at most ``_ORACLE_BLOCK`` steps of numpy's pairwise sum
+    (``_leaf_starts``), ``out`` a view of one buffer that they all reuse.
+
+    ``gC`` is read on the block ends first; it is nondecreasing, so a block
+    whose end values are equal is flat and is skipped, unread.  A ``gC``
+    difference that is NaN or falls by more than rounding (the slack of
+    the block-end values) raises ``ValueError`` through
+    ``derivator._check_rises``: each evaluated block's steps as it is read,
+    then the block-end differences; the error names the first bad step of
+    the first check that fails.  A NaN or a decrease strictly inside a
+    block whose end values agree goes unseen.
     """
-    starts = range(0, m, _ORACLE_BLOCK)
-    edges = _grid_points(lo, hi, m, np.array([*starts, m], dtype=float))
+    ends = [*_leaf_starts(m), m]
+    edges = _grid_points(lo, hi, m, np.array(ends, dtype=float))
     ce = g.continuous_value(edges)
     slack = g._rise_slack(ce)
-    for j, start in enumerate(starts):
+    buf = np.empty(max(np.diff(ends)))
+    for j, (start, stop) in enumerate(zip(ends[:-1], ends[1:])):
         if ce[j] == ce[j + 1]:
             continue  # flat throughout
-        stop = min(start + _ORACLE_BLOCK, m)
         block = _grid_points(lo, hi, m,
                              np.arange(start, stop + 1, dtype=float))
         dgc = np.diff(g.continuous_value(block))
         _check_rises(dgc, slack, block, "oracle")
-        yield start, block, dgc
+        yield start, block, dgc, buf[:dgc.size]
     _check_rises(np.diff(ce), slack, edges, "oracle")
 
 
 def _trapezoid(f, block, dgc, out, weight=None, first=None):
-    """``out[i] = (v_i + v_i+1)/2 * dgc[i]`` in place on fresh zeros, for
-    ``v = weight * f(block)`` (``weight`` defaults to 1) and ``first(x_0)``
-    in place of ``f(x_0)`` when given.  A flat step (``dgc[i] == 0``) keeps
-    ``0.0``, and ``f`` is read only at the ends of the other steps.
+    """``out[i] = (v_i + v_i+1)/2 * dgc[i]`` in place, for ``v = weight *
+    f(block)`` (``weight`` defaults to 1) and ``first(x_0)`` in place of
+    ``f(x_0)`` when given.  A flat step (``dgc[i] == 0``) gets ``0.0``,
+    and ``f`` is read only at the ends of the other steps.
     The ``f(block)`` of a block without flat steps is served from the
     driver's memo of ``continuous_value(block)`` when ``f`` evaluates ``g``.
     """
@@ -173,6 +196,7 @@ def _trapezoid(f, block, dgc, out, weight=None, first=None):
         ends[1:] |= live
         fv = np.zeros_like(block)
         fv[ends] = _f_on_arrays(f, block[ends])
+        out.fill(0.0)  # the flat steps, which the add below skips
     if weight is not None:
         fv = weight * fv  # a new array: ``f`` may hand back the block
     if first is not None and dgc[0] != 0:
@@ -186,21 +210,20 @@ def _trapezoid(f, block, dgc, out, weight=None, first=None):
 
 def _piece_terms(f, g: Derivator, a: float, b: float, n: int,
                  f_right: Callable | None = None):
-    """Trapezoid terms of ``f`` against the continuous part, piece by piece.
+    """The trapezoid of ``f`` against the continuous part, piece by piece.
 
-    For each piece of ``_pieces`` this yields ``(lo, hi, terms)``,
-    ``terms[i] = (f(x_i) + f(x_i+1))/2 * (gC(x_i+1) - gC(x_i))`` on ``x =
-    np.linspace(lo, hi, m + 1)``, 0.0 on the flat blocks that ``_blocks``
-    skips; ``f_right(lo)``, when given, replaces ``f(lo)`` at a jump.  No
-    whole grid is held.
+    For each piece of ``_pieces`` this yields ``np.sum(terms)``, from the
+    blocks' sums (``_tree_sum``), of ``terms[i] = (f(x_i) + f(x_i+1))/2 *
+    (gC(x_i+1) - gC(x_i))`` on ``x = np.linspace(lo, hi, m + 1)``, 0.0 on
+    flat blocks, ``f_right(lo)`` (when given) for ``f(lo)`` at a jump.
     """
     for lo, hi, m in _pieces(g, a, b, n):
         first = f_right if f_right is not None and lo in g.jump_times else None
-        terms = np.zeros(m)
-        for start, block, dgc in _blocks(g, lo, hi, m):
-            _trapezoid(f, block, dgc, terms[start:start + dgc.size],
-                       first=None if start else first)
-        yield lo, hi, terms
+        sums = {}
+        for start, block, dgc, terms in _blocks(g, lo, hi, m):
+            _trapezoid(f, block, dgc, terms, first=None if start else first)
+            sums[start] = float(np.sum(terms))
+        yield _tree_sum(sums, m)
 
 
 def oracle_integral(f, g: Derivator, a: float, b: float, n: int,
@@ -208,7 +231,7 @@ def oracle_integral(f, g: Derivator, a: float, b: float, n: int,
     """Reference value of the measure integral of ``f`` over ``[a, b)``.
 
     Exact jump sums plus the composite trapezoid of ``_piece_terms`` on
-    ``n`` subintervals, each piece's terms summed once in grid order.  A
+    ``n`` subintervals, each piece's terms summed in ``np.sum``'s order.  A
     piece that starts at a jump time ``d`` (an interior jump, or ``a``
     itself) takes ``f_right(d) = f(d+)`` at its left end; ``f_right``
     defaults to ``f``, right when ``f`` is right-continuous there.  The
@@ -228,8 +251,8 @@ def oracle_integral(f, g: Derivator, a: float, b: float, n: int,
     _check_number(n, "n", "grid steps")
     times, gaps = g.jumps_in(a, b)
     total = sum(_eval(f, d) * gap for d, gap in zip(times, gaps))
-    for _, _, terms in _piece_terms(f, g, a, b, n, f_right):
-        total += float(np.sum(terms))
+    for piece in _piece_terms(f, g, a, b, n, f_right):
+        total += piece
     return total
 
 

@@ -1,5 +1,5 @@
 """``tools/layer_ab.py`` on small grids: the repository against itself, and
-against a copy whose ``solve`` writes other output."""
+against a copy whose ``solve`` or bound suite writes other output."""
 
 import json
 import os
@@ -38,17 +38,68 @@ def test_the_repository_against_itself():
         assert f"{case}: {steps[case]} steps, digests equal" in proc.stdout
 
 
-def test_a_side_with_other_output_exits_1(tmp_path):
+def test_the_oracle_case_against_itself():
+    proc = run_tool(ROOT, ROOT, "--quadrature-cases", "2")
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert sorted(summary["cases"]) == ["linear", "quadrature", "silkworm"]
+    row = summary["cases"]["quadrature"]
+    assert row["cases"] == 2 and row["n_oracle"] == 10 ** 6
+    assert row["digests_identical"]
+    assert row["digests"]["parent"] == row["digests"]["change"]
+    assert sorted(row["digests"]["parent"]) == [
+        "bound", "oracle", "passed", "value"]
+    for side in ("parent", "change"):
+        assert len(row["times"][side]) == 3
+        assert 0.0 < row[f"{side}_q1"] <= row[f"{side}_median"] \
+            <= row[f"{side}_q3"]
+    assert "quadrature: 2 cases at n_oracle=1000000, digests equal" in (
+        proc.stdout)
+
+
+def copy_of_the_package(tmp_path, module, patch):
+    """A checkout in ``tmp_path`` whose ``module`` ends with ``patch``."""
     src = os.path.join(tmp_path, "src", "stieltjes_ode")
     shutil.copytree(os.path.join(ROOT, "src", "stieltjes_ode"), src,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    with open(os.path.join(src, "solver.py"), "a", encoding="utf-8") as fh:
-        fh.write("\n\n_solve = solve\n\n\n"
-                 "def solve(spec, part):\n"
-                 "    traj = _solve(spec, part)\n"
-                 "    traj.values[-1] += 1.0\n"
-                 "    return traj\n")
-    proc = run_tool(ROOT, str(tmp_path))
+    with open(os.path.join(src, module), "a", encoding="utf-8") as fh:
+        fh.write(patch)
+    return str(tmp_path)
+
+
+def test_an_oracle_that_moves_one_bit_exits_1(tmp_path):
+    change = copy_of_the_package(
+        tmp_path, "quadrature.py",
+        "\n\n_suite = run_bound_suite\n\n\n"
+        "def run_bound_suite(*args, **kwargs):\n"
+        "    rows = _suite(*args, **kwargs)\n"
+        "    rows[-1]['oracle'] = float(np.nextafter(rows[-1]['oracle'],"
+        " math.inf))\n"
+        "    return rows\n")
+    proc = run_tool(ROOT, change, "--quadrature-cases", "2")
+    assert proc.returncode == 1
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert not summary["digests_identical"]
+    row = summary["cases"]["quadrature"]
+    assert not row["digests_identical"] and "times" not in row
+    parent, changed = row["digests"]["parent"], row["digests"]["change"]
+    assert [name for name in parent if parent[name] != changed[name]] == [
+        "oracle"]
+    # the solves agree, and are not timed either
+    for case in ("linear", "silkworm"):
+        assert summary["cases"][case]["digests_identical"]
+        assert "times" not in summary["cases"][case]
+    assert "quadrature: the sides wrote different oracle" in proc.stdout
+
+
+def test_a_side_with_other_output_exits_1(tmp_path):
+    change = copy_of_the_package(tmp_path, "solver.py", (
+        "\n\n_solve = solve\n\n\n"
+        "def solve(spec, part):\n"
+        "    traj = _solve(spec, part)\n"
+        "    traj.values[-1] += 1.0\n"
+        "    return traj\n"))
+    proc = run_tool(ROOT, change)
     assert proc.returncode == 1
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     assert not summary["digests_identical"]
@@ -65,3 +116,9 @@ def test_a_checkout_without_the_package_exits_2(tmp_path):
     proc = run_tool(ROOT, str(tmp_path))
     assert proc.returncode == 2
     assert "no src/stieltjes_ode" in proc.stderr
+
+
+def test_a_negative_case_count_exits_2():
+    proc = run_tool(ROOT, ROOT, "--quadrature-cases", "-1")
+    assert proc.returncode == 2
+    assert "need --quadrature-cases >= 0" in proc.stderr

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from stieltjes_ode.derivator import (_ORACLE_BLOCK, MAX_GRID_STEPS, Derivator,
 from stieltjes_ode.linear import (_jump_map, constant_linear_solution,
                                   general_linear_solution, hat_exponential,
                                   homogeneous_solution)
-from stieltjes_ode.quadrature import _piece_terms, oracle_integral
+from stieltjes_ode.quadrature import (_leaf_starts, _pieces,
+                                      oracle_integral)
 from stieltjes_ode.solver import IvpSpec, build_partition, solve
 from test_derivator import bits, per_point_value, read_cases
 
@@ -431,14 +433,15 @@ class TestClosedFormBits:
         # with a live step on both sides is read once by either block
         want = g.n_jumps
         shared = 0
-        for lo, hi, terms in _piece_terms(d, g, 0.0, 9.3, 10 ** 6):
-            xs = np.linspace(lo, hi, terms.size + 1)
+        for lo, hi, m in _pieces(g, 0.0, 9.3, 10 ** 6):
+            xs = np.linspace(lo, hi, m + 1)
             live = np.diff(g.continuous_value(xs)) != 0
             want += int(np.count_nonzero(np.append(live, False)
                                          | np.append(False, live)))
-            ends = np.arange(_ORACLE_BLOCK, terms.size, _ORACLE_BLOCK)
+            # the 7 inner ends of the 8 blocks of each 215,054-step piece
+            ends = np.array(_leaf_starts(m)[1:])
             shared += int(np.count_nonzero(live[ends - 1] & live[ends]))
-        assert shared == 16
+        assert shared == 20
         assert sum(map(len, seen)) == want + shared
         assert want < 600_000  # of 1_000_006 grid points and 4 jumps
 
@@ -462,7 +465,27 @@ class TestClosedFormBits:
         read = sum(points)
         points.clear()
         hat_exponential(d, g, 9.3)
-        assert read == sum(points) == 569_950  # of 1_000_005 grid points
+        # of 1_000_005 grid points: 45 block ends (8 blocks on each of the
+        # five pieces) and 569,917 points of the blocks that are not flat;
+        # fixed blocks of 2**15 steps read 38 and 569,912
+        assert read == sum(points) == 569_962
+
+
+@pytest.mark.parametrize("closed_form", [
+    lambda c, g: hat_exponential(c, g, 9.5),
+    lambda c, g: general_linear_solution(c, np.cos, 1.25, g, 9.5)],
+    ids=["hat_exponential", "general_linear_solution"])
+def test_closed_forms_hold_one_block_at_a_time(closed_form):
+    # one piece of quad_n = 10**6 steps: its terms would take 8 MB; each
+    # block of at most _ORACLE_BLOCK steps takes about 256 kB per array
+    g = make_test_derivator(0, alpha=3.3)
+    tracemalloc.start()
+    try:
+        closed_form(lambda t: 0.3 * np.sin(t), g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 class TestClosedFormDomain:

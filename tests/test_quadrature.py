@@ -65,6 +65,22 @@ def unskipped_oracle(f, g, a, b, n, f_right=None):
     return total
 
 
+def numpy_leaves(m, cap):
+    """``(start, stop)`` of each leaf of the oracle's walk over ``m`` terms,
+    in order: the largest subtrees of at most ``max(cap, 128)`` terms of
+    numpy's pairwise sum, which sums ``n <= 128`` terms in one loop and
+    splits larger ``n`` after ``n // 2 - (n // 2) % 8`` terms."""
+    leaves, todo = [], [(0, m)]
+    while todo:
+        start, n = todo.pop()
+        if n <= max(cap, 128):
+            leaves.append((start, start + n))
+        else:
+            half = n // 2 - (n // 2) % 8
+            todo += [(start + half, n - half), (start, half)]
+    return leaves
+
+
 def plain_onepoint(f, g, a, b):
     """The one-point rule: the corrected rule with ``f_right = f``."""
     return evaluate_rule(RuleKind.ONE_POINT, f, f, g, a, b)
@@ -267,8 +283,9 @@ class TestOracle:
         assert peak < 2 ** 20
 
     def test_grid_is_built_block_by_block(self):
-        # one segment of 10**6 subintervals: its terms take 8 MB, the whole
-        # grid would take another 8 MB
+        # one segment of 10**6 subintervals: its terms would take 8 MB, the
+        # whole grid another 8 MB; each block of at most 2**15 steps takes
+        # about 256 kB per array, and its terms are summed in one buffer
         g = make_test_derivator(0, alpha=3.3)
         f, f_right, _ = make_lipschitz_integrand(g, 0.7, -1.3)
         tracemalloc.start()
@@ -277,7 +294,7 @@ class TestOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+        assert peak < 3e6
 
     @pytest.mark.parametrize("a, b, n", [(0.3, 9.7, 1000), (2.5, 7.5, 333),
                                          (5.0, 9.0, 90), (0.0, 10.0, 4)])
@@ -334,8 +351,8 @@ class TestOracle:
         read = np.concatenate(seen)
         # the grid of each piece, as np.linspace builds it
         idle, live_ends = [], []
-        for lo, hi, terms in quadrature._piece_terms(np.cos, g, a, b, n):
-            xs = np.linspace(lo, hi, terms.size + 1)
+        for lo, hi, m in quadrature._pieces(g, a, b, n):
+            xs = np.linspace(lo, hi, m + 1)
             live = np.diff(g.continuous_value(xs)) != 0
             ends = np.append(live, False) | np.append(False, live)
             idle.append(xs[~ends])
@@ -503,10 +520,10 @@ class TestOracleDriverEvaluations:
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             m = max(1, int(round(n * (hi - lo) / (b - a))))
             values = shape(np.linspace(lo, hi, m + 1))
-            starts = range(0, m, _ORACLE_BLOCK)
-            edges += len(starts) + 1
-            for start in starts:
-                block = values[start:min(start + _ORACLE_BLOCK, m) + 1]
+            leaves = numpy_leaves(m, _ORACLE_BLOCK)
+            edges += len(leaves) + 1
+            for start, stop in leaves:
+                block = values[start:stop + 1]
                 if block[0] == block[-1]:
                     continue
                 evaluated += block.size
@@ -554,7 +571,7 @@ class TestOracleDriverEvaluations:
     @pytest.mark.parametrize("n", [3000, 6 * _ORACLE_BLOCK])
     def test_flat_steps_add_only_the_ends_of_live_steps(self, n):
         # slope 1 except on [1.1, 1.9]; at the larger n the middle piece
-        # has a block that is flat throughout and two with flat steps
+        # has two blocks that are flat throughout and two with flat steps
         shape = lambda t: np.minimum(t, 1.1) + np.maximum(t - 1.9, 0.0)
         edges, evaluated, ends = self.expected_points(shape, 0.5, 2.5, n)
         count, _ = self.count_points(shape, n)
@@ -570,8 +587,76 @@ class TestOracleDriverEvaluations:
         shape = lambda t: np.minimum(t, 1.0) + np.maximum(t - 2.0, 0.0)
         edges, evaluated, _ = self.expected_points(shape, 1.0, 2.0, n)
         assert evaluated == 0
-        assert edges == -(-n // _ORACLE_BLOCK) + 1
+        # one block of 3000 steps; numpy halves 6 * 2**15 steps three times
+        assert edges == {3000: 2, 6 * _ORACLE_BLOCK: 9}[n]
         assert self.count_points(shape, n, 1.0, 2.0) == (edges, 0)
+
+
+class TestPairwiseLeaves:
+    """The oracle walks each piece in the leaves of numpy's pairwise sum and
+    joins the leaves' ``np.sum`` in numpy's tree order.  A change of numpy's
+    summation order fails here, not as moved bits elsewhere."""
+
+    SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300]
+
+    @classmethod
+    def arrays(cls, m):
+        """Arrays of ``m`` floats: signed zeros, subnormals and 1e300 among
+        values of every scale, all ``-0.0``, and with NaN and infinities."""
+        rng = np.random.default_rng(m)
+        mixed = rng.standard_normal(m) * 10.0 ** rng.uniform(-300, 300, m)
+        spots = rng.integers(0, m, size=max(1, m // 4))
+        mixed[spots] = rng.choice(cls.SPECIALS, size=spots.size)
+        yield mixed
+        yield np.full(m, -0.0)
+        for bad in ([math.nan], [math.inf], [math.inf, -math.inf]):
+            arr = mixed.copy()
+            arr[rng.integers(0, m, size=len(bad))] = bad
+            yield arr
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 127, 128, 129, 256, 257,
+                                   _ORACLE_BLOCK - 1, _ORACLE_BLOCK,
+                                   _ORACLE_BLOCK + 1, 10 ** 6])
+    @pytest.mark.parametrize("cap", [7, _ORACLE_BLOCK])
+    def test_leaf_sums_join_to_np_sum(self, monkeypatch, cap, m):
+        monkeypatch.setattr(quadrature, "_ORACLE_BLOCK", cap)
+        ends = [*quadrature._leaf_starts(m), m]
+        for arr in self.arrays(m):
+            with np.errstate(all="ignore"):
+                sums = {lo: float(np.sum(arr[lo:hi]))
+                        for lo, hi in zip(ends[:-1], ends[1:])}
+                assert float_bits(quadrature._tree_sum(sums, m)) == (
+                    float_bits(np.sum(arr)))
+
+    @pytest.mark.parametrize("cap", [7, _ORACLE_BLOCK])
+    def test_a_missing_leaf_adds_zero(self, monkeypatch, cap):
+        # the oracle's flat blocks: all-zero leaves that are never summed
+        monkeypatch.setattr(quadrature, "_ORACLE_BLOCK", cap)
+        m = 10 ** 6
+        arr = np.random.default_rng(3).standard_normal(m)
+        ends = [*quadrature._leaf_starts(m), m]
+        sums = {}
+        for j, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+            if j % 3 == 1:
+                arr[lo:hi] = 0.0
+            else:
+                sums[lo] = float(np.sum(arr[lo:hi]))
+        assert len(sums) < len(ends) - 1
+        assert float_bits(quadrature._tree_sum(sums, m)) == float_bits(
+            np.sum(arr))
+
+    @pytest.mark.parametrize("cap", [7, 16, 128, 2 ** 15])
+    def test_leaves_tile_the_piece(self, monkeypatch, cap):
+        # below 8 a cap would halve into empty left halves without end:
+        # the walk takes numpy's unsplit 128 as its smallest cap
+        monkeypatch.setattr(quadrature, "_ORACLE_BLOCK", cap)
+        for m in [*range(1, 301), 3 * 2 ** 15 + 1, 10 ** 6, MAX_GRID_STEPS]:
+            starts = quadrature._leaf_starts(m)
+            sizes = np.diff([*starts, m])
+            assert starts[0] == 0
+            assert 1 <= sizes.min() and sizes.max() <= max(cap, 128)
+            assert list(zip(starts, np.add(starts, sizes).tolist())) == (
+                numpy_leaves(m, cap))
 
 
 class TestErrorBound:

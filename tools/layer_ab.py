@@ -1,7 +1,8 @@
-"""Time the solver layer of two checkouts in one process, alternating.
+"""Time the solver and oracle layers of two checkouts in one process,
+alternating.
 
     python3 tools/layer_ab.py PARENT CHANGE [--rounds N] [--linear-h H]
-        [--silkworm-h H]
+        [--silkworm-h H] [--quadrature-cases N]
 
 PARENT and CHANGE are two checkouts of the repository.  Each one's
 ``src/stieltjes_ode`` is imported under its own package name
@@ -11,21 +12,27 @@ that speeds up or slows down between fresh processes moves both alike.
 This times a layer only: start-up, memory and end-to-end times need fresh
 processes (``tools/bench_pairs.py``).
 
-Each side builds the same two solves with its own code:
+Each side builds the same cases with its own code:
 
-- ``linear``: ``x'_g = 0.5 x``, ``x0 = 1``, on ``make_test_derivator(4,
-  snap=1e-3)`` at ``--linear-h`` (default ``1e-5``, 10**6 steps);
-- ``silkworm``: the silkworm model at the CLI's default parameters on
-  ``make_silkworm_derivator(10.0)`` at ``--silkworm-h`` (default ``1e-4``).
+- ``linear``: ``solve`` of ``x'_g = 0.5 x``, ``x0 = 1``, on
+  ``make_test_derivator(4, snap=1e-3)`` at ``--linear-h`` (default
+  ``1e-5``, 10**6 steps);
+- ``silkworm``: ``solve`` of the silkworm model at the CLI's default
+  parameters on ``make_silkworm_derivator(10.0)`` at ``--silkworm-h``
+  (default ``1e-4``);
+- ``quadrature``, with ``--quadrature-cases N`` above 0 (default 0, not
+  run): ``run_bound_suite(N)`` at ``n_oracle = 10**6``, where the
+  refinement oracle does the work.
 
-One untimed ``solve`` per side and case comes first.  The sha256 of its
-``values``, ``right_values`` and ``predictor_values`` must be equal on both
-sides; if any differs, nothing is timed and the tool exits 1.  Then each of
-``N`` rounds times one ``solve`` per side under ``time.process_time``,
-alternating which side goes first.  For each case it prints each side's
-median and quartiles and the number of rounds each side won (ties count
-for neither); the last line is the summary as one JSON object.  Exits 2
-on bad arguments.
+One untimed call per side and case comes first.  The sha256 of each of its
+outputs must be equal on both sides: a solve's ``values``,
+``right_values`` and ``predictor_values``, the bound suite's ``value``,
+``oracle``, ``bound`` and ``passed`` columns.  If any differs, nothing is
+timed and the tool exits 1.  Then each of ``N`` rounds times one call per
+side under ``time.process_time``, alternating which side goes first.  For
+each case it prints each side's median and quartiles and the number of
+rounds each side won (ties count for neither); the last line is the
+summary as one JSON object.  Exits 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -41,9 +48,13 @@ import platform
 import sys
 import time
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 OUTPUTS = ("values", "right_values", "predictor_values")
+COLUMNS = ("value", "oracle", "bound", "passed")
+N_ORACLE = 10 ** 6
 
 # medians and quartiles as bench/run.py computes them, from its own code
 _spec = importlib.util.spec_from_file_location(
@@ -55,7 +66,8 @@ quartiles = _bench_run._quartiles
 
 def load_package(checkout, name):
     """The checkout's ``src/stieltjes_ode`` imported as the package
-    ``name``, with its ``derivator``, ``models`` and ``solver`` modules."""
+    ``name``, with its ``derivator``, ``models``, ``quadrature`` and
+    ``solver`` modules."""
     path = os.path.join(checkout, "src", "stieltjes_ode")
     spec = importlib.util.spec_from_file_location(
         name, os.path.join(path, "__init__.py"),
@@ -63,36 +75,61 @@ def load_package(checkout, name):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for module in ("derivator", "models", "solver"):
+    for module in ("derivator", "models", "quadrature", "solver"):
         importlib.import_module(f"{name}.{module}")
     return package
 
 
+def solve_case(pkg, spec, g, h):
+    """The call that solves ``spec`` on ``g`` at step ``h``, its outputs,
+    and the case's size for the summary."""
+    part = pkg.solver.build_partition(g, h)
+    call = lambda: pkg.solver.solve(spec, part)
+    outputs = lambda traj: {name: getattr(traj, name) for name in OUTPUTS}
+    return call, outputs, {"h": h, "steps": part.n_steps}
+
+
 def linear_case(pkg, h):
     g = pkg.derivator.make_test_derivator(4, snap=1e-3)
-    return pkg.models.make_linear_spec(-0.5, 1.0), pkg.solver.build_partition(g, h)
+    return solve_case(pkg, pkg.models.make_linear_spec(-0.5, 1.0), g, h)
 
 
 def silkworm_case(pkg, h):
     params = pkg.models.SilkwormParams(c=1.2, lam=1.1, x0=8.0)
     g = pkg.derivator.make_silkworm_derivator(10.0)
-    return pkg.models.make_silkworm_spec(params), pkg.solver.build_partition(g, h)
+    return solve_case(pkg, pkg.models.make_silkworm_spec(params), g, h)
 
 
-CASES = {"linear": linear_case, "silkworm": silkworm_case}
+def quadrature_case(pkg, cases):
+    """The bound suite's call, its columns, and its size."""
+    call = lambda: pkg.quadrature.run_bound_suite(cases, N_ORACLE)
+    outputs = lambda rows: {name: np.array([row[name] for row in rows])
+                            for name in COLUMNS}
+    return call, outputs, {"cases": cases, "n_oracle": N_ORACLE}
 
 
-def digests(traj):
-    """sha256 of each output array of a trajectory."""
-    return {name: hashlib.sha256(getattr(traj, name).tobytes()).hexdigest()
-            for name in OUTPUTS}
+CASES = {"linear": linear_case, "silkworm": silkworm_case,
+         "quadrature": quadrature_case}
 
 
-def time_solve(pkg, spec, part):
-    """CPU seconds of one ``solve``, after a collection outside the timer."""
+def digests(arrays):
+    """sha256 of each output array."""
+    return {name: hashlib.sha256(arr.tobytes()).hexdigest()
+            for name, arr in arrays.items()}
+
+
+def describe(size):
+    """The size of a case as the log states it."""
+    if "steps" in size:
+        return f"{size['steps']} steps"
+    return f"{size['cases']} cases at n_oracle={size['n_oracle']}"
+
+
+def time_call(call):
+    """CPU seconds of one call, after a collection outside the timer."""
     gc.collect()
     start = time.process_time()
-    pkg.solver.solve(spec, part)
+    call()
     return time.process_time() - start
 
 
@@ -116,17 +153,17 @@ def measure(packages, steps, rounds, log=print):
     the summary (timings only when every digest matched)."""
     built = {}
     summary = {"rounds": rounds, "digests_identical": True, "cases": {}}
-    for case, h in steps.items():
-        built[case] = {side: CASES[case](packages[side], h) for side in SIDES}
-        sums = {side: digests(packages[side].solver.solve(*built[case][side]))
-                for side in SIDES}
+    for case, size in steps.items():
+        built[case] = {side: CASES[case](packages[side], size)
+                       for side in SIDES}
+        sums = {side: digests(outputs(call()))
+                for side, (call, outputs, _) in built[case].items()}
         same = sums["parent"] == sums["change"]
         summary["digests_identical"] &= same
-        summary["cases"][case] = {
-            "h": h, "steps": built[case]["parent"][1].n_steps,
+        summary["cases"][case] = built[case]["parent"][2] | {
             "digests_identical": same, "digests": sums}
         if not same:
-            differ = [name for name in OUTPUTS
+            differ = [name for name in sums["parent"]
                       if sums["parent"][name] != sums["change"][name]]
             log(f"{case}: the sides wrote different {', '.join(differ)}")
     if not summary["digests_identical"]:
@@ -135,10 +172,10 @@ def measure(packages, steps, rounds, log=print):
         times = {side: [] for side in SIDES}
         for r in range(rounds):
             for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
-                times[side].append(time_solve(packages[side], *sides[side]))
+                times[side].append(time_call(sides[side][0]))
         row = summary["cases"][case]
         row |= summarize(times) | {"times": times}
-        log(f"{case}: {row['steps']} steps, digests equal")
+        log(f"{case}: {describe(row)}, digests equal")
         for side in SIDES:
             log(f"  {side:6s} median {row[f'{side}_median']:.4f} s "
                 f"(quartiles {row[f'{side}_q1']:.4f} .. "
@@ -156,9 +193,12 @@ def main(argv=None):
     parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--linear-h", type=float, default=1e-5)
     parser.add_argument("--silkworm-h", type=float, default=1e-4)
+    parser.add_argument("--quadrature-cases", type=int, default=0)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("need --rounds >= 1")
+    if args.quadrature_cases < 0:
+        parser.error("need --quadrature-cases >= 0")
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
     for checkout in checkouts.values():
         if not os.path.isfile(os.path.join(checkout, "src", "stieltjes_ode",
@@ -167,6 +207,8 @@ def main(argv=None):
     packages = {side: load_package(checkout, f"{side}_stieltjes_ode")
                 for side, checkout in checkouts.items()}
     steps = {"linear": args.linear_h, "silkworm": args.silkworm_h}
+    if args.quadrature_cases:
+        steps["quadrature"] = args.quadrature_cases
     try:
         summary = measure(packages, steps, args.rounds)
     except ValueError as exc:
