@@ -275,13 +275,13 @@ def _run_scheme(spec: IvpSpec, part: Partition, rhos=()) -> Trajectory:
     # the steps up to each carried run, then those after the last one
     for a, b in [*_carried_runs(part, rhos), (n_steps, n_steps)]:
         # one flat tuple per step: k, t_k, t_{k+1}, gap, dg[, three rhos]
-        steps = (range(lo, a), nodes[lo:a], nodes[lo + 1:a + 1], gaps[lo:a],
-                 dgs[lo:a])
+        cols = (range(lo, a), nodes[lo:a], nodes[lo + 1:a + 1], gaps[lo:a],
+                dgs[lo:a])
         # u_k + f * 0.0 is u_k for a finite f and a nonzero u_k; the two
         # bodies differ only in the perturbation each stage adds last
         if views:
             for k, t_k, t_next, gap, dg, r_plus, r_star, r in zip(
-                    *steps, *[v[lo:a] for v in views]):
+                    *cols, *[v[lo:a] for v in views]):
                 try:
                     u_plus = (u_k + rhs(t_k, u_k, history) * gap
                               if gap or not u_k else u_k) + r_plus
@@ -296,7 +296,7 @@ def _run_scheme(spec: IvpSpec, part: Partition, rhos=()) -> Trajectory:
                 out_plus[k], out_star[k], out_u[k + 1] = u_plus, u_star, u_k
                 history.filled = k + 2
         else:
-            for k, t_k, t_next, gap, dg in zip(*steps):
+            for k, t_k, t_next, gap, dg in zip(*cols):
                 try:
                     u_plus = (u_k + rhs(t_k, u_k, history) * gap
                               if gap or not u_k else u_k)

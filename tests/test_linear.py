@@ -10,8 +10,7 @@ from stieltjes_ode.derivator import (_ORACLE_BLOCK, MAX_GRID_STEPS, Derivator,
 from stieltjes_ode.linear import (_jump_map, constant_linear_solution,
                                   general_linear_solution, hat_exponential,
                                   homogeneous_solution)
-from stieltjes_ode.quadrature import (_leaf_starts, _pieces,
-                                      oracle_integral)
+from stieltjes_ode.quadrature import _leaf_starts, _pieces, oracle_integral
 from stieltjes_ode.solver import IvpSpec, build_partition, solve
 from test_derivator import bits, per_point_value, read_cases
 

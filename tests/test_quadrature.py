@@ -297,9 +297,13 @@ class TestOracle:
         assert peak < 3e6
 
     @pytest.mark.parametrize("a, b, n", [(0.3, 9.7, 1000), (2.5, 7.5, 333),
-                                         (5.0, 9.0, 90), (0.0, 10.0, 4)])
+                                         (5.0, 9.0, 90), (0.0, 10.0, 4),
+                                         (2.5, 7.5, 3000)])
     def test_blocked_equals_unblocked(self, monkeypatch, a, b, n):
-        # three interior jumps, and a = 2.5 or 5.0 starts at one
+        # three interior jumps, and a = 2.5 or 5.0 starts at one; blocks
+        # keep at least numpy's 128 steps, so only pieces of more than 128
+        # steps cross a block end: 2 or 3 blocks per piece at n = 333 and
+        # 1000, 16 at n = 3000
         g = make_test_derivator(3, alpha=3.3)
         f, f_right, _ = make_lipschitz_integrand(g, 1.3, -0.6)
         monkeypatch.setattr(quadrature, "_ORACLE_BLOCK", 7)
@@ -308,7 +312,9 @@ class TestOracle:
                 f, g, a, b, n, fr)
 
     def test_blocked_scalar_only_integrand(self, monkeypatch):
-        # math.exp rejects arrays, so every block takes the per-point fallback
+        # math.exp rejects arrays, so every block takes the per-point
+        # fallback; each of the three pieces (146, 208 and 146 steps) has
+        # two blocks
         g = make_test_derivator(2, alpha=4.0)
         f = lambda t: math.exp(-float(t)) + float(g.value(t))
         monkeypatch.setattr(quadrature, "_ORACLE_BLOCK", 16)
